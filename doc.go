@@ -76,6 +76,18 @@
 //     The node event loop drains queued events in batches bracketed
 //     by BeginBatch/EndBatch, so a burst of deliveries triggers one
 //     commit cascade.
+//   - One ordered way out: everything core.Replica emits — PREPARE,
+//     PREPAREOK and CLOCKTIME broadcasts, the unicast CLOCKTIME that
+//     answers an idle-read CLOCKREQ, SUSPENDOK and state-transfer
+//     replies, the reconfiguration consensus — is appended to one
+//     outbox queue and leaves at the end of the batch turn (at once
+//     when no turn is open, and before an epoch install) behind the
+//     turn's one covering fsync. A run of consecutive broadcasts is
+//     still one encode-once msg.Batch; a unicast leaves in its queue
+//     position. Both land on the same per-peer transport queue, so
+//     queue order is link order: per-sender FIFO, which the
+//     stable-order rule assumes and the Sent counters check, and
+//     ack-after-fsync are each enforced in that one place.
 //   - Client-side batching: commands enter the stack through the
 //     asynchronous client API — node.Propose returns a Future that
 //     resolves with the command's execution result — and a node's

@@ -180,3 +180,161 @@ func TestLateDuplicatePrepareIgnored(t *testing.T) {
 		t.Errorf("late duplicate re-entered pending: %d", rep.PendingLen())
 	}
 }
+
+// sentTo returns, in send order, what env's replica emitted to peer.
+func (e *recordEnv) sentTo(peer types.ReplicaID) []msg.Message {
+	var out []msg.Message
+	for _, s := range e.sends {
+		if s.to == peer {
+			out = append(out, s.m)
+		}
+	}
+	return out
+}
+
+// linkPair builds replica 0 (the sender under test) and replica 1 (the
+// receiver whose fifoCheck judges 0's link order) of a three-replica
+// Spec, both past Start with nothing sent yet.
+func linkPair() (a, b *Replica, aEnv *recordEnv) {
+	aEnv = newRecordEnv(0, 3)
+	aEnv.now = 1000
+	a = New(aEnv, &rsm.App{SM: rsm.NopSM{}}, Options{})
+	a.Start()
+	bEnv := newRecordEnv(1, 3)
+	bEnv.now = 5000 // ahead of every timestamp 0 assigns: no line-8 wait
+	b = New(bEnv, &rsm.App{SM: rsm.NopSM{}}, Options{})
+	b.Start()
+	return a, b, aEnv
+}
+
+func command(origin types.ReplicaID, seq uint64) types.Command {
+	return types.Command{ID: types.CommandID{Origin: origin, Seq: seq}, Payload: []byte("x")}
+}
+
+// TestNudgeReplyQueuesBehindPrepare is the Open-item-1 regression: a
+// CLOCKREQ answered in the same batch turn as a Submit must not let the
+// CLOCKTIME (stamped Sent = 1) reach the requester ahead of the PREPARE
+// it vouches for — the requester's fifoCheck would prove a gap on a
+// lossless link and force a Rejoin.
+func TestNudgeReplyQueuesBehindPrepare(t *testing.T) {
+	a, b, aEnv := linkPair()
+
+	a.BeginBatch()
+	a.Submit(command(0, 1))
+	a.Deliver(1, &msg.ClockReq{})
+	a.EndBatch()
+
+	link := aEnv.sentTo(1)
+	if len(link) != 2 {
+		t.Fatalf("replica 1 was sent %d messages, want PREPARE then CLOCKTIME", len(link))
+	}
+	if _, ok := link[0].(*msg.Prepare); !ok {
+		t.Fatalf("first message on the link is %T, want *msg.Prepare", link[0])
+	}
+	if ct, ok := link[1].(*msg.ClockTime); !ok || ct.Sent != 1 {
+		t.Fatalf("second message on the link is %#v, want CLOCKTIME with Sent=1", link[1])
+	}
+	for _, m := range link {
+		b.Deliver(0, m)
+	}
+	if b.LinkGaps() != 0 || b.Epoch() != 0 || a.Epoch() != 0 {
+		t.Fatalf("link gaps=%d epochs=%d/%d, want 0 gaps and epoch 0", b.LinkGaps(), a.Epoch(), b.Epoch())
+	}
+	if b.PendingLen() != 1 {
+		t.Fatalf("receiver holds %d pending commands, want 1", b.PendingLen())
+	}
+}
+
+// TestMixedTurnLeavesInQueueOrder pins the outbox's framing on a turn
+// that mixes broadcasts with unicasts: each run of consecutive
+// broadcasts is one msg.Batch (bare when the run is a single message),
+// and each unicast — a nudge reply, a SUSPENDOK — leaves in its queue
+// position, so the link carries exactly the order the replica produced.
+func TestMixedTurnLeavesInQueueOrder(t *testing.T) {
+	a, b, aEnv := linkPair()
+
+	a.BeginBatch()
+	a.Submit(command(0, 1))
+	a.Submit(command(0, 2))
+	a.Deliver(1, &msg.ClockReq{})
+	a.Submit(command(0, 3))
+	a.Deliver(1, &msg.Suspend{Epoch: 1})
+	if len(aEnv.sends) != 0 {
+		t.Fatalf("%d messages left before the turn closed", len(aEnv.sends))
+	}
+	a.EndBatch()
+
+	// The bystander sees only the broadcasts: one batch, one bare PREPARE.
+	other := aEnv.sentTo(2)
+	if len(other) != 2 {
+		t.Fatalf("replica 2 was sent %d frames, want 2", len(other))
+	}
+	if first, ok := other[0].(*msg.Batch); !ok || len(first.Msgs) != 2 {
+		t.Fatalf("replica 2's first frame is %#v, want a batch of 2 PREPAREs", other[0])
+	}
+	if _, ok := other[1].(*msg.Prepare); !ok {
+		t.Fatalf("replica 2's second frame is %T, want a bare *msg.Prepare", other[1])
+	}
+
+	link := aEnv.sentTo(1)
+	if len(link) != 4 {
+		t.Fatalf("replica 1 was sent %d frames, want 4", len(link))
+	}
+	if link[0] != other[0] || link[2] != other[1] {
+		t.Fatal("broadcast frames differ between peers")
+	}
+	if ct, ok := link[1].(*msg.ClockTime); !ok || ct.Sent != 2 {
+		t.Fatalf("frame 2 is %#v, want CLOCKTIME with Sent=2", link[1])
+	}
+	ok, isOK := link[3].(*msg.SuspendOK)
+	if !isOK || len(ok.Cmds) != 3 {
+		t.Fatalf("frame 4 is %#v, want SUSPENDOK quoting 3 logged commands", link[3])
+	}
+	for _, m := range link {
+		b.Deliver(0, m)
+	}
+	if b.LinkGaps() != 0 || b.Epoch() != 0 || a.Epoch() != 0 {
+		t.Fatalf("link gaps=%d epochs=%d/%d, want 0 gaps and epoch 0", b.LinkGaps(), a.Epoch(), b.Epoch())
+	}
+	if b.PendingLen() != 3 {
+		t.Fatalf("receiver holds %d pending commands, want 3", b.PendingLen())
+	}
+}
+
+// syncCountLog counts group-commit barriers.
+type syncCountLog struct {
+	storage.Log
+	syncs int
+}
+
+func (l *syncCountLog) Sync() error { l.syncs++; return nil }
+
+// TestOneBarrierCoversTheTurn checks ack-after-fsync is enforced in one
+// place: nothing leaves before the turn's covering fsync, a turn costs
+// one fsync however many messages and kinds it produced, and a unicast
+// quoting the log outside any turn is preceded by its own.
+func TestOneBarrierCoversTheTurn(t *testing.T) {
+	env := newRecordEnv(0, 3)
+	env.now = 1000
+	lg := &syncCountLog{Log: env.log}
+	env.log = lg
+	rep := New(env, &rsm.App{SM: rsm.NopSM{}}, Options{})
+	rep.Start()
+
+	rep.BeginBatch()
+	rep.Submit(command(0, 1))
+	rep.Deliver(1, &msg.ClockReq{})
+	rep.Deliver(1, &msg.RetrieveCmds{To: types.Timestamp{Wall: 1 << 40}})
+	if lg.syncs != 0 || len(env.sends) != 0 {
+		t.Fatalf("mid-turn: %d syncs, %d sends, want none", lg.syncs, len(env.sends))
+	}
+	rep.EndBatch()
+	if lg.syncs != 1 || len(env.sends) != 4 {
+		t.Fatalf("after the turn: %d syncs for %d sends, want 1 sync for 4 sends", lg.syncs, len(env.sends))
+	}
+
+	rep.Deliver(2, &msg.RetrieveCmds{To: types.Timestamp{Wall: 1 << 40}})
+	if lg.syncs != 2 || len(env.sends) != 5 {
+		t.Fatalf("outside a turn: %d syncs, %d sends, want 2 and 5", lg.syncs, len(env.sends))
+	}
+}

@@ -107,3 +107,46 @@ func TestWatermarkNeverOvertaken(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleReadNudgeRound is the paper's Section IV idle-read floor: a
+// linearizable read parked on an idle cluster does not wait out the
+// rest of the Δ interval. NudgeClock broadcasts CLOCKREQ, every peer
+// answers with an immediate CLOCKTIME, and the watermark passes the
+// read's capture time two one-way delays later — well inside Δ.
+func TestIdleReadNudgeRound(t *testing.T) {
+	const delta, oneWay = 500, 10
+	h := newHarness(t, wan.Uniform(3, ms(oneWay)), Options{ClockTimeInterval: ms(delta)}, sim.ClusterOptions{})
+	reader := h.reps[2]
+	// Mid-interval: the last CLOCKTIMEs left at 1000ms, the next are due
+	// at 1500ms.
+	at := ms(2*delta + 100)
+	var readTS int64
+	h.c.Eng.At(at, func() {
+		readTS = h.c.Replicas[2].Clock()
+		if w := reader.StableTS(); w >= readTS {
+			t.Fatalf("idle watermark %d already covers the read at %d", w, readTS)
+		}
+		reader.NudgeClock()
+	})
+	h.c.Eng.RunUntil(at + ms(2*oneWay) - time.Microsecond)
+	if w := reader.StableTS(); w >= readTS {
+		t.Fatalf("watermark %d covers the read at %d before a round trip elapsed", w, readTS)
+	}
+	h.c.Eng.RunUntil(at + ms(2*oneWay) + time.Microsecond)
+	if w := reader.StableTS(); w < readTS {
+		t.Fatalf("watermark %d still below the read at %d one round trip after the nudge", w, readTS)
+	}
+	if reader.Nudges() != 1 {
+		t.Errorf("reader sent %d CLOCKREQs, want 1", reader.Nudges())
+	}
+	for i, rep := range h.reps[:2] {
+		if rep.NudgeReplies() != 1 {
+			t.Errorf("replica %d answered %d CLOCKREQs, want 1", i, rep.NudgeReplies())
+		}
+	}
+	for i, rep := range h.reps {
+		if rep.LinkGaps() != 0 || rep.Epoch() != 0 {
+			t.Errorf("replica %d: link gaps %d, epoch %d after a nudge round", i, rep.LinkGaps(), rep.Epoch())
+		}
+	}
+}

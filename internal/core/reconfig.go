@@ -84,12 +84,7 @@ func (r *Replica) Reconfigure(confignew []types.ReplicaID) {
 	for _, tc := range r.env.Log().CommandsAfter(cts) {
 		r.rc.cmds[tc.TS] = tc.Cmd
 	}
-	m := &msg.Suspend{Epoch: e, CTS: cts}
-	for _, k := range r.spec {
-		if k != r.env.ID() {
-			r.env.Send(k, m)
-		}
-	}
+	r.out.sendSpec(&msg.Suspend{Epoch: e, CTS: cts})
 	r.maybePropose()
 }
 
@@ -143,7 +138,7 @@ func (r *Replica) onSuspend(from types.ReplicaID, m *msg.Suspend) {
 			if !ok {
 				break
 			}
-			r.env.Send(from, &msg.Learn{Instance: e, Value: v})
+			r.out.Send(from, &msg.Learn{Instance: e, Value: v})
 		}
 		return
 	}
@@ -154,18 +149,12 @@ func (r *Replica) onSuspend(from types.ReplicaID, m *msg.Suspend) {
 	// the range; the command list alone would silently omit those
 	// commands, so ship the snapshot covering them (Section V-B), as the
 	// state-transfer reply does.
-	if cpr, okc := r.env.Log().(storage.Checkpointer); okc {
-		if cp, okc := cpr.LastCheckpoint(); okc && m.CTS.Less(cp.TS) {
-			ok.HasSnap = true
-			ok.SnapTS = cp.TS
-			ok.Snap = cp.State
-			low = cp.TS
-		}
+	if cp, covers := r.checkpointAfter(m.CTS); covers {
+		ok.HasSnap, ok.SnapTS, ok.Snap = true, cp.TS, cp.State
+		low = cp.TS
 	}
 	ok.Cmds = r.env.Log().CommandsAfter(low)
-	// The reply asserts our log's contents: the covering fsync first.
-	r.syncBarrier()
-	r.env.Send(from, ok)
+	r.out.Send(from, ok)
 }
 
 // onSuspendOK collects SUSPENDOK replies (Alg. 3 line 5); once a
@@ -237,16 +226,10 @@ func (r *Replica) beginApply(d *decision) bool {
 	// shipped a snapshot ahead of our commit frontier, restore it before
 	// measuring the lag: the responders' checkpoints swallowed commands
 	// the decision's list cannot carry, and the snapshot covers them.
-	if r.rc != nil && r.rc.epoch == d.epoch && r.rc.snap != nil && r.env.Log().LastCommitTS().Less(r.rc.snapTS) {
-		if restored, err := r.app.TryRestore(r.rc.snap); err == nil && restored {
-			if cpr, ok := r.env.Log().(storage.Checkpointer); ok {
-				cpr.WriteCheckpoint(storage.Checkpoint{TS: r.rc.snapTS, State: r.rc.snap})
-			}
-			r.committed++
-			r.snapRestores.Add(1)
-		}
+	if r.rc != nil && r.rc.epoch == d.epoch {
+		r.restoreSnapshot(r.rc.snap, r.rc.snapTS)
 	}
-	cts := r.env.Log().LastCommitTS()
+	cts := r.lastCommitted
 	// The decision's command list is complete only above d.snapTS (see
 	// decision.snapTS): a frontier below that must be repaired by state
 	// transfer even when it already covers the decision baseline d.ts,
@@ -271,12 +254,7 @@ func (r *Replica) beginApply(d *decision) bool {
 		for _, tc := range r.env.Log().CommandsBetween(cts, need) {
 			r.st.cmds[tc.TS] = tc.Cmd
 		}
-		req := &msg.RetrieveCmds{From: cts, To: need}
-		for _, k := range r.spec {
-			if k != r.env.ID() {
-				r.env.Send(k, req)
-			}
-		}
+		r.out.sendSpec(&msg.RetrieveCmds{From: cts, To: need})
 		if bits.OnesCount64(r.st.okMask) >= types.Majority(len(r.spec)) {
 			r.finishApply(d, sortedCmds(r.st.cmds))
 			return true
@@ -306,22 +284,14 @@ func (r *Replica) onRetrieveCmds(from types.ReplicaID, m *msg.RetrieveCmds) {
 	}
 	reply := &msg.RetrieveReply{Seq: uint64(r.epoch)}
 	low := m.From
-	if cpr, ok := r.env.Log().(storage.Checkpointer); ok {
-		if cp, ok := cpr.LastCheckpoint(); ok && m.From.Less(cp.TS) {
-			reply.HasSnap = true
-			reply.SnapTS = cp.TS
-			reply.Snap = cp.State
-			if m.To.Less(cp.TS) {
-				low = m.To
-			} else {
-				low = cp.TS
-			}
+	if cp, covers := r.checkpointAfter(m.From); covers {
+		reply.HasSnap, reply.SnapTS, reply.Snap = true, cp.TS, cp.State
+		if low = cp.TS; m.To.Less(low) {
+			low = m.To
 		}
 	}
 	reply.Cmds = r.env.Log().CommandsBetween(low, m.To)
-	// The reply asserts our log's contents: the covering fsync first.
-	r.syncBarrier()
-	r.env.Send(from, reply)
+	r.out.Send(from, reply)
 }
 
 // shouldSnapshotFor reports whether serving a transfer from baseline
@@ -336,11 +306,7 @@ func (r *Replica) shouldSnapshotFor(from types.Timestamp) bool {
 	if r.opts.CheckpointEvery <= 0 {
 		return false
 	}
-	cpr, ok := r.env.Log().(storage.Checkpointer)
-	if !ok {
-		return false
-	}
-	if cp, ok := cpr.LastCheckpoint(); ok && from.Less(cp.TS) {
+	if _, covers := r.checkpointAfter(from); covers {
 		return false // existing checkpoint already covers the gap
 	}
 	if !from.Less(r.lastCommitted) {
@@ -349,8 +315,20 @@ func (r *Replica) shouldSnapshotFor(from types.Timestamp) bool {
 	return len(r.env.Log().CommandsBetween(from, r.lastCommitted)) >= catchupSnapshotThreshold
 }
 
+// checkpointAfter returns the log's newest checkpoint if it is newer
+// than ts, i.e. if it swallowed commands a peer at ts still needs.
+func (r *Replica) checkpointAfter(ts types.Timestamp) (storage.Checkpoint, bool) {
+	if cpr, ok := r.env.Log().(storage.Checkpointer); ok {
+		if cp, ok := cpr.LastCheckpoint(); ok && ts.Less(cp.TS) {
+			return cp, true
+		}
+	}
+	return storage.Checkpoint{}, false
+}
+
 // checkpointNow takes an immediate snapshot at the commit frontier and
-// compacts the log through it. Best-effort, like maybeCheckpoint.
+// compacts the log through it. Best-effort: on failure the uncompacted
+// log stays and the next commit tries again.
 func (r *Replica) checkpointNow() {
 	cpr, ok := r.env.Log().(storage.Checkpointer)
 	if !ok {
@@ -390,18 +368,32 @@ func (r *Replica) onRetrieveReply(from types.ReplicaID, m *msg.RetrieveReply) {
 		st.applied = true
 		// Restore the newest received snapshot before applying commands;
 		// it covers every command ≤ snapTS that some responder compacted.
-		if st.snap != nil && r.env.Log().LastCommitTS().Less(st.snapTS) {
-			if restored, err := r.app.TryRestore(st.snap); err == nil && restored {
-				if cpr, ok := r.env.Log().(storage.Checkpointer); ok {
-					cpr.WriteCheckpoint(storage.Checkpoint{TS: st.snapTS, State: st.snap})
-				}
-				r.committed++
-				r.snapRestores.Add(1)
-			}
-		}
+		r.restoreSnapshot(st.snap, st.snapTS)
 		r.finishApply(st.dec, sortedCmds(st.cmds))
 		r.drainDecisions()
 	}
+}
+
+// restoreSnapshot replaces the state machine with a peer's snapshot
+// taken at ts, if it is ahead of the commit frontier. lastCommitted moves
+// to ts with the state, whatever the log makes of the checkpoint:
+// finishApply skips by it, so a command the snapshot already holds is
+// never executed a second time on top of it — which a failed checkpoint
+// write, leaving the log's LastCommitTS behind, used to allow. The log
+// then lacks what the snapshot covers, so the next commit retries the
+// checkpoint instead of waiting out the interval.
+func (r *Replica) restoreSnapshot(snap []byte, ts types.Timestamp) {
+	if snap == nil || !r.lastCommitted.Less(ts) {
+		return
+	}
+	if restored, err := r.app.TryRestore(snap); err != nil || !restored {
+		return
+	}
+	r.lastCommitted = ts
+	r.committed++
+	r.snapRestores.Add(1)
+	r.sinceCheckpoint = r.opts.CheckpointEvery
+	r.checkpointNow()
 }
 
 // finishApply installs decision d (Alg. 3 lines 15-24): discard
@@ -409,10 +401,6 @@ func (r *Replica) onRetrieveReply(from types.ReplicaID, m *msg.RetrieveReply) {
 // command not yet executed in timestamp order, install the new epoch and
 // configuration, and resume.
 func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand) {
-	// Flush any output coalesced in the current batch turn before the
-	// epoch changes: the buffered messages belong to the old epoch and
-	// configuration.
-	r.flushOut()
 	lg := r.env.Log()
 	// Locally originated commands still pending here are candidates for
 	// discard (line 15 prunes their PREPAREs): any of them absent from
@@ -443,8 +431,9 @@ func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand)
 
 	// Lines 16-20: apply transferred commands (all ≤ d.ts) then decided
 	// commands (> d.ts) in timestamp order, skipping anything already
-	// executed. Commit marks are prefix-closed in timestamp order, so a
-	// single LastCommitTS comparison identifies executed commands.
+	// executed. Execution is prefix-closed in timestamp order, so one
+	// comparison against lastCommitted — not the log's LastCommitTS, which
+	// a restored snapshot can be ahead of — identifies executed commands.
 	all := make([]msg.TimestampedCommand, 0, len(transferred)+len(d.cmds))
 	all = append(all, transferred...)
 	all = append(all, d.cmds...)
@@ -461,7 +450,7 @@ func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand)
 			}
 		}
 	}
-	cts := lg.LastCommitTS()
+	cts := r.lastCommitted
 	for _, tc := range all {
 		if tc.TS.LessEq(cts) {
 			continue
@@ -474,12 +463,12 @@ func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand)
 		r.committed++
 		r.app.Execute(r.env.ID(), tc.TS, tc.Cmd)
 	}
-	if r.lastCommitted.Less(cts) {
-		r.lastCommitted = cts
-	}
-	// Make the applied commands durable before resuming: the epoch
-	// install implicitly asserts them to every peer we speak to next.
-	r.syncBarrier()
+	r.lastCommitted = cts
+	// Flush what the current turn queued before the epoch changes: those
+	// messages belong to the old epoch and configuration. The install
+	// implicitly asserts the commands applied above to every peer we speak
+	// to next; the outbox's barrier makes them durable before that leaves.
+	r.out.flush()
 
 	// Lines 21-24: install epoch and configuration, resize LatestTV.
 	r.epoch = d.epoch
@@ -547,7 +536,7 @@ func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand)
 	// executed commands, and LatestTV restarted from the decision
 	// baseline): wake the read path so parked reads re-evaluate against
 	// the new configuration. Inside a batch turn EndBatch notifies.
-	if !r.inBatch {
+	if !r.out.turn {
 		r.notifyStable()
 	}
 }

@@ -55,29 +55,24 @@ type Options struct {
 	// state machine to implement rsm.Snapshotter and the log
 	// storage.Checkpointer; otherwise it is ignored.
 	CheckpointEvery int
-	// NoReadNudge disables the idle-read CLOCKTIME nudge: without it a
-	// linearizable read parked on an idle cluster (NudgeClock) asks the
-	// peers for their clocks immediately instead of waiting out the rest
-	// of the Δ interval, cutting the idle-read latency floor from
-	// Δ + one-way delay to one round trip (Section IV). Exists so the
-	// before/after cost of the nudge is measurable.
-	NoReadNudge bool
 }
 
 // Replica is one Clock-RSM replica. All methods must be invoked from the
 // replica's event loop (simulator dispatch or node goroutine); the type
-// itself holds no locks.
+// itself holds no locks. Every message it emits — broadcast, unicast or
+// consensus — leaves through out, its one ordered way out (see outbox).
 type Replica struct {
 	env  rsm.Env
 	app  *rsm.App
 	opts Options
+	out  outbox
 
 	// syncer is the log's group-commit hook, when the log provides one
 	// (storage.SyncMode batch). syncBarrier invokes it before any
-	// protocol message asserting log contents leaves the replica: a
-	// PREPARE or PREPAREOK doubles as a durable-logging acknowledgement
-	// (Alg. 1), so the covering fsync must precede the send. Nil when
-	// the log syncs per append or durability is off.
+	// protocol message leaves the replica: a PREPARE or PREPAREOK doubles
+	// as a durable-logging acknowledgement (Alg. 1), so the covering
+	// fsync must precede the send. Nil when the log syncs per append or
+	// durability is off.
 	syncer storage.Syncer
 
 	spec     []types.ReplicaID
@@ -177,13 +172,6 @@ type Replica struct {
 	// runtime's read path uses it to release parked reads.
 	onStable func()
 
-	// Batch-turn state: between BeginBatch and EndBatch (or while
-	// processing one msg.Batch), outgoing broadcasts accumulate in
-	// outBuf — flushed as one msg.Batch — and the commit scan is
-	// deferred to the end of the turn.
-	inBatch bool
-	outBuf  []msg.Message
-
 	// sinceCheckpoint counts commands executed since the last
 	// checkpoint.
 	sinceCheckpoint int
@@ -232,42 +220,39 @@ func New(env rsm.Env, app *rsm.App, opts Options) *Replica {
 	for _, id := range spec {
 		r.inConfig[id] = true
 	}
-	r.px = consensus.New(env.ID(), spec, env, opts.ConsensusRetry, r.onDecide)
+	r.out.r = r
+	r.px = consensus.New(env.ID(), spec, &r.out, opts.ConsensusRetry, r.onDecide)
 	r.syncer, _ = env.Log().(storage.Syncer)
 	if opts.Replay {
 		// Restore the latest checkpoint, if any, then replay the tail
 		// (Section V-B).
-		if cpr, ok := env.Log().(storage.Checkpointer); ok {
-			if cp, ok := cpr.LastCheckpoint(); ok {
-				if restored, err := r.app.TryRestore(cp.State); err == nil && restored {
-					r.committed++ // the checkpoint covers ≥ 1 command
-				}
+		if cp, ok := r.checkpointAfter(types.Timestamp{}); ok {
+			if restored, err := r.app.TryRestore(cp.State); err == nil && restored {
+				r.committed++ // the checkpoint covers ≥ 1 command
 			}
 		}
 		committed, _ := storage.CommittedCommands(env.Log())
 		for _, tc := range committed {
 			r.app.Execute(types.NoReplica, tc.TS, tc.Cmd) // suppress client replies on replay
 			r.committed++
-			r.lastCommitted = tc.TS
-		}
-		// The duplicate-kill frontier must cover the restored checkpoint
-		// too, not only the replayed tail: with an empty tail, a late
-		// duplicate PREPARE at or below the checkpoint would otherwise
-		// slip past the lastCommitted guard and re-execute an already
-		// acknowledged command.
-		if lct := env.Log().LastCommitTS(); r.lastCommitted.Less(lct) {
-			r.lastCommitted = lct
 		}
 	}
+	// The duplicate-kill frontier starts at the log's, which covers a
+	// restored checkpoint too, not only the replayed tail: with an empty
+	// tail, a late duplicate PREPARE at or below the checkpoint would
+	// otherwise slip past the lastCommitted guard and re-execute an
+	// already acknowledged command. From here on lastCommitted leads the
+	// log (see restoreSnapshot).
+	r.lastCommitted = env.Log().LastCommitTS()
 	return r
 }
 
-// syncBarrier makes every append so far durable (group commit). It is
-// invoked before any outgoing protocol message that acknowledges log
-// contents. An fsync failure is fatal: the log's durability promise is
-// broken in an unknowable way (pages may have been dropped), so the
-// replica must crash and recover from the log rather than ack on top of
-// it — the recovery error contract documented in the README.
+// syncBarrier makes every append so far durable (group commit). Its one
+// caller is outbox.flush, ahead of every outgoing protocol message. An
+// fsync failure is fatal: the log's durability promise is broken in an
+// unknowable way (pages may have been dropped), so the replica must
+// crash and recover from the log rather than ack on top of it — the
+// recovery error contract documented in the README.
 func (r *Replica) syncBarrier() {
 	if r.syncer == nil {
 		return
@@ -417,83 +402,118 @@ func (r *Replica) Submit(cmd types.Command) {
 	r.observe(r.env.ID(), ts.Wall)
 	r.lastSent = ts.Wall
 	r.prepSent++
-	r.broadcast(&msg.Prepare{Epoch: r.epoch, TS: ts, Cmd: cmd, Sent: r.prepSent})
+	r.out.broadcast(&msg.Prepare{Epoch: r.epoch, TS: ts, Cmd: cmd, Sent: r.prepSent})
 	r.tryCommit()
 }
 
 // Deliver routes a protocol message (Alg. 1 upon-clauses, Alg. 2/3
-// handlers and the consensus primitive). A msg.Batch counts as one
-// delivery turn: its packed messages run back-to-back and trigger a
-// single commit scan and one coalesced outgoing flush.
+// handlers and the consensus primitive). Outside a batch turn a delivery
+// is a turn of its own: even a msg.Batch of many messages triggers a
+// single commit scan and one outbox flush.
 func (r *Replica) Deliver(from types.ReplicaID, m msg.Message) {
 	if r.opts.SuspectTimeout > 0 {
 		r.lastHeard[from] = r.env.Clock()
 	}
-	if batch, ok := m.(*msg.Batch); ok {
-		wasBatch := r.inBatch
-		r.inBatch = true
-		for _, sub := range batch.Msgs {
-			r.deliverOne(from, sub)
-		}
-		r.inBatch = wasBatch
-		if !wasBatch {
-			r.flushOut()
-			r.tryCommit()
-		}
-		return
-	}
+	nested := r.out.turn
+	r.out.turn = true
 	r.deliverOne(from, m)
+	if !nested {
+		r.EndBatch()
+	}
 }
 
 // BeginBatch implements rsm.BatchDeliverer: it opens a batch turn, in
-// which outgoing broadcasts coalesce and the commit scan is deferred.
-func (r *Replica) BeginBatch() { r.inBatch = true }
+// which outgoing messages queue up and the commit scan is deferred.
+func (r *Replica) BeginBatch() { r.out.turn = true }
 
 // EndBatch implements rsm.BatchDeliverer: it closes the batch turn,
-// broadcasts the coalesced output as one message and runs the single
-// commit cascade for everything delivered in the turn.
+// flushes the turn's output and runs the single commit cascade for
+// everything delivered in the turn.
 func (r *Replica) EndBatch() {
-	r.inBatch = false
-	r.flushOut()
+	r.out.turn = false
+	r.out.flush()
 	r.tryCommit()
 }
 
-// broadcast sends m to the configuration, or buffers it for one
-// coalesced send at the end of the current batch turn. The durability
-// barrier precedes the send: a PREPARE is the sender's implicit logging
-// ack and a PREPAREOK an explicit one, so the appends they assert must
-// be on disk before either leaves.
-func (r *Replica) broadcast(m msg.Message) {
-	if r.inBatch {
-		r.outBuf = append(r.outBuf, m)
-		return
-	}
-	r.syncBarrier()
-	rsm.Broadcast(r.env, r.config, m)
+// outbox is the replica's one ordered way out. Send and broadcast append
+// to one queue; flush — at the end of a batch turn, at once when no turn
+// is open, and before an epoch install — runs the one covering fsync and
+// then emits the queue in order. Unicasts and broadcasts land on the
+// same per-peer transport queue, so queue order is link order: nothing
+// stamped later (a nudge reply's Sent counter, a SUSPENDOK quoting the
+// log) overtakes the PREPAREs it vouches for — the per-sender FIFO the
+// stable-order rule and fifoCheck assume — or the fsync covering them.
+type outbox struct {
+	r *Replica
+	// turn is set while a batch turn is open (between BeginBatch and
+	// EndBatch, or for the length of one Deliver).
+	turn bool
+	q    []outMsg
 }
 
-// flushOut broadcasts the output buffered during a batch turn: a burst
-// of messages leaves as a single msg.Batch — one encode, one frame —
-// preserving their order on every link. One covering fsync (group
-// commit) precedes the flush, making every append of the turn durable
-// before the acknowledgements for them leave.
-func (r *Replica) flushOut() {
-	switch len(r.outBuf) {
-	case 0:
+// outMsg is one queued message; to is types.NoReplica for a broadcast
+// to the configuration.
+type outMsg struct {
+	to types.ReplicaID
+	m  msg.Message
+}
+
+// Send queues m for one replica. Exported, like After, because the
+// outbox is the consensus.Transport of the reconfiguration Paxos.
+func (o *outbox) Send(to types.ReplicaID, m msg.Message) {
+	o.q = append(o.q, outMsg{to, m})
+	if !o.turn {
+		o.flush()
+	}
+}
+
+// After implements consensus.Transport.
+func (o *outbox) After(d time.Duration, fn func()) { o.r.env.After(d, fn) }
+
+// broadcast queues m for the configuration.
+func (o *outbox) broadcast(m msg.Message) { o.Send(types.NoReplica, m) }
+
+// sendSpec queues m for every other replica in Spec, configured or not.
+func (o *outbox) sendSpec(m msg.Message) {
+	for _, k := range o.r.spec {
+		if k != o.r.env.ID() {
+			o.Send(k, m)
+		}
+	}
+}
+
+// flush emits the queue in order behind one covering fsync. A run of
+// consecutive broadcasts leaves as a single msg.Batch — one encode, one
+// frame — or bare when the run is one message.
+func (o *outbox) flush() {
+	if len(o.q) == 0 {
 		return
-	case 1:
-		r.syncBarrier()
-		rsm.Broadcast(r.env, r.config, r.outBuf[0])
-	default:
-		packed := make([]msg.Message, len(r.outBuf))
-		copy(packed, r.outBuf)
-		r.syncBarrier()
-		rsm.Broadcast(r.env, r.config, &msg.Batch{Msgs: packed})
 	}
-	for i := range r.outBuf {
-		r.outBuf[i] = nil
+	r := o.r
+	r.syncBarrier()
+	for i := 0; i < len(o.q); {
+		m := o.q[i].m
+		if to := o.q[i].to; to != types.NoReplica {
+			r.env.Send(to, m)
+			i++
+			continue
+		}
+		run := i + 1
+		for run < len(o.q) && o.q[run].to == types.NoReplica {
+			run++
+		}
+		if run-i > 1 {
+			packed := make([]msg.Message, 0, run-i)
+			for _, e := range o.q[i:run] {
+				packed = append(packed, e.m)
+			}
+			m = &msg.Batch{Msgs: packed}
+		}
+		rsm.Broadcast(r.env, r.config, m)
+		i = run
 	}
-	r.outBuf = r.outBuf[:0]
+	clear(o.q)
+	o.q = o.q[:0]
 }
 
 // heldMsg is one future-epoch message parked until its epoch installs.
@@ -568,14 +588,18 @@ func (r *Replica) redeliverHeld() {
 	}
 }
 
-// deliverOne dispatches a single (non-batch) protocol message. Data
-// messages tagged with a future epoch are parked until the matching
-// reconfiguration decision installs (see hold).
+// deliverOne dispatches one protocol message (a msg.Batch as the
+// messages packed in it). Data messages tagged with a future epoch are
+// parked until the matching reconfiguration decision installs (see hold).
 func (r *Replica) deliverOne(from types.ReplicaID, m msg.Message) {
 	if r.px.Deliver(from, m) {
 		return
 	}
 	switch mm := m.(type) {
+	case *msg.Batch:
+		for _, sub := range mm.Msgs {
+			r.deliverOne(from, sub)
+		}
 	case *msg.Prepare:
 		if mm.Epoch > r.epoch {
 			r.hold(mm.Epoch, from, m)
@@ -675,12 +699,12 @@ func (r *Replica) onPrepare(from types.ReplicaID, m *msg.Prepare) {
 
 // ackPrepare logs locally done; broadcast 〈PREPAREOK ts, clockTs〉 to the
 // configuration and count our own acknowledgement (Alg. 1 lines 9-10).
-// Inside a batch turn the PREPAREOK joins the turn's coalesced output:
-// consecutive acknowledgements leave as one msg.Batch.
+// Inside a batch turn consecutive acknowledgements leave as one
+// msg.Batch.
 func (r *Replica) ackPrepare(ts types.Timestamp) {
 	clockTS := r.env.Clock()
 	r.lastSent = clockTS
-	r.broadcast(&msg.PrepareOK{Epoch: r.epoch, TS: ts, ClockTS: clockTS, Sent: r.prepSent})
+	r.out.broadcast(&msg.PrepareOK{Epoch: r.epoch, TS: ts, ClockTS: clockTS, Sent: r.prepSent})
 	r.ack(ts, r.env.ID())
 	r.tryCommit()
 }
@@ -715,15 +739,15 @@ func (r *Replica) onClockTime(from types.ReplicaID, m *msg.ClockTime) {
 // 〈CLOCKTIME clock〉. The reply deliberately does not update lastSent:
 // it is an extra clock sample for one impatient reader, not a
 // substitute for the periodic broadcast every other replica still needs
-// within Δ. A CLOCKTIME carries no log assertions, so no durability
-// barrier precedes it. Stale-epoch requests are dropped — the nudge is
-// an optimization, never a correctness dependency.
+// within Δ. Its Sent counter vouches for every PREPARE stamped so far,
+// so it queues behind them in the outbox. Stale-epoch requests are
+// dropped — the nudge is an optimization, never a correctness dependency.
 func (r *Replica) onClockReq(from types.ReplicaID, m *msg.ClockReq) {
 	if m.Epoch != r.epoch || r.suspended || !r.inConfig[r.env.ID()] {
 		return
 	}
 	r.nudgeReplies++
-	r.env.Send(from, &msg.ClockTime{Epoch: r.epoch, TS: r.env.Clock(), Sent: r.prepSent})
+	r.out.Send(from, &msg.ClockTime{Epoch: r.epoch, TS: r.env.Clock(), Sent: r.prepSent})
 }
 
 // NudgeClock broadcasts 〈CLOCKREQ〉 asking every peer for an immediate
@@ -737,7 +761,7 @@ func (r *Replica) onClockReq(from types.ReplicaID, m *msg.ClockReq) {
 // CLOCKREQ goes out either. Must be invoked from the replica's event
 // loop, like Submit.
 func (r *Replica) NudgeClock() {
-	if r.opts.NoReadNudge || r.opts.ClockTimeInterval == 0 || r.suspended || !r.inConfig[r.env.ID()] {
+	if r.opts.ClockTimeInterval == 0 || r.suspended || !r.inConfig[r.env.ID()] {
 		return
 	}
 	now := r.env.Clock()
@@ -747,7 +771,7 @@ func (r *Replica) NudgeClock() {
 	}
 	r.lastNudge = now
 	r.nudges++
-	r.broadcast(&msg.ClockReq{Epoch: r.epoch})
+	r.out.broadcast(&msg.ClockReq{Epoch: r.epoch})
 }
 
 // Nudges returns how many CLOCKREQ broadcasts this replica sent for
@@ -768,7 +792,7 @@ func (r *Replica) clockTimeTick() {
 	now := r.env.Clock()
 	if !r.suspended && r.inConfig[r.env.ID()] && now >= r.lastSent+int64(d) {
 		r.lastSent = now
-		r.broadcast(&msg.ClockTime{Epoch: r.epoch, TS: now, Sent: r.prepSent})
+		r.out.broadcast(&msg.ClockTime{Epoch: r.epoch, TS: now, Sent: r.prepSent})
 	}
 	r.sweepEarlyAcks()
 	// Retry the commit scan: when the head waits only on the local
@@ -952,7 +976,7 @@ func (r *Replica) notifyStable() {
 // commits, the LatestTV observations folded in this turn may have
 // advanced the executed watermark.
 func (r *Replica) tryCommit() {
-	if r.suspended || r.inBatch {
+	if r.suspended || r.out.turn {
 		return
 	}
 	r.commitScan()
@@ -978,35 +1002,22 @@ func (r *Replica) commitScan() {
 		r.lastCommitted = head.ts
 		r.committed++
 		r.app.Execute(r.env.ID(), head.ts, head.cmd)
-		r.maybeCheckpoint(head.ts)
+		r.maybeCheckpoint()
 	}
 }
 
 // maybeCheckpoint takes a snapshot every CheckpointEvery commands and
 // compacts the log through it (Section V-B). It runs immediately after
-// executing the command with timestamp ts, so the snapshot covers
-// exactly the committed prefix up to ts.
-func (r *Replica) maybeCheckpoint(ts types.Timestamp) {
+// executing a command, so the snapshot covers exactly the committed
+// prefix up to the commit frontier.
+func (r *Replica) maybeCheckpoint() {
 	if r.opts.CheckpointEvery <= 0 {
 		return
 	}
 	r.sinceCheckpoint++
-	if r.sinceCheckpoint < r.opts.CheckpointEvery {
-		return
+	if r.sinceCheckpoint >= r.opts.CheckpointEvery {
+		r.checkpointNow()
 	}
-	cpr, ok := r.env.Log().(storage.Checkpointer)
-	if !ok {
-		return
-	}
-	state, ok := r.app.TrySnapshot()
-	if !ok {
-		return
-	}
-	if err := cpr.WriteCheckpoint(storage.Checkpoint{TS: ts, State: state}); err != nil {
-		return // keep the uncompacted log; checkpointing is best-effort
-	}
-	r.sinceCheckpoint = 0
-	r.checkpoints++
 }
 
 // detectTick is the timeout failure detector (Section II-A): replicas in

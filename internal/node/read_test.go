@@ -133,12 +133,12 @@ func TestReadFallbackReplicated(t *testing.T) {
 	}
 }
 
-// quietClockRSM is a Clock-RSM maker with the CLOCKTIME broadcast and
-// the idle-read CLOCKREQ nudge disabled: with no write traffic the
-// watermark never advances, so linearizable reads park indefinitely —
-// the setup for testing the parked-read sweep contracts.
+// quietClockRSM is a Clock-RSM maker with the CLOCKTIME extension (and
+// with it the idle-read CLOCKREQ nudge) disabled: with no write traffic
+// the watermark never advances, so linearizable reads park indefinitely
+// — the setup for testing the parked-read sweep contracts.
 func quietClockRSM(env rsm.Env, app *rsm.App) rsm.Protocol {
-	return core.New(env, app, core.Options{NoReadNudge: true})
+	return core.New(env, app, core.Options{})
 }
 
 // TestRemovedReplicaFailsParkedReads is the reconfiguration × reads

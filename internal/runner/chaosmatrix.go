@@ -17,7 +17,6 @@ import (
 	"clockrsm/internal/core"
 	"clockrsm/internal/kvstore"
 	"clockrsm/internal/node"
-	"clockrsm/internal/rsm"
 	"clockrsm/internal/shard"
 	"clockrsm/internal/storage"
 	"clockrsm/internal/transport"
@@ -278,24 +277,6 @@ func RunChaosMatrix(cfg ChaosMatrixConfig) (*ChaosMatrixResult, error) {
 	return res, nil
 }
 
-// dupTracker detects duplicate executions at one (replica, group) state
-// machine: every committed CommandID must execute at most once there.
-type dupTracker struct {
-	mu   sync.Mutex
-	seen map[types.CommandID]bool
-	dups []types.CommandID
-}
-
-func (d *dupTracker) observe(id types.CommandID) {
-	d.mu.Lock()
-	if d.seen[id] {
-		d.dups = append(d.dups, id)
-	} else {
-		d.seen[id] = true
-	}
-	d.mu.Unlock()
-}
-
 func runChaosScenario(cfg ChaosMatrixConfig, sc ChaosScenario) (*ChaosScenarioResult, error) {
 	debugf := func(format string, args ...any) {
 		if cfg.Debug != nil {
@@ -325,7 +306,6 @@ func runChaosScenario(cfg ChaosMatrixConfig, sc ChaosScenario) (*ChaosScenarioRe
 	hub := transport.NewHub(n, transport.HubOptions{Codec: true, Groups: groups, Latency: base})
 
 	reps := make([]*liveReplica, n)
-	dups := make([][]*dupTracker, n)
 	stopAll := func() {
 		for _, lr := range reps {
 			if lr != nil {
@@ -356,16 +336,9 @@ func runChaosScenario(cfg ChaosMatrixConfig, sc ChaosScenario) (*ChaosScenarioRe
 			stopAll()
 			return nil, err
 		}
-		lr := &liveReplica{host: host, stores: make([]*kvstore.Store, groups)}
-		dups[i] = make([]*dupTracker, groups)
+		lr := &liveReplica{host: host}
 		for g := 0; g < groups; g++ {
-			store := kvstore.New()
-			lr.stores[g] = store
-			dt := &dupTracker{seen: make(map[types.CommandID]bool)}
-			dups[i][g] = dt
-			app := &rsm.App{SM: store, OnCommit: func(_ types.Timestamp, cmd types.Command) {
-				dt.observe(cmd.ID)
-			}}
+			app := lr.addGroup()
 			nd := host.Group(types.GroupID(g))
 			nd.Bind(app)
 			nd.SetProtocol(core.New(nd, app, core.Options{
@@ -656,14 +629,9 @@ func runChaosScenario(cfg ChaosMatrixConfig, sc ChaosScenario) (*ChaosScenarioRe
 	}
 
 	// Zero duplicate executions, at every (replica, group).
-	for i := range dups {
-		for g, dt := range dups[i] {
-			dt.mu.Lock()
-			nd := len(dt.dups)
-			dt.mu.Unlock()
-			if nd > 0 {
-				return nil, fmt.Errorf("replica %d group %d executed %d commands more than once (first: %v)", i, g, nd, dt.dups[0])
-			}
+	for _, rep := range reps {
+		if err := rep.atMostOnce(); err != nil {
+			return nil, err
 		}
 	}
 

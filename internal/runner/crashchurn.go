@@ -146,11 +146,58 @@ type CrashChurnResult struct {
 	MaxRecovery time.Duration
 }
 
-// liveReplica is one running replica: its host plus the per-group
-// stores the final agreement check reads.
+// liveReplica is one running incarnation of a replica: its host, the
+// per-group stores the final agreement check reads, and the per-group
+// at-most-once checkers. A restart builds a fresh liveReplica, so the
+// checkers reset with the process as the state machines do.
 type liveReplica struct {
 	host   *node.Host
 	stores []*kvstore.Store
+	dups   []*dupTracker
+}
+
+// dupTracker detects duplicate executions at one (replica, group) state
+// machine: a proposal must execute at most once there. Proposals are told
+// apart by timestamp, which the protocol keeps unique, not by CommandID:
+// a restarted replica numbers its commands from 1 again.
+type dupTracker struct {
+	mu   sync.Mutex
+	seen map[types.Timestamp]bool
+	dups []types.CommandID
+}
+
+func (d *dupTracker) observe(ts types.Timestamp, id types.CommandID) {
+	d.mu.Lock()
+	if d.seen[ts] {
+		d.dups = append(d.dups, id)
+	} else {
+		d.seen[ts] = true
+	}
+	d.mu.Unlock()
+}
+
+// addGroup creates the next group's store behind an rsm.App whose
+// OnCommit feeds that group's at-most-once checker.
+func (lr *liveReplica) addGroup() *rsm.App {
+	store, dt := kvstore.New(), &dupTracker{seen: make(map[types.Timestamp]bool)}
+	lr.stores = append(lr.stores, store)
+	lr.dups = append(lr.dups, dt)
+	return &rsm.App{SM: store, OnCommit: func(ts types.Timestamp, cmd types.Command) { dt.observe(ts, cmd.ID) }}
+}
+
+// atMostOnce fails if this incarnation executed any command twice in
+// one group: replay, catch-up and resubmission must never re-apply a
+// command the state machine already holds.
+func (lr *liveReplica) atMostOnce() error {
+	for g, dt := range lr.dups {
+		dt.mu.Lock()
+		dups := dt.dups
+		dt.mu.Unlock()
+		if len(dups) > 0 {
+			return fmt.Errorf("replica %v group %d executed %d commands more than once (first: %v)", lr.host.ID(), g, len(dups), dups[0])
+		}
+	}
+	return nil
 }
 
 // RunCrashChurn stands up a Replicas×Groups cluster over TCP and file
@@ -221,11 +268,9 @@ func RunCrashChurn(cfg CrashChurnConfig) (*CrashChurnResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		lr := &liveReplica{host: host, stores: make([]*kvstore.Store, groups)}
+		lr := &liveReplica{host: host}
 		for g := 0; g < groups; g++ {
-			store := kvstore.New()
-			lr.stores[g] = store
-			app := &rsm.App{SM: store}
+			app := lr.addGroup()
 			nd := host.Group(types.GroupID(g))
 			nd.Bind(app)
 			nd.SetProtocol(core.New(nd, app, core.Options{
@@ -448,6 +493,9 @@ func RunCrashChurn(cfg CrashChurnConfig) (*CrashChurnResult, error) {
 			}
 			crashed.host.Stop() // logs stay open: the unsynced tail is lost
 			res.Kills++
+			if err := crashed.atMostOnce(); err != nil {
+				return fmt.Errorf("cycle %d: %w", cycle, err)
+			}
 
 			// Let the survivors reconfigure the victim out and commit far
 			// enough past its log frontier that every group's checkpoint
@@ -623,6 +671,14 @@ func RunCrashChurn(cfg CrashChurnConfig) (*CrashChurnResult, error) {
 		}
 		if got < floor {
 			return nil, fmt.Errorf("crash-churn: key %q converged to seq %d, but seq %d was acked (acked command lost)", key, got, floor)
+		}
+	}
+
+	// No surviving incarnation executed a command twice (the crashed ones
+	// were checked as they were killed).
+	for _, lr := range reps {
+		if err := lr.atMostOnce(); err != nil {
+			return nil, fmt.Errorf("crash-churn: %w", err)
 		}
 	}
 

@@ -271,9 +271,7 @@ func RunFrontDoor(cfg FrontDoorConfig) (*FrontDoorResult, error) {
 	}
 
 	var completed atomic.Uint64
-	var measuring atomic.Bool
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	load := newClosedLoop()
 	window := cfg.Window
 	if cfg.Mode == FrontDoorLine {
 		window = 1 // structural: one in-flight request per connection
@@ -286,73 +284,45 @@ func RunFrontDoor(cfg FrontDoorConfig) (*FrontDoorResult, error) {
 		for i := 0; i < cfg.Conns; i++ {
 			c, err := client.Dial(client.Config{Addrs: []string{addr}, Window: window})
 			if err != nil {
-				close(stop)
+				close(load.stop)
 				return nil, err
 			}
 			defer c.Close()
 			for j := 0; j < window; j++ {
-				wg.Add(1)
-				go func(conn, worker int) {
-					defer wg.Done()
-					key := fmt.Sprintf("fd-%d-%d", conn, worker)
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if _, err := c.Put(ctx, key, value); err != nil {
-							return
-						}
-						if measuring.Load() {
-							completed.Add(1)
-						}
-					}
-				}(i, j)
+				key := fmt.Sprintf("fd-%d-%d", i, j)
+				load.client(&completed, func() error {
+					_, err := c.Put(ctx, key, value)
+					return err
+				})
 			}
 		}
 	case FrontDoorLine:
 		for i := 0; i < cfg.Conns; i++ {
 			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 			if err != nil {
-				close(stop)
+				close(load.stop)
 				return nil, err
 			}
 			defer conn.Close()
-			wg.Add(1)
-			go func(cli int, conn net.Conn) {
-				defer wg.Done()
-				r := bufio.NewReader(conn)
-				line := fmt.Sprintf("PUT fd-%d %s\n", cli, value)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if _, err := fmt.Fprint(conn, line); err != nil {
-						return
-					}
-					resp, err := r.ReadString('\n')
-					if err != nil || !strings.HasPrefix(resp, "OK") {
-						return
-					}
-					if measuring.Load() {
-						completed.Add(1)
-					}
+			r := bufio.NewReader(conn)
+			line := fmt.Sprintf("PUT fd-%d %s\n", i, value)
+			load.client(&completed, func() error {
+				if _, err := fmt.Fprint(conn, line); err != nil {
+					return err
 				}
-			}(i, conn)
+				resp, err := r.ReadString('\n')
+				if err == nil && !strings.HasPrefix(resp, "OK") {
+					err = fmt.Errorf("server replied %q", strings.TrimSpace(resp))
+				}
+				return err
+			})
 		}
 	}
 
-	time.Sleep(cfg.Warmup)
-	measuring.Store(true)
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	measuring.Store(false)
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
+	elapsed, err := load.measure(cfg.Warmup, cfg.Duration)
+	if err != nil {
+		return nil, fmt.Errorf("front door %s: client: %w", cfg.Mode, err)
+	}
 
 	return &FrontDoorResult{
 		Mode:         cfg.Mode,

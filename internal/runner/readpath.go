@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -112,7 +111,6 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 	}
 
 	var reads, writes atomic.Uint64
-	var measuring atomic.Bool
 
 	hosts := make([]*node.Host, n)
 	for i := 0; i < n; i++ {
@@ -142,9 +140,8 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 		}
 	}()
 
-	stop := make(chan struct{})
+	load := newClosedLoop()
 	ctx := context.Background()
-	var wg sync.WaitGroup
 	var writesProposed atomic.Uint64
 
 	// Closed-loop writers: sustained background load; the commit
@@ -152,31 +149,17 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 	// clock, so linearizable reads rarely park for long.
 	for i := 0; i < n; i++ {
 		for c := 0; c < cfg.WriteClientsPerReplica; c++ {
-			wg.Add(1)
-			go func(rep, cli int) {
-				defer wg.Done()
-				key, g := clientKey(router, cli)
-				target := hosts[rep].Group(g)
-				payload := kvstore.Put(key, make([]byte, cfg.PayloadSize))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					writesProposed.Add(1)
-					fut, err := target.Propose(ctx, payload)
-					if err != nil {
-						return
-					}
-					if _, err := fut.Result(); err != nil {
-						return
-					}
-					if measuring.Load() {
-						writes.Add(1)
-					}
+			key, g := clientKey(router, c)
+			target := hosts[i].Group(g)
+			payload := kvstore.Put(key, make([]byte, cfg.PayloadSize))
+			load.client(&writes, func() error {
+				writesProposed.Add(1)
+				fut, err := target.Propose(ctx, payload)
+				if err == nil {
+					_, err = fut.Result()
 				}
-			}(i, c)
+				return err
+			})
 		}
 	}
 
@@ -184,62 +167,41 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 	// index writes, in the configured mode.
 	for i := 0; i < n; i++ {
 		for c := 0; c < cfg.ReadClientsPerReplica; c++ {
-			wg.Add(1)
-			go func(rep, cli int) {
-				defer wg.Done()
-				key, g := clientKey(router, cli%cfg.WriteClientsPerReplica)
-				query := kvstore.Get(key)
-				host := hosts[rep]
-				target := host.Group(g)
-				var sess node.Session
-				for turn := 0; ; turn++ {
-					select {
-					case <-stop:
-						return
-					default:
+			key, g := clientKey(router, c%cfg.WriteClientsPerReplica)
+			query := kvstore.Get(key)
+			target := hosts[i].Group(g)
+			sess, turn := new(node.Session), 0
+			load.client(&reads, func() (err error) {
+				switch cfg.Mode {
+				case ReadReplicated:
+					var fut *node.Future
+					if fut, err = target.Propose(ctx, query); err == nil {
+						_, err = fut.Result()
 					}
-					var err error
-					switch cfg.Mode {
-					case ReadReplicated:
-						var fut *node.Future
-						fut, err = target.Propose(ctx, query)
-						if err == nil {
-							_, err = fut.Result()
-						}
-					case ReadLinearizable:
-						_, err = target.Read(ctx, query, node.Linearizable)
-					case ReadSequential:
-						_, err = target.Read(ctx, query, node.Sequential(&sess))
-					default: // ReadStale
-						_, err = target.Read(ctx, query, node.Stale(0))
-						// Stale reads never block — that is their point — so
-						// a zero-think closed loop of them would starve the
-						// replicas' event loops on few-core hosts. Yield
-						// periodically so the cluster keeps committing
-						// underneath without capping the read rate.
-						if turn&63 == 63 {
-							runtime.Gosched()
-						}
-					}
-					if err != nil {
-						return
-					}
-					if measuring.Load() {
-						reads.Add(1)
+				case ReadLinearizable:
+					_, err = target.Read(ctx, query, node.Linearizable)
+				case ReadSequential:
+					_, err = target.Read(ctx, query, node.Sequential(sess))
+				default: // ReadStale
+					_, err = target.Read(ctx, query, node.Stale(0))
+					// Stale reads never block — that is their point — so
+					// a zero-think closed loop of them would starve the
+					// replicas' event loops on few-core hosts. Yield
+					// periodically so the cluster keeps committing
+					// underneath without capping the read rate.
+					if turn++; turn&63 == 0 {
+						runtime.Gosched()
 					}
 				}
-			}(i, c)
+				return err
+			})
 		}
 	}
 
-	time.Sleep(cfg.Warmup)
-	measuring.Store(true)
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	measuring.Store(false)
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
+	elapsed, err := load.measure(cfg.Warmup, cfg.Duration)
+	if err != nil {
+		return nil, fmt.Errorf("read path %s: client: %w", cfg.Mode, err)
+	}
 
 	// Every proposal beyond the writers' own was a read that entered
 	// the replication path — zero in the local modes.

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -126,6 +127,71 @@ func clientKey(router *shard.Router, cli int) (string, types.GroupID) {
 	}
 }
 
+// closedLoop is the load side of a Run* harness: zero-think client
+// goroutines, each repeating one operation until the measured window
+// closes. It keeps the first failure any of them hits, so a protocol
+// failure names itself instead of presenting as a throughput of zero.
+type closedLoop struct {
+	stop      chan struct{}
+	wg        sync.WaitGroup
+	measuring atomic.Bool
+	once      sync.Once
+	err       error
+}
+
+func newClosedLoop() *closedLoop { return &closedLoop{stop: make(chan struct{})} }
+
+// client starts one client: it repeats op until the loop stops or op
+// fails, adding the operations that complete inside the measured window
+// to done.
+func (l *closedLoop) client(done *atomic.Uint64, op func() error) {
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		for {
+			select {
+			case <-l.stop:
+				return
+			default:
+			}
+			if err := op(); err != nil {
+				l.fail(err)
+				return
+			}
+			if l.measuring.Load() {
+				done.Add(1)
+			}
+		}
+	}()
+}
+
+// fail records a client failure. node.ErrStopped once the loop is
+// stopping is the shutdown, not a failure.
+func (l *closedLoop) fail(err error) {
+	if errors.Is(err, node.ErrStopped) {
+		select {
+		case <-l.stop:
+			return
+		default:
+		}
+	}
+	l.once.Do(func() { l.err = err })
+}
+
+// measure lets the clients warm up, keeps the window open for d, stops
+// them, and returns the window's length and the first client failure.
+func (l *closedLoop) measure(warmup, d time.Duration) (time.Duration, error) {
+	time.Sleep(warmup)
+	l.measuring.Store(true)
+	start := time.Now()
+	time.Sleep(d)
+	l.measuring.Store(false)
+	elapsed := time.Since(start)
+	close(l.stop)
+	l.wg.Wait()
+	return elapsed, l.err
+}
+
 // RunThroughput saturates a local cluster with closed-loop zero-think
 // clients and measures committed commands per second.
 func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
@@ -166,9 +232,6 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 	for i := range spec {
 		spec[i] = types.ReplicaID(i)
 	}
-
-	var completed atomic.Uint64
-	var measuring atomic.Bool
 
 	// The paper's throughput runs log to main memory with recovery out
 	// of scope; NullLog keeps long saturation runs from accumulating
@@ -215,50 +278,30 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 
 	// Closed-loop clients with zero think time: "clients send frequent
 	// enough commands to all replicas to saturate them". Each client
-	// pipelines through the Propose future API; Stop resolves any
-	// still-pending future with ErrStopped, so no client can hang.
-	stop := make(chan struct{})
+	// pipelines through the Propose future API; a future always resolves
+	// — with the result, or ErrStopped when the host stops — so no client
+	// can hang.
+	var completed atomic.Uint64
+	load := newClosedLoop()
 	ctx := context.Background()
-	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		for c := 0; c < cfg.ClientsPerReplica; c++ {
-			wg.Add(1)
-			go func(rep, cli int) {
-				defer wg.Done()
-				key, g := clientKey(router, cli)
-				target := hosts[rep].Group(g)
-				payload := kvstore.Put(key, make([]byte, cfg.PayloadSize))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					fut, err := target.Propose(ctx, payload)
-					if err != nil {
-						return // node stopped
-					}
-					// No stop-select here: the future always resolves —
-					// with the result, or ErrStopped when the host stops.
-					if _, err := fut.Result(); err != nil {
-						return
-					}
-					if measuring.Load() {
-						completed.Add(1)
-					}
+			key, g := clientKey(router, c)
+			target := hosts[i].Group(g)
+			payload := kvstore.Put(key, make([]byte, cfg.PayloadSize))
+			load.client(&completed, func() error {
+				fut, err := target.Propose(ctx, payload)
+				if err == nil {
+					_, err = fut.Result()
 				}
-			}(i, c)
+				return err
+			})
 		}
 	}
-
-	time.Sleep(cfg.Warmup)
-	measuring.Store(true)
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	measuring.Store(false)
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
+	elapsed, err := load.measure(cfg.Warmup, cfg.Duration)
+	if err != nil {
+		return nil, fmt.Errorf("throughput %s: client: %w", cfg.Protocol, err)
+	}
 
 	res := &ThroughputResult{
 		Protocol:    cfg.Protocol,

@@ -1,9 +1,41 @@
 package runner
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"clockrsm/internal/node"
 )
+
+// TestClosedLoopNamesTheFailure pins the harness contract: the first
+// error a client hits comes back from measure instead of the client
+// quietly leaving the load, and only a stopping node's ErrStopped — the
+// shutdown itself — is not one.
+func TestClosedLoopNamesTheFailure(t *testing.T) {
+	boom := errors.New("protocol failure")
+	var ok, failed atomic.Uint64
+	load := newClosedLoop()
+	load.client(&ok, func() error { time.Sleep(time.Millisecond); return nil })
+	load.client(&failed, func() error { return boom })
+	load.client(&failed, func() error {
+		<-load.stop
+		return node.ErrStopped
+	})
+	if _, err := load.measure(0, 20*time.Millisecond); !errors.Is(err, boom) {
+		t.Fatalf("measure returned %v, want the client's failure", err)
+	}
+	if ok.Load() == 0 || failed.Load() != 0 {
+		t.Fatalf("healthy client completed %d operations, failing clients %d", ok.Load(), failed.Load())
+	}
+
+	load = newClosedLoop()
+	load.client(&failed, func() error { return node.ErrStopped })
+	if _, err := load.measure(0, time.Millisecond); !errors.Is(err, node.ErrStopped) {
+		t.Fatalf("ErrStopped while the load was running was swallowed: %v", err)
+	}
+}
 
 func TestRunThroughputSmoke(t *testing.T) {
 	if testing.Short() {
