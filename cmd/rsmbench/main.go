@@ -1,7 +1,7 @@
 // Command rsmbench regenerates every table and figure of the paper's
 // evaluation (Section VI). Each experiment prints the same rows or
-// series the paper reports; see EXPERIMENTS.md for the paper-vs-measured
-// comparison.
+// series the paper reports; bench/README.md and ROADMAP.md's Performance
+// section hold the measured comparison through the real stack.
 //
 // Usage:
 //

@@ -109,9 +109,9 @@
 //     per-key operations keep a total order, so the single-group
 //     throughput ceiling becomes a per-group ceiling.
 //
-// BenchmarkHotPath (hotpath_bench_test.go) measures the end-to-end
-// effect and BenchmarkHotPathMultiGroup its sharded variant;
-// BENCH_*.json records the trajectory across PRs.
+// The bench workloads lan3_put_mem (one group) and lan3_g4_mixed (four
+// groups) measure the end-to-end effect (sh bench/run.sh, see
+// bench/README.md); BENCH_*.json records the trajectory of PRs 1-10.
 //
 // # Operator API
 //
@@ -204,8 +204,9 @@
 // next to the replicated GET, and protocols without a watermark
 // (paxos, mencius) fall back to replicating reads as commands. Reads
 // at a removed replica fail with ErrNotInConfig, the same sweep
-// contract as write futures. BenchmarkReadPath* measures the tiers
-// against the replicated baseline (runner.ReadScaling, BENCH_5.json).
+// contract as write futures. runner.RunReadPath runs each tier against
+// the replicated baseline (PR 5's figures are in BENCH_5.json); the
+// lan3_g4_mixed bench workload measures reads and writes together.
 //
 // # Front door
 //
@@ -226,9 +227,10 @@
 // per-connection and global in-flight budgets and sheds overload
 // immediately with a typed wire error (rpc.ErrOverloaded mapping to
 // node.ErrOverloaded) instead of queueing without bound; STATUS
-// reports conns/inflight/accepted/shed. runner.RunFrontDoor measures
-// both protocols against the same cluster (BenchmarkRPCPipeline,
-// BENCH_8.json).
+// reports conns/inflight/accepted/shed. Every bench workload drives
+// this path (client, internal/rpc, node.Host); lan3_put_mem is the one
+// it dominates. BENCH_8.json records PR 8's comparison against the line
+// protocol.
 //
 // # Fault injection
 //
@@ -265,9 +267,9 @@
 // either fix. kvserver can arm the engine in test deployments with
 // -chaos-seed / -chaos-schedule; see README.md "Chaos testing".
 //
-// See README.md for a guided tour, DESIGN.md for the system inventory
-// and EXPERIMENTS.md for paper-vs-measured results. The root-level
-// benchmarks (bench_test.go) regenerate each evaluation artifact:
+// See README.md for a guided tour, and bench/README.md with
+// ROADMAP.md's Performance section for the measured results.
+// cmd/rsmbench regenerates the paper's tables and figures:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/rsmbench -exp all
 package clockrsm

@@ -22,13 +22,19 @@ type hostCluster struct {
 
 func newHostCluster(t *testing.T, n, groups int, mkTransport func(id types.ReplicaID) transport.Transport) *hostCluster {
 	t.Helper()
+	return newHostClusterOpts(t, n, HostOptions{Groups: groups}, mkTransport)
+}
+
+func newHostClusterOpts(t *testing.T, n int, opts HostOptions, mkTransport func(id types.ReplicaID) transport.Transport) *hostCluster {
+	t.Helper()
+	groups := opts.Groups
 	c := &hostCluster{}
 	spec := make([]types.ReplicaID, n)
 	for i := range spec {
 		spec[i] = types.ReplicaID(i)
 	}
 	for i := 0; i < n; i++ {
-		h, err := NewHost(types.ReplicaID(i), spec, mkTransport(types.ReplicaID(i)), HostOptions{Groups: groups})
+		h, err := NewHost(types.ReplicaID(i), spec, mkTransport(types.ReplicaID(i)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,6 +122,19 @@ func TestHostMultiGroupInproc(t *testing.T) {
 	hub := transport.NewHub(n, transport.HubOptions{Codec: true, Groups: groups})
 	t.Cleanup(hub.Close)
 	c := newHostCluster(t, n, groups, func(id types.ReplicaID) transport.Transport {
+		return hub.Endpoint(id)
+	})
+	testHostGroupsIsolatedAndReplicated(t, c, groups)
+}
+
+// TestHostPinnedGroups exercises the per-group CPU pinning path
+// (thread-locking plus, on Linux, sched_setaffinity) end to end: pinned
+// loops must commit and replicate like unpinned ones.
+func TestHostPinnedGroups(t *testing.T) {
+	const n, groups = 3, 2
+	hub := transport.NewHub(n, transport.HubOptions{Codec: true, Groups: groups})
+	t.Cleanup(hub.Close)
+	c := newHostClusterOpts(t, n, HostOptions{Groups: groups, PinGroups: true}, func(id types.ReplicaID) transport.Transport {
 		return hub.Endpoint(id)
 	})
 	testHostGroupsIsolatedAndReplicated(t, c, groups)

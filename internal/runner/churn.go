@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,65 +11,43 @@ import (
 	"clockrsm/internal/core"
 	"clockrsm/internal/kvstore"
 	"clockrsm/internal/node"
-	"clockrsm/internal/rsm"
-	"clockrsm/internal/shard"
-	"clockrsm/internal/storage"
-	"clockrsm/internal/transport"
 	"clockrsm/internal/types"
 )
 
 // ChurnConfig describes a membership-churn experiment: a multi-group
 // cluster serving a closed-loop client population while an operator
 // grows and shrinks the configuration through Host.ReconfigureAll — the
-// kvctl-reconf deployment story, asserted end to end. The full Spec
-// (SpecReplicas processes) stays up throughout; membership moves
-// between Base and Grown.
+// kvctl-reconf deployment story, asserted end to end. All five Spec
+// processes stay up throughout; membership moves between memberBase and
+// the full Spec.
 type ChurnConfig struct {
-	// SpecReplicas is the number of running replica processes (default
-	// 5). Base and Grown must be subsets of 0..SpecReplicas-1.
-	SpecReplicas int
-	// Groups is the number of replication groups per node (default 2).
-	Groups int
-	// Base is the steady-state configuration (default {0,1,2}); clients
-	// propose only at Base replicas, which stay configured throughout.
-	Base []types.ReplicaID
-	// Grown is the mid-run configuration (default the full Spec).
-	Grown []types.ReplicaID
-	// Clients is the closed-loop client count (default 6; at least
-	// Groups so every group sees load).
+	// Clients is the closed-loop client count (default 6).
 	Clients int
 	// Cycles is how many grow+shrink rounds run under load (default 1).
 	Cycles int
 	// Settle is how long load runs between reconfigurations (default
 	// 150 ms).
 	Settle time.Duration
-	// StepTimeout bounds each reconfiguration and each proposal wait
-	// (default 20 s).
-	StepTimeout time.Duration
-	// PayloadSize is the command payload size (default 32 B).
-	PayloadSize int
 }
 
+const (
+	// memberSpec is the number of running replica processes; the grown
+	// configuration is all of them.
+	memberSpec   = 5
+	memberGroups = 2
+	// memberStep bounds each reconfiguration and each proposal wait.
+	memberStep = 20 * time.Second
+	// memberPayload is the command payload size in bytes.
+	memberPayload = 32
+)
+
+// memberBase is the steady-state configuration; clients propose only at
+// these replicas, which stay configured throughout.
+var memberBase = []types.ReplicaID{0, 1, 2}
+
 func (c ChurnConfig) withDefaults() ChurnConfig {
-	if c.SpecReplicas == 0 {
-		c.SpecReplicas = 5
-	}
-	if c.Groups <= 0 {
-		c.Groups = 2
-	}
-	if len(c.Base) == 0 {
-		c.Base = []types.ReplicaID{0, 1, 2}
-	}
-	if len(c.Grown) == 0 {
-		for i := 0; i < c.SpecReplicas; i++ {
-			c.Grown = append(c.Grown, types.ReplicaID(i))
-		}
-	}
 	if c.Clients == 0 {
 		c.Clients = 6
-	}
-	if c.Clients < c.Groups {
-		c.Clients = c.Groups
 	}
 	if c.Cycles <= 0 {
 		c.Cycles = 1
@@ -79,20 +55,7 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.Settle == 0 {
 		c.Settle = 150 * time.Millisecond
 	}
-	if c.StepTimeout == 0 {
-		c.StepTimeout = 20 * time.Second
-	}
-	if c.PayloadSize == 0 {
-		c.PayloadSize = 32
-	}
 	return c
-}
-
-// canonicalIDs returns a sorted copy of a member list.
-func canonicalIDs(ids []types.ReplicaID) []types.ReplicaID {
-	out := append([]types.ReplicaID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ChurnResult reports one membership-churn run that passed all
@@ -113,308 +76,235 @@ type ChurnResult struct {
 	FinalMembers []types.ReplicaID
 }
 
-// RunMembershipChurn stands up a SpecReplicas×Groups cluster, shrinks
-// it to Base, then — under closed-loop load at the Base replicas —
-// grows it to Grown and back Cycles times via Host.ReconfigureAll. It
-// verifies the operator-API contract end to end:
+// memberLedger is the membership churn's own bookkeeping: what every
+// replica executed, in order, and what the clients saw commit.
+type memberLedger struct {
+	mu     sync.Mutex
+	orders [memberSpec][memberGroups][]types.CommandID // [replica][group]
+	okIDs  [memberGroups]map[types.CommandID]bool
+}
+
+// landed reports whether every base replica has executed as many
+// commands as were committed, per group.
+func (l *memberLedger) landed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for g := range l.okIDs {
+		for _, rep := range memberBase {
+			if len(l.orders[rep][g]) != len(l.okIDs[g]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// verify checks agreement on the execution order across base replicas,
+// that no command executed twice, and that the executed set is exactly
+// the committed set. The lock is held for the call only: trailing
+// event loops (removed replicas catching up via state transfer) still
+// need it in onCommit to make progress afterwards.
+func (l *memberLedger) verify() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for g := range l.okIDs {
+		ref := l.orders[memberBase[0]][g]
+		for _, rep := range memberBase[1:] {
+			ord := l.orders[rep][g]
+			if len(ord) != len(ref) {
+				return fmt.Errorf("group %d: replica %v executed %d commands, replica %v executed %d",
+					g, rep, len(ord), memberBase[0], len(ref))
+			}
+			for j := range ord {
+				if ord[j] != ref[j] {
+					return fmt.Errorf("group %d: execution order diverges at %d", g, j)
+				}
+			}
+		}
+		seen := make(map[types.CommandID]bool, len(ref))
+		for _, cid := range ref {
+			if seen[cid] {
+				return fmt.Errorf("group %d: command %v executed twice (duplicated command)", g, cid)
+			}
+			seen[cid] = true
+			if !l.okIDs[g][cid] {
+				return fmt.Errorf("group %d: executed command %v was never reported committed", g, cid)
+			}
+		}
+		for cid := range l.okIDs[g] {
+			if !seen[cid] {
+				return fmt.Errorf("group %d: committed command %v never executed (lost command)", g, cid)
+			}
+		}
+	}
+	return nil
+}
+
+// RunMembershipChurn stands up a 5-replica, 2-group cluster, shrinks
+// it to memberBase, then — under closed-loop load at those replicas —
+// grows it to the full Spec and back Cycles times via
+// Host.ReconfigureAll. It verifies the operator-API contract end to
+// end:
 //
 //   - zero lost commands: every proposal eventually commits; proposals
 //     a reconfiguration discards fail with node.ErrReconfigured and are
 //     resubmitted by the client;
 //   - zero duplicated commands: no command ID executes twice in its
 //     group, and the executed set equals the committed set exactly;
-//   - agreement: every Base replica executes every group's commands in
-//     the same order;
-//   - atomicity: after the final shrink, every group on every Base
+//   - agreement: every base replica executes every group's commands in
+//     the same order, and ends with byte-identical stores
+//     (cluster.converged);
+//   - atomicity: after the final shrink, every group on every base
 //     replica holds the same configuration and epoch, and a removed
 //     replica fails proposals with node.ErrNotInConfig.
 func RunMembershipChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg = cfg.withDefaults()
-	nrep, groups := cfg.SpecReplicas, cfg.Groups
-	hub := transport.NewHub(nrep, transport.HubOptions{Codec: true, Groups: groups})
-	defer hub.Close()
-	router := shard.NewRouter(groups)
-
-	spec := make([]types.ReplicaID, nrep)
-	for i := range spec {
-		spec[i] = types.ReplicaID(i)
+	led := &memberLedger{}
+	for g := range led.okIDs {
+		led.okIDs[g] = make(map[types.CommandID]bool)
 	}
-
-	var mu sync.Mutex
-	orders := make([][][]types.CommandID, nrep) // [replica][group]
-	okIDs := make([]map[types.CommandID]bool, groups)
-	for g := range okIDs {
-		okIDs[g] = make(map[types.CommandID]bool)
+	c, err := newCluster(clusterSpec{
+		replicas: memberSpec, groups: memberGroups,
+		core: core.Options{ClockTimeInterval: faultDelta},
+		onCommit: func(id types.ReplicaID, g types.GroupID, cmd types.Command) {
+			led.mu.Lock()
+			led.orders[id][g] = append(led.orders[id][g], cmd.ID)
+			led.mu.Unlock()
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
+	defer c.stop()
+	tbl := c.table()
 
-	hosts := make([]*node.Host, nrep)
-	for i := 0; i < nrep; i++ {
-		i := i
-		orders[i] = make([][]types.CommandID, groups)
-		host, err := node.NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), node.HostOptions{
-			Groups: groups,
-			NewLog: func(types.GroupID) storage.Log { return storage.NewMemLog() },
-		})
-		if err != nil {
-			return nil, err
-		}
-		for g := 0; g < groups; g++ {
-			g := g
-			app := &rsm.App{
-				SM: kvstore.New(),
-				OnCommit: func(ts types.Timestamp, cmd types.Command) {
-					mu.Lock()
-					orders[i][g] = append(orders[i][g], cmd.ID)
-					mu.Unlock()
-				},
-			}
-			nd := host.Group(types.GroupID(g))
-			nd.Bind(app)
-			nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 2 * time.Millisecond}))
-		}
-		hosts[i] = host
-	}
-	for _, host := range hosts {
-		if err := host.Start(); err != nil {
-			return nil, err
-		}
-	}
-	defer func() {
-		for _, host := range hosts {
-			host.Stop()
-		}
-	}()
-
+	all := c.ids
 	reconf := func(members []types.ReplicaID) error {
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), memberStep)
 		defer cancel()
-		return hosts[cfg.Base[0]].ReconfigureAll(ctx, members)
+		return c.rep(memberBase[0]).host.ReconfigureAll(ctx, members)
 	}
 
-	// Shrink the freshly started full-Spec cluster down to Base before
-	// load starts: the "live 3-replica cluster" the churn then grows.
+	// Shrink the freshly started full-Spec cluster down to the base
+	// before load starts: the "live 3-replica cluster" the churn then
+	// grows.
 	res := &ChurnResult{}
-	if err := reconf(cfg.Base); err != nil {
-		return nil, fmt.Errorf("initial shrink to %v: %w", cfg.Base, err)
+	if err := reconf(memberBase); err != nil {
+		return nil, fmt.Errorf("initial shrink to %v: %w", memberBase, err)
 	}
 	res.Reconfigurations++
 
-	// Closed-loop clients at the Base replicas. Every proposal is
+	// Closed-loop clients at the base replicas. Every proposal is
 	// retried until it commits; ErrReconfigured (the command provably
 	// never executed) is the only tolerated failure.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
 	var resubmitted atomic.Uint64
-	clientErrs := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			key, g := clientKey(router, c)
-			target := hosts[cfg.Base[c%len(cfg.Base)]].Group(g)
-			for seq := 0; ; seq++ {
-				select {
-				case <-stop:
-					return
-				default:
+	load := newClosedLoop()
+	for cli := 0; cli < cfg.Clients; cli++ {
+		seq := 0
+		key, g := clientKey(tbl, cli)
+		target := c.rep(memberBase[cli%len(memberBase)]).host.Group(g)
+		load.client(nil, func() error {
+			payload := kvstore.Put(key, append([]byte(fmt.Sprintf("c%d-%d-", cli, seq)), make([]byte, memberPayload)...))
+			seq++
+			for {
+				ctx, cancel := context.WithTimeout(context.Background(), memberStep)
+				fut, err := target.Propose(ctx, payload)
+				var r types.Result
+				if err == nil {
+					r, err = fut.Wait(ctx)
 				}
-				payload := kvstore.Put(key, append([]byte(fmt.Sprintf("c%d-%d-", c, seq)), make([]byte, cfg.PayloadSize)...))
-				for {
-					ctx, cancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
-					fut, err := target.Propose(ctx, payload)
-					if err == nil {
-						var r types.Result
-						r, err = fut.Wait(ctx)
-						if err == nil {
-							mu.Lock()
-							okIDs[g][r.ID] = true
-							mu.Unlock()
-							cancel()
-							break
-						}
-					}
-					cancel()
-					if errors.Is(err, node.ErrReconfigured) {
-						resubmitted.Add(1)
-						continue // provably never executed: safe to resubmit
-					}
-					clientErrs[c] = fmt.Errorf("client %d seq %d: %w", c, seq, err)
-					return
+				cancel()
+				switch {
+				case err == nil:
+					led.mu.Lock()
+					led.okIDs[g][r.ID] = true
+					led.mu.Unlock()
+					return nil
+				case errors.Is(err, node.ErrReconfigured):
+					resubmitted.Add(1) // provably never executed: safe to resubmit
+				default:
+					return fmt.Errorf("client %d seq %d: %w", cli, seq-1, err)
 				}
 			}
-		}(c)
+		})
 	}
 
-	// The churn itself: grow to Grown and shrink back to Base, under
-	// load, Cycles times.
+	// The churn itself: grow to the full Spec and shrink back to the
+	// base, under load, Cycles times.
 	churnErr := func() error {
 		time.Sleep(cfg.Settle)
 		for cycle := 0; cycle < cfg.Cycles; cycle++ {
-			if err := reconf(cfg.Grown); err != nil {
-				return fmt.Errorf("cycle %d grow to %v: %w", cycle, cfg.Grown, err)
+			if err := reconf(all); err != nil {
+				return fmt.Errorf("cycle %d grow to %v: %w", cycle, all, err)
 			}
 			res.Reconfigurations++
 			time.Sleep(cfg.Settle)
-			if err := reconf(cfg.Base); err != nil {
-				return fmt.Errorf("cycle %d shrink to %v: %w", cycle, cfg.Base, err)
+			if err := reconf(memberBase); err != nil {
+				return fmt.Errorf("cycle %d shrink to %v: %w", cycle, memberBase, err)
 			}
 			res.Reconfigurations++
 			time.Sleep(cfg.Settle)
 		}
 		return nil
 	}()
-	close(stop)
-	wg.Wait()
-	if churnErr != nil {
-		return nil, churnErr
+	if err := load.finish(); churnErr != nil || err != nil {
+		return nil, errors.Join(churnErr, err)
 	}
-	for _, err := range clientErrs {
-		if err != nil {
-			return nil, err
-		}
+	led.mu.Lock()
+	for g := range led.okIDs {
+		res.Committed += uint64(len(led.okIDs[g]))
 	}
-	mu.Lock()
-	for g := range okIDs {
-		res.Committed += uint64(len(okIDs[g]))
-	}
-	mu.Unlock()
+	led.mu.Unlock()
 	res.Resubmitted = resubmitted.Load()
 
-	// Trailing commits land on every Base replica before verification.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		done := true
-		for g := 0; g < groups; g++ {
-			for _, rep := range cfg.Base {
-				if len(orders[rep][g]) != len(okIDs[g]) {
-					done = false
-				}
-			}
-		}
-		mu.Unlock()
-		if done {
-			break
-		}
+	// Trailing commits land on every base replica before verification.
+	for deadline := time.Now().Add(10 * time.Second); !led.landed(); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			var detail strings.Builder
-			mu.Lock()
-			for g := 0; g < groups; g++ {
-				fmt.Fprintf(&detail, " g%d ok=%d exec=[", g, len(okIDs[g]))
-				for _, rep := range cfg.Base {
-					fmt.Fprintf(&detail, " r%d:%d", rep, len(orders[rep][g]))
-				}
-				detail.WriteString(" ]")
-			}
-			mu.Unlock()
-			for _, rep := range cfg.Base {
-				for _, g := range hosts[rep].Status().Groups {
-					fmt.Fprintf(&detail, " r%d/%s:e%d:in=%t:inflight=%d", rep, g.Group, g.Epoch, g.InConfig, g.InFlight)
-				}
-			}
-			return nil, fmt.Errorf("churn: executions never converged to the committed set (lost or phantom commands):%s", detail.String())
+			return nil, fmt.Errorf("churn: executions never converged to the committed set (lost or phantom commands):%s", c.dump())
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-
-	// Verification: agreement, exactly-once, and the committed set. The
-	// lock is scoped: trailing event loops (removed replicas catching up
-	// via state transfer) still need OnCommit's mutex to make progress
-	// before the probe below.
-	verify := func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		for g := 0; g < groups; g++ {
-			ref := orders[cfg.Base[0]][g]
-			for _, rep := range cfg.Base[1:] {
-				ord := orders[rep][g]
-				if len(ord) != len(ref) {
-					return fmt.Errorf("group %d: replica %v executed %d commands, replica %v executed %d",
-						g, rep, len(ord), cfg.Base[0], len(ref))
-				}
-				for j := range ord {
-					if ord[j] != ref[j] {
-						return fmt.Errorf("group %d: execution order diverges at %d", g, j)
-					}
-				}
-			}
-			seen := make(map[types.CommandID]bool, len(ref))
-			for _, cid := range ref {
-				if seen[cid] {
-					return fmt.Errorf("group %d: command %v executed twice (duplicated command)", g, cid)
-				}
-				seen[cid] = true
-				if !okIDs[g][cid] {
-					return fmt.Errorf("group %d: executed command %v was never reported committed", g, cid)
-				}
-			}
-			for cid := range okIDs[g] {
-				if !seen[cid] {
-					return fmt.Errorf("group %d: committed command %v never executed (lost command)", g, cid)
-				}
-			}
-		}
-		return nil
-	}
-	if err := verify(); err != nil {
+	if err := led.verify(); err != nil {
 		return nil, err
 	}
+	if err := c.converged(10 * time.Second); err != nil {
+		return nil, fmt.Errorf("churn: %w", err)
+	}
 
-	// Atomicity: every group on every Base replica landed on the same
-	// final configuration and epoch, and that configuration is Base.
+	// Atomicity: every group on every base replica landed on the same
+	// final configuration and epoch, and that configuration is the base.
 	// Epochs are compared across groups and replicas rather than against
 	// the ReconfigureAll count: no-op reconfigurations consume no epoch
 	// and conflict retries (e.g. a concurrent failure-detector epoch)
 	// consume extra ones.
-	wantEpoch := hosts[cfg.Base[0]].Status().Groups[0].Epoch
-	wantMembers := node.MemberString(canonicalIDs(cfg.Base))
-	for _, rep := range cfg.Base {
-		for _, g := range hosts[rep].Status().Groups {
-			if g.Epoch != wantEpoch || node.MemberString(g.Members) != wantMembers || !g.InConfig {
+	first := c.rep(memberBase[0]).host.Status().Groups[0]
+	wantMembers := node.MemberString(memberBase)
+	for _, rep := range memberBase {
+		for _, g := range c.rep(rep).host.Status().Groups {
+			if g.Epoch != first.Epoch || node.MemberString(g.Members) != wantMembers || !g.InConfig {
 				return nil, fmt.Errorf("replica %v group %v: epoch=%d members=%s in=%t, want epoch=%d members=%s in=true",
-					rep, g.Group, g.Epoch, node.MemberString(g.Members), g.InConfig, wantEpoch, wantMembers)
+					rep, g.Group, g.Epoch, node.MemberString(g.Members), g.InConfig, first.Epoch, wantMembers)
 			}
 		}
 	}
-	res.FinalEpoch = wantEpoch
-	res.FinalMembers = append([]types.ReplicaID(nil), hosts[cfg.Base[0]].Status().Groups[0].Members...)
+	res.FinalEpoch, res.FinalMembers = first.Epoch, first.Members
 
 	// A replica outside the final configuration refuses proposals with
 	// the typed error instead of parking them.
-	var removed types.ReplicaID = -1
-	inBase := make(map[types.ReplicaID]bool)
-	for _, id := range cfg.Base {
-		inBase[id] = true
+	removed := all[len(memberBase)]
+	ctx, cancel := context.WithTimeout(context.Background(), memberStep)
+	defer cancel()
+	fut, err := c.rep(removed).host.Group(0).Propose(ctx, kvstore.Put("probe", []byte("x")))
+	if err == nil {
+		_, err = fut.Wait(ctx)
 	}
-	for _, id := range cfg.Grown {
-		if !inBase[id] {
-			removed = id
-			break
-		}
-	}
-	if removed >= 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
-		defer cancel()
-		fut, err := hosts[removed].Group(0).Propose(ctx, kvstore.Put("probe", []byte("x")))
-		if err == nil {
-			_, err = fut.Wait(ctx)
-		}
-		if !errors.Is(err, node.ErrNotInConfig) {
-			return nil, fmt.Errorf("proposal at removed replica %v: err = %v, want node.ErrNotInConfig", removed, err)
-		}
+	if !errors.Is(err, node.ErrNotInConfig) {
+		return nil, fmt.Errorf("proposal at removed replica %v: err = %v, want node.ErrNotInConfig", removed, err)
 	}
 
 	// The future-epoch hold buffer never overflowed: a dropped held
 	// message could reopen a straggler history gap silently.
-	for _, host := range hosts {
-		for g := 0; g < groups; g++ {
-			nd := host.Group(types.GroupID(g))
-			var heldDropped uint64
-			nd.Do(func() { heldDropped = nd.Protocol().(*core.Replica).HeldDropped() })
-			if heldDropped > 0 {
-				return nil, fmt.Errorf("replica %v group %d dropped %d held future-epoch messages", host.ID(), g, heldDropped)
-			}
-		}
+	if err := c.heldDropped(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -11,10 +11,6 @@ import (
 	"clockrsm/internal/core"
 	"clockrsm/internal/kvstore"
 	"clockrsm/internal/node"
-	"clockrsm/internal/shard"
-	"clockrsm/internal/storage"
-	"clockrsm/internal/transport"
-	"clockrsm/internal/types"
 )
 
 // TestNudgedReadsKeepLinkOrder is the saturating regression for the
@@ -35,41 +31,14 @@ func TestNudgedReadsKeepLinkOrder(t *testing.T) {
 
 func nudgedReadsUnderLoad(t *testing.T, groups int) {
 	const n, clientsPerGroup = 3, 6
-	addrs, err := freeAddrs(n)
+	c, err := newCluster(clusterSpec{
+		replicas: n, groups: groups, tcp: true,
+		core: core.Options{ClockTimeInterval: saturationDelta},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := make([]types.ReplicaID, n)
-	for i := range spec {
-		spec[i] = types.ReplicaID(i)
-	}
-	live := make([]*liveReplica, n)
-	reps := make([][]*core.Replica, n)
-	for i := range live {
-		id := types.ReplicaID(i)
-		host, err := node.NewHost(id, spec, transport.NewTCP(id, addrs, transport.TCPOptions{Groups: groups}), node.HostOptions{
-			Groups: groups,
-			NewLog: func(types.GroupID) storage.Log { return storage.NewMemLog() },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer host.Stop()
-		live[i] = &liveReplica{host: host}
-		for g := 0; g < groups; g++ {
-			app := live[i].addGroup()
-			nd := host.Group(types.GroupID(g))
-			nd.Bind(app)
-			rep := core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond})
-			nd.SetProtocol(rep)
-			reps[i] = append(reps[i], rep)
-		}
-	}
-	for _, lr := range live {
-		if err := lr.host.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer c.stop()
 
 	var writes, reads, reconfigured atomic.Uint64
 	// ErrReconfigured is counted rather than fatal, so one forced rejoin
@@ -81,13 +50,12 @@ func nudgedReadsUnderLoad(t *testing.T, groups int) {
 		}
 		return err
 	}
-	ctx := context.Background()
-	router := shard.NewRouter(groups)
+	ctx, tbl := context.Background(), c.table()
 	load := newClosedLoop()
-	for i := 0; i < n; i++ {
-		for c := 0; c < clientsPerGroup*groups; c++ {
-			key, g := clientKey(router, c)
-			target := live[i].host.Group(g)
+	for _, r := range c.live() {
+		for cli := 0; cli < clientsPerGroup*groups; cli++ {
+			key, g := clientKey(tbl, cli)
+			target := r.host.Group(g)
 			put, get := kvstore.Put(key, make([]byte, 100)), kvstore.Get(key)
 			load.client(&writes, func() error {
 				fut, err := target.Propose(ctx, put)
@@ -108,17 +76,18 @@ func nudgedReadsUnderLoad(t *testing.T, groups int) {
 	if reconfigured.Load() != 0 {
 		t.Errorf("%d operations died with ErrReconfigured on a lossless network", reconfigured.Load())
 	}
+	// converged carries the at-most-once and zero-link-gap checks.
+	if err := c.converged(10 * time.Second); err != nil {
+		t.Error(err)
+	}
 	var nudgeReplies uint64
-	for i, lr := range live {
-		if err := lr.atMostOnce(); err != nil {
-			t.Error(err)
-		}
-		for g, gs := range lr.host.Status().Groups {
-			if gs.LinkGaps != 0 || gs.Epoch != 0 {
-				t.Errorf("replica %d group %d: link gaps %d, epoch %d, want 0 and 0", i, g, gs.LinkGaps, gs.Epoch)
+	for _, r := range c.live() {
+		for _, gs := range r.host.Status().Groups {
+			if gs.Epoch != 0 {
+				t.Errorf("replica %v group %v: epoch %d, want 0", r.host.ID(), gs.Group, gs.Epoch)
 			}
-			rep := reps[i][g]
-			lr.host.Group(types.GroupID(g)).Do(func() { nudgeReplies += rep.NudgeReplies() })
+			rep := r.coreReplica(gs.Group)
+			r.host.Group(gs.Group).Do(func() { nudgeReplies += rep.NudgeReplies() })
 		}
 	}
 	if writes.Load() == 0 || reads.Load() == 0 || nudgeReplies == 0 {

@@ -12,8 +12,6 @@ import (
 	"clockrsm/internal/core"
 	"clockrsm/internal/kvstore"
 	"clockrsm/internal/node"
-	"clockrsm/internal/rsm"
-	"clockrsm/internal/transport"
 	"clockrsm/internal/types"
 	"clockrsm/internal/wan"
 )
@@ -30,13 +28,14 @@ type gcid struct {
 // in-process codec transport) through the public client API — every
 // command enters via Host.ProposeKey and completes via its Future —
 // and records per-group histories. Keys are partitioned over groups by
-// the host's shard router, so every key's operations land in exactly
+// the host's routing table, so every key's operations land in exactly
 // one group's total order: per-key linearizability of the sharded
 // store reduces to per-group agreement + sequential semantics +
 // real-time order, which verify checks.
 type mgHarness struct {
 	t      *testing.T
 	groups int
+	c      *cluster
 	hosts  []*node.Host
 
 	mu       sync.Mutex
@@ -69,52 +68,33 @@ func newMGHarnessLat(t *testing.T, replicas, groups int, lat *wan.Matrix) *mgHar
 		submits:  make(map[gcid]time.Time),
 		replies:  make(map[gcid]time.Time),
 	}
-	hub := transport.NewHub(replicas, transport.HubOptions{Codec: true, Groups: groups, Latency: lat})
-	t.Cleanup(hub.Close)
-	spec := make([]types.ReplicaID, replicas)
-	for i := range spec {
-		spec[i] = types.ReplicaID(i)
-	}
-	for i := 0; i < replicas; i++ {
-		i := i
+	for i := range h.orders {
 		h.orders[i] = make([][]types.CommandID, groups)
-		host, err := node.NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), node.HostOptions{Groups: groups})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for g := 0; g < groups; g++ {
-			g := g
-			app := &rsm.App{
-				SM: kvstore.New(),
-				// The execution order carries the payloads: proposals
-				// no longer know their command ID at submit time (the
-				// event loop mints it), so correlation happens here.
-				OnCommit: func(ts types.Timestamp, cmd types.Command) {
-					key := gcid{types.GroupID(g), cmd.ID}
-					h.mu.Lock()
-					h.orders[i][g] = append(h.orders[i][g], cmd.ID)
-					if _, ok := h.payloads[key]; !ok {
-						h.payloads[key] = append([]byte(nil), cmd.Payload...)
-					}
-					h.mu.Unlock()
-				},
+	}
+	c, err := newCluster(clusterSpec{
+		replicas: replicas, groups: groups, latency: lat,
+		core: core.Options{ClockTimeInterval: faultDelta},
+		// The execution order carries the payloads: proposals no longer
+		// know their command ID at submit time (the event loop mints
+		// it), so correlation happens here.
+		onCommit: func(id types.ReplicaID, g types.GroupID, cmd types.Command) {
+			key := gcid{g, cmd.ID}
+			h.mu.Lock()
+			h.orders[id][g] = append(h.orders[id][g], cmd.ID)
+			if _, ok := h.payloads[key]; !ok {
+				h.payloads[key] = append([]byte(nil), cmd.Payload...)
 			}
-			nd := host.Group(types.GroupID(g))
-			nd.Bind(app)
-			nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 2 * time.Millisecond}))
-		}
-		h.hosts = append(h.hosts, host)
-	}
-	for _, host := range h.hosts {
-		if err := host.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, host := range h.hosts {
-			host.Stop()
-		}
+			h.mu.Unlock()
+		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.stop)
+	h.c = c
+	for _, r := range c.live() {
+		h.hosts = append(h.hosts, r.host)
+	}
 	return h
 }
 
@@ -136,7 +116,7 @@ func (h *mgHarness) call(at types.ReplicaID, key string, payload []byte) {
 		return
 	}
 	now := time.Now()
-	k := gcid{h.hosts[at].Router().Group(key), res.ID}
+	k := gcid{h.hosts[at].Table().Group(key), res.ID}
 	h.mu.Lock()
 	h.results[k] = res.Value
 	h.submits[k] = before
@@ -162,7 +142,7 @@ func (h *mgHarness) callCanceled(at types.ReplicaID, key string, payload []byte)
 	case err == nil:
 		// The commit raced the cancellation; the result is still valid.
 		now := time.Now()
-		k := gcid{h.hosts[at].Router().Group(key), res.ID}
+		k := gcid{h.hosts[at].Table().Group(key), res.ID}
 		h.mu.Lock()
 		h.results[k] = res.Value
 		h.replies[k] = now
@@ -196,6 +176,9 @@ func (h *mgHarness) verify(successes, attempts int) {
 // reference rather than for equality.
 func (h *mgHarness) verifySkip(successes, attempts int, skip func(rep int, g types.GroupID) bool) {
 	h.t.Helper()
+	if err := h.c.converged(10 * time.Second); err != nil {
+		h.t.Fatal(err)
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	executed := 0

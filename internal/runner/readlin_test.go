@@ -49,7 +49,7 @@ func (h *mgHarness) read(at types.ReplicaID, key string, lvl node.Level, sess in
 	}
 	h.mu.Lock()
 	h.reads = append(h.reads, readEv{
-		g: h.hosts[at].Router().Group(key), key: key, tier: lvl.Tier(),
+		g: h.hosts[at].Table().Group(key), key: key, tier: lvl.Tier(),
 		value: res.Value, start: start, end: end,
 		sess: sess, seq: seq, watermark: res.Watermark,
 	})

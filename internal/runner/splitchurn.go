@@ -1,23 +1,16 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"clockrsm/internal/core"
 	"clockrsm/internal/kvstore"
-	"clockrsm/internal/node"
 	"clockrsm/internal/reshard"
-	"clockrsm/internal/rsm"
-	"clockrsm/internal/storage"
-	"clockrsm/internal/transport"
 	"clockrsm/internal/types"
 )
 
@@ -33,75 +26,32 @@ type SplitChurnConfig struct {
 	// group g of replica r is Dir/r<r>.g<g>.log, its routing table
 	// Dir/r<r>.routes).
 	Dir string
-	// Replicas is the cluster size (default 3).
-	Replicas int
-	// Groups is the number of groups the genesis routing table routes to
-	// (default 2).
-	Groups int
-	// Spares is the extra hosted capacity splits grow into (default 2:
-	// one target for the crash-healed split, one for the clean split).
-	Spares int
-	// Clients is the closed-loop writer count (default 6; rounded up to
-	// a multiple of 3 so every key category — staying slot, migrating
-	// slot, other group — sees load).
-	Clients int
-	// Settle is how long load runs between resharding steps (default
-	// 250 ms).
-	Settle time.Duration
-	// StepTimeout bounds each proposal and read wait (default 20 s; it
-	// must cover the fence-to-heal window, during which writes to
-	// migrating keys park).
-	StepTimeout time.Duration
-	// ConvergeTimeout bounds the waits for routing tables and stores to
-	// converge across replicas (default 15 s).
-	ConvergeTimeout time.Duration
-	// Mode is the WAL fsync mode (default storage.SyncBatch).
-	Mode storage.SyncMode
-	// CheckpointEvery is the snapshot/compaction interval in commands
-	// (default 16).
-	CheckpointEvery int
-	// Delta is the CLOCKTIME interval (default 2 ms).
-	Delta time.Duration
 	// Debug, when set, receives progress lines (testing.T.Logf fits).
 	Debug func(format string, args ...any)
 }
 
-func (c SplitChurnConfig) withDefaults() SplitChurnConfig {
-	if c.Replicas == 0 {
-		c.Replicas = 3
-	}
-	if c.Groups <= 0 {
-		c.Groups = 2
-	}
-	if c.Spares <= 0 {
-		c.Spares = 2
-	}
-	if c.Clients == 0 {
-		c.Clients = 6
-	}
-	if r := c.Clients % 3; r != 0 {
-		c.Clients += 3 - r
-	}
-	if c.Settle == 0 {
-		c.Settle = 250 * time.Millisecond
-	}
-	if c.StepTimeout == 0 {
-		c.StepTimeout = 20 * time.Second
-	}
-	if c.ConvergeTimeout == 0 {
-		c.ConvergeTimeout = 15 * time.Second
-	}
-	if c.Mode == storage.SyncDefault {
-		c.Mode = storage.SyncBatch
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 16
-	}
-	if c.Delta == 0 {
-		c.Delta = 2 * time.Millisecond
-	}
-	return c
-}
+const (
+	splitReplicas = 3
+	// splitGroups is how many groups the genesis routing table routes to.
+	splitGroups = 2
+	// splitSpares is the extra hosted capacity splits grow into: one
+	// target for the crash-healed split, one for the clean split.
+	splitSpares = 2
+	// splitClients is a multiple of 3 so every key category — staying
+	// slot, migrating slot, other group — sees load.
+	splitClients = 6
+	// splitSettle is how long load runs between resharding steps.
+	splitSettle = 250 * time.Millisecond
+	// splitStep bounds each proposal and read wait; it must cover the
+	// fence-to-heal window, during which writes to migrating keys park.
+	splitStep = 20 * time.Second
+	// splitConverge bounds the waits for routing tables and stores to
+	// converge across replicas.
+	splitConverge = 15 * time.Second
+	// splitCheckpointEvery is the snapshot/compaction interval in
+	// commands.
+	splitCheckpointEvery = 16
+)
 
 // SplitChurnResult reports one split-churn run that passed all
 // correctness assertions.
@@ -156,13 +106,13 @@ func splitKeyFor(tbl *reshard.Table, moved map[int]bool, cli, cat int) string {
 	}
 }
 
-// RunSplitChurn stands up a Replicas×(Groups+Spares) cluster over TCP
-// and file logs with Groups active groups, then — under closed-loop
-// load — drives two live splits of group 0 and group 1 into the spare
-// groups. The first split's coordinator is killed between its
-// checkpoint and the ownership flip (OnPhase abort: the coordinator
-// holds no state of its own, so an abort models a process death
-// exactly); two racing coordinators on other replicas then Heal
+// RunSplitChurn stands up a 3-replica cluster over TCP and file logs
+// hosting splitGroups active groups and splitSpares spares, then —
+// under closed-loop load — drives two live splits of group 0 and group
+// 1 into the spare groups. The first split's coordinator is killed
+// between its checkpoint and the ownership flip (OnPhase abort: the
+// coordinator holds no state of its own, so an abort models a process
+// death exactly); two racing coordinators on other replicas then Heal
 // concurrently. It verifies:
 //
 //   - zero lost acked commands: for every key, the converged value's
@@ -170,7 +120,7 @@ func splitKeyFor(tbl *reshard.Table, moved map[int]bool, cli, cat int) string {
 //     keys whose slots migrated mid-run;
 //   - no duplicated execution: a fenced command is never applied, so
 //     the per-key sequence read back never regresses (a stale
-//     re-execution would);
+//     re-execution would), and no replica executes a timestamp twice;
 //   - per-key linearizability across the split boundary: a
 //     linearizable read at another replica observes every write acked
 //     before it was issued, before, during and after migration;
@@ -180,32 +130,26 @@ func splitKeyFor(tbl *reshard.Table, moved map[int]bool, cli, cat int) string {
 //   - agreement: every replica's store serializes to identical bytes,
 //     group by group, and the routing tables persisted to disk reload.
 func RunSplitChurn(cfg SplitChurnConfig) (*SplitChurnResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, errors.New("runner: SplitChurnConfig.Dir is required")
 	}
-	debugf := func(format string, args ...any) {
-		if cfg.Debug != nil {
-			cfg.Debug(format, args...)
-		}
-	}
-	n := cfg.Replicas
-	hosted := cfg.Groups + cfg.Spares
-	addrs, err := freeAddrs(n)
+	c, err := newCluster(clusterSpec{
+		replicas: splitReplicas, groups: splitGroups, spares: splitSpares,
+		tcp: true, log: logFile, dir: cfg.Dir,
+		core:   core.Options{ClockTimeInterval: faultDelta, CheckpointEvery: splitCheckpointEvery},
+		debugf: cfg.Debug,
+	})
 	if err != nil {
 		return nil, err
 	}
-	spec := make([]types.ReplicaID, n)
-	for i := range spec {
-		spec[i] = types.ReplicaID(i)
-	}
+	defer c.stop()
 
-	// The genesis table and the first split's plan, computed up front so
-	// client keys can be placed on both sides of the boundary. PlanSplit
-	// is deterministic over the same table, so this matches exactly what
-	// the coordinator will fence.
-	genesis := reshard.Legacy(cfg.Groups)
-	dst1 := types.GroupID(cfg.Groups)
+	// The first split's plan, computed up front from the hosts' own
+	// genesis table so client keys can be placed on both sides of the
+	// boundary. PlanSplit is deterministic over the same table, so this
+	// matches exactly what the coordinator will fence.
+	genesis := c.table()
+	dst1, dst2 := types.GroupID(splitGroups), types.GroupID(splitGroups+1)
 	planned, gen1, err := genesis.PlanSplit(0, dst1)
 	if err != nil {
 		return nil, err
@@ -214,399 +158,213 @@ func RunSplitChurn(cfg SplitChurnConfig) (*SplitChurnResult, error) {
 	for _, s := range planned {
 		moved[int(s)] = true
 	}
-
-	start := func(id types.ReplicaID) (*liveReplica, error) {
-		logs := make([]storage.Log, hosted)
-		for g := 0; g < hosted; g++ {
-			path := filepath.Join(cfg.Dir, fmt.Sprintf("r%d.g%d.log", id, g))
-			fl, err := storage.OpenFileLog(path, storage.FileLogOptions{Mode: cfg.Mode})
-			if err != nil {
-				return nil, fmt.Errorf("replica %v: %w", id, err)
-			}
-			logs[g] = fl
-		}
-		tr := transport.NewTCP(id, addrs, transport.TCPOptions{
-			Groups:    hosted,
-			DialRetry: 50 * time.Millisecond,
-		})
-		host, err := node.NewHost(id, spec, tr, node.HostOptions{
-			Groups:     hosted,
-			NewLog:     func(g types.GroupID) storage.Log { return logs[g] },
-			Table:      genesis,
-			RoutesPath: filepath.Join(cfg.Dir, fmt.Sprintf("r%d.routes", id)),
-		})
-		if err != nil {
-			return nil, err
-		}
-		lr := &liveReplica{host: host, stores: make([]*kvstore.Store, hosted)}
-		for g := 0; g < hosted; g++ {
-			store := kvstore.New()
-			lr.stores[g] = store
-			app := &rsm.App{SM: store}
-			nd := host.Group(types.GroupID(g))
-			host.Bind(types.GroupID(g), app)
-			nd.SetProtocol(core.New(nd, app, core.Options{
-				ClockTimeInterval: cfg.Delta,
-				CheckpointEvery:   cfg.CheckpointEvery,
-			}))
-		}
-		if err := host.Start(); err != nil {
-			return nil, err
-		}
-		return lr, nil
+	keys := make([]string, splitClients)
+	for cli := range keys {
+		keys[cli] = splitKeyFor(genesis, moved, cli, cli%3)
 	}
-
-	reps := make([]*liveReplica, n)
-	for i := 0; i < n; i++ {
-		lr, err := start(types.ReplicaID(i))
-		if err != nil {
-			for j := 0; j < i; j++ {
-				reps[j].host.Stop()
-			}
-			return nil, err
-		}
-		reps[i] = lr
-	}
-	defer func() {
-		for _, lr := range reps {
-			lr.host.Stop()
-		}
-	}()
-
-	// acks tracks, per key, the highest acked sequence number — the
-	// writes the run must prove survived the splits.
-	acks := struct {
-		sync.Mutex
-		last map[string]int
-	}{last: make(map[string]int)}
-	lastAcked := func(key string) int {
-		acks.Lock()
-		defer acks.Unlock()
-		if s, ok := acks.last[key]; ok {
-			return s
-		}
-		return -1
-	}
+	w := c.startWriters(keys, splitStep)
 
 	res := &SplitChurnResult{}
-	var ackedN, resubmitted, readsN atomic.Uint64
-	var maxStall atomic.Int64
-
-	stop := make(chan struct{})
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-	clientKeys := make([]string, cfg.Clients)
-	for c := range clientKeys {
-		clientKeys[c] = splitKeyFor(genesis, moved, c, c%3)
-	}
-	var wg sync.WaitGroup
-	clientErrs := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			key := clientKeys[c]
-			for seq := 0; !stopped(); seq++ {
-				payload := kvstore.Put(key, []byte(fmt.Sprintf("c%d-%d", c, seq)))
-				// Execute routes by the live table and retries through the
-				// fence window itself; resubmitting the same payload after a
-				// timeout can at worst commit the same value twice in a row,
-				// which the monotone per-key sequence checks tolerate.
-				issued := time.Now()
-				for !stopped() {
-					target := reps[c%n]
-					ctx, cancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
-					_, err := target.host.Execute(ctx, key, payload)
-					cancel()
-					if err == nil {
-						acks.Lock()
-						acks.last[key] = seq
-						acks.Unlock()
-						ackedN.Add(1)
-						if d := time.Since(issued); d > time.Duration(maxStall.Load()) {
-							maxStall.Store(int64(d))
-						}
-						break
-					}
-					resubmitted.Add(1)
-				}
-				// Every few acked writes, check per-key linearizability from
-				// a different replica: a linearizable read must observe
-				// everything acked before it was issued — the property the
-				// split must preserve across the boundary.
-				if seq%4 != 3 || stopped() {
-					continue
-				}
-				floor := lastAcked(key)
-				if floor < 0 {
-					continue
-				}
-				rd := reps[(c+1)%n]
-				ctx, cancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
-				rres, err := rd.host.ReadKey(ctx, key, kvstore.Get(key), node.Linearizable)
-				cancel()
-				switch {
-				case err == nil:
-					got, perr := parseSeq(rres.Value)
-					if perr != nil || got < floor {
-						clientErrs[c] = fmt.Errorf("client %d: linearizable read of %q at %v returned seq %d (%v), but seq %d was acked before the read",
-							c, key, rd.host.ID(), got, perr, floor)
-						return
-					}
-					readsN.Add(1)
-				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, node.ErrStopped):
-					// Mid-migration stall that outlived the bound; the next
-					// read will check the floor.
-				default:
-					clientErrs[c] = fmt.Errorf("client %d: read of %q: %w", c, key, err)
-					return
-				}
-			}
-		}(c)
-	}
-
 	churnErr := func() error {
-		// Seed enough keys into the migrating range that the install
-		// phase needs multiple chunks — the checkpoint must carry every
-		// one of them across.
-		seeded := 0
-		for salt := 0; seeded < 2*reshard.DefaultChunkPairs; salt++ {
-			key := fmt.Sprintf("seed-%d", salt)
-			if !moved[genesis.SlotOf(key)] {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
-			_, err := reps[0].host.Execute(ctx, key, kvstore.Put(key, []byte(key)))
-			cancel()
-			if err != nil {
-				return fmt.Errorf("seed %q: %w", key, err)
-			}
-			seeded++
-		}
-		debugf("seeded %d keys into the migrating range", seeded)
-		time.Sleep(cfg.Settle)
-
-		// Split 1, coordinator crash: the coordinator on replica 0
-		// fences and checkpoints, then dies before proposing a single
-		// install — the moved slots are frozen with no new owner.
-		co := reps[0].host.Coordinator()
-		crashed := errors.New("coordinator crashed")
-		co.OnPhase = func(phase string) error {
-			debugf("split g0->g%d phase %s", dst1, phase)
-			if phase == reshard.PhaseInstall {
-				return crashed
-			}
-			return nil
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
-		_, err := co.Split(ctx, 0, dst1)
-		cancel()
-		if !errors.Is(err, crashed) {
-			return fmt.Errorf("crash-injected split returned %v, want the injected crash", err)
-		}
-
-		// The fence replicated through group 0's log, so every replica's
-		// table learns the migration; wait for the healers to see it.
-		deadline := time.Now().Add(cfg.ConvergeTimeout)
-		for i := 1; i < n; i++ {
-			for len(reps[i].host.Table().Migrations()) != len(planned) {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("replica %d never observed the fence (table %v)", i, reps[i].host.Table())
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-		debugf("fence visible cluster-wide; %d slots frozen", len(planned))
-		time.Sleep(cfg.Settle / 4)
-
-		// Heal from two replicas concurrently: racing coordinators must
-		// converge on exactly one routing outcome (generation-checked
-		// installs make the duplicate a no-op).
-		healErrs := make([]error, 2)
-		healReps := make([][]*reshard.SplitReport, 2)
-		var healWG sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			healWG.Add(1)
-			go func(i int) {
-				defer healWG.Done()
-				hctx, hcancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
-				defer hcancel()
-				healReps[i], healErrs[i] = reps[i+1].host.Heal(hctx)
-			}(i)
-		}
-		healWG.Wait()
-		for i, err := range healErrs {
-			if err != nil {
-				return fmt.Errorf("heal on replica %d: %w", i+1, err)
-			}
-		}
-		healed := 0
-		for i, rs := range healReps {
-			for _, r := range rs {
-				debugf("heal on replica %d rolled forward %v->%v gen=%d slots=%d pairs=%d",
-					i+1, r.From, r.To, r.Gen, r.Slots, r.Pairs)
-				healed += r.Slots
-				res.MovedPairs += r.Pairs
-			}
-		}
-		if healed < len(planned) {
-			return fmt.Errorf("heals rolled forward %d slots, want at least the %d frozen", healed, len(planned))
-		}
-		res.HealedSlots = healed
-		res.Splits++
-
-		// Exactly one routing outcome: every replica's claims converge,
-		// every planned slot Owned by the target at the planned
-		// generation.
-		if err := waitTables(reps, planned, dst1, gen1, cfg.ConvergeTimeout); err != nil {
+		if err := seedSlots(c, genesis, moved); err != nil {
 			return err
 		}
-		debugf("healed split converged: %v", reps[0].host.Table())
-		time.Sleep(cfg.Settle)
-
-		// Split 2, clean: a second coordinator splits group 1 into the
-		// next spare under the same load, no crash.
-		dst2 := types.GroupID(cfg.Groups + 1)
-		if int(dst2) < hosted {
-			plan2, gen2, err := reps[1].host.Table().PlanSplit(1, dst2)
-			if err != nil {
-				return err
-			}
-			sctx, scancel := context.WithTimeout(context.Background(), cfg.StepTimeout)
-			rep, err := reps[1].host.Split(sctx, 1, dst2)
-			scancel()
-			if err != nil {
-				return fmt.Errorf("clean split g1->g%d: %w", dst2, err)
-			}
-			debugf("clean split %v->%v gen=%d slots=%d pairs=%d chunks=%d",
-				rep.From, rep.To, rep.Gen, rep.Slots, rep.Pairs, rep.Chunks)
-			if rep.Slots != len(plan2) {
-				return fmt.Errorf("clean split moved %d slots, planned %d", rep.Slots, len(plan2))
-			}
-			res.MovedPairs += rep.Pairs
-			res.Splits++
-			if err := waitTables(reps, plan2, dst2, gen2, cfg.ConvergeTimeout); err != nil {
-				return err
-			}
-			time.Sleep(cfg.Settle)
+		time.Sleep(splitSettle)
+		if err := crashedSplit(c, dst1, planned, gen1, res); err != nil {
+			return err
 		}
+		time.Sleep(splitSettle)
+		if err := cleanSplit(c, 1, dst2, res); err != nil {
+			return err
+		}
+		time.Sleep(splitSettle)
 		return nil
 	}()
-	close(stop)
-	wg.Wait()
-	if churnErr != nil {
-		return nil, churnErr
+	if err := w.finish(); churnErr != nil || err != nil {
+		return nil, errors.Join(churnErr, err)
 	}
-	for _, err := range clientErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Acked = ackedN.Load()
-	res.Resubmitted = resubmitted.Load()
-	res.Reads = readsN.Load()
-	res.FenceStall = time.Duration(maxStall.Load())
-	for _, lr := range reps {
-		if v := lr.host.Table().Version; v > res.RouteVersion {
+	res.Acked, res.Resubmitted, res.Reads = w.acked.Load(), w.resubmitted.Load(), w.reads.Load()
+	res.FenceStall = time.Duration(w.maxStall.Load())
+	for _, r := range c.live() {
+		if v := r.host.Table().Version; v > res.RouteVersion {
 			res.RouteVersion = v
 		}
 	}
 
-	// Agreement: every replica's store serializes to the same bytes,
-	// group by group (the wait covers apply lag on non-proposing
-	// replicas).
-	deadline := time.Now().Add(cfg.ConvergeTimeout)
-	for {
-		agree := true
-		var detail string
-		for g := 0; g < hosted && agree; g++ {
-			ref := reps[0].stores[g].Snapshot()
-			for i := 1; i < n; i++ {
-				if !bytes.Equal(ref, reps[i].stores[g].Snapshot()) {
-					agree = false
-					detail = fmt.Sprintf("group %d: replica 0 (%d keys) and replica %d (%d keys) diverge",
-						g, reps[0].stores[g].Len(), i, reps[i].stores[g].Len())
-					break
-				}
-			}
-		}
-		if agree {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("split-churn: stores never converged: %s", detail)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Agreement (the wait covers apply lag on non-proposing replicas),
+	// then zero lost acked commands across the boundary: each key's
+	// value in its (possibly new) owning group is at least as new as the
+	// last acked write.
+	if err := c.converged(splitConverge); err != nil {
+		return nil, fmt.Errorf("split-churn: %w", err)
 	}
-
-	// Zero lost acked commands across the boundary: each key's value in
-	// its (possibly new) owning group is at least as new as the last
-	// acked write.
-	tbl := reps[0].host.Table()
-	for c := 0; c < cfg.Clients; c++ {
-		key := clientKeys[c]
-		floor := lastAcked(key)
-		if floor < 0 {
-			continue
-		}
-		g := tbl.Group(key)
-		val, ok := reps[0].stores[g].Lookup(key)
-		if !ok {
-			return nil, fmt.Errorf("split-churn: key %q (group %v) lost: seq %d was acked but the key is absent after convergence", key, g, floor)
-		}
-		got, err := parseSeq(val)
-		if err != nil {
-			return nil, fmt.Errorf("split-churn: key %q holds %q: %v", key, val, err)
-		}
-		if got < floor {
-			return nil, fmt.Errorf("split-churn: key %q converged to seq %d, but seq %d was acked (acked command lost or stale duplicate executed)", key, got, floor)
-		}
+	if err := w.survived(); err != nil {
+		return nil, fmt.Errorf("split-churn: %w", err)
 	}
 
 	// The persisted routing tables reload to the converged claims: a
 	// restarted replica would route identically.
-	for i := 0; i < n; i++ {
-		saved, err := reshard.Load(filepath.Join(cfg.Dir, fmt.Sprintf("r%d.routes", i)))
+	for _, r := range c.live() {
+		saved, err := reshard.Load(r.host.Holder().Path())
 		if err != nil {
-			return nil, fmt.Errorf("split-churn: reload routes of replica %d: %w", i, err)
+			return nil, fmt.Errorf("split-churn: reload routes of replica %v: %w", r.host.ID(), err)
 		}
-		if saved == nil || !reflect.DeepEqual(saved.Slots, reps[i].host.Table().Slots) {
-			return nil, fmt.Errorf("split-churn: replica %d's persisted routing table does not match its live table", i)
+		if saved == nil || !reflect.DeepEqual(saved.Slots, r.host.Table().Slots) {
+			return nil, fmt.Errorf("split-churn: replica %v's persisted routing table does not match its live table", r.host.ID())
 		}
-		if err := reps[i].host.Holder().SaveErr(); err != nil {
-			return nil, fmt.Errorf("split-churn: replica %d routing-table persist error: %w", i, err)
+		if err := r.host.Holder().SaveErr(); err != nil {
+			return nil, fmt.Errorf("split-churn: replica %v routing-table persist error: %w", r.host.ID(), err)
 		}
 	}
 	return res, nil
+}
+
+// seedSlots writes enough keys into the migrating range that the
+// install phase needs multiple chunks — the checkpoint must carry every
+// one of them across.
+func seedSlots(c *cluster, genesis *reshard.Table, moved map[int]bool) error {
+	seeded := 0
+	for salt := 0; seeded < 2*reshard.DefaultChunkPairs; salt++ {
+		key := fmt.Sprintf("seed-%d", salt)
+		if !moved[genesis.SlotOf(key)] {
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), splitStep)
+		_, err := c.rep(0).host.Execute(ctx, key, kvstore.Put(key, []byte(key)))
+		cancel()
+		if err != nil {
+			return fmt.Errorf("seed %q: %w", key, err)
+		}
+		seeded++
+	}
+	c.debugf("seeded %d keys into the migrating range", seeded)
+	return nil
+}
+
+// crashedSplit is split 1: the coordinator on replica 0 fences and
+// checkpoints, then dies before proposing a single install — the moved
+// slots are frozen with no new owner — and replicas 1 and 2 heal it
+// concurrently.
+func crashedSplit(c *cluster, dst types.GroupID, planned []uint32, gen uint32, res *SplitChurnResult) error {
+	co := c.rep(0).host.Coordinator()
+	crashed := errors.New("coordinator crashed")
+	co.OnPhase = func(phase string) error {
+		c.debugf("split g0->g%d phase %s", dst, phase)
+		if phase == reshard.PhaseInstall {
+			return crashed
+		}
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), splitStep)
+	_, err := co.Split(ctx, 0, dst)
+	cancel()
+	if !errors.Is(err, crashed) {
+		return fmt.Errorf("crash-injected split returned %v, want the injected crash", err)
+	}
+
+	// The fence replicated through group 0's log, so every replica's
+	// table learns the migration; wait for the healers to see it.
+	deadline := time.Now().Add(splitConverge)
+	for _, r := range c.live()[1:] {
+		for len(r.host.Table().Migrations()) != len(planned) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("replica %v never observed the fence (table %v)", r.host.ID(), r.host.Table())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	c.debugf("fence visible cluster-wide; %d slots frozen", len(planned))
+	time.Sleep(splitSettle / 4)
+
+	// Heal from two replicas concurrently: racing coordinators must
+	// converge on exactly one routing outcome (generation-checked
+	// installs make the duplicate a no-op).
+	healErrs := make([]error, 2)
+	healReps := make([][]*reshard.SplitReport, 2)
+	var healWG sync.WaitGroup
+	for i := range healErrs {
+		healWG.Add(1)
+		go func(i int) {
+			defer healWG.Done()
+			hctx, hcancel := context.WithTimeout(context.Background(), splitStep)
+			defer hcancel()
+			healReps[i], healErrs[i] = c.rep(types.ReplicaID(i + 1)).host.Heal(hctx)
+		}(i)
+	}
+	healWG.Wait()
+	healed := 0
+	for i, rs := range healReps {
+		if healErrs[i] != nil {
+			return fmt.Errorf("heal on replica %d: %w", i+1, healErrs[i])
+		}
+		for _, r := range rs {
+			c.debugf("heal on replica %d rolled forward %v->%v gen=%d slots=%d pairs=%d",
+				i+1, r.From, r.To, r.Gen, r.Slots, r.Pairs)
+			healed += r.Slots
+			res.MovedPairs += r.Pairs
+		}
+	}
+	if healed < len(planned) {
+		return fmt.Errorf("heals rolled forward %d slots, want at least the %d frozen", healed, len(planned))
+	}
+	res.HealedSlots = healed
+	res.Splits++
+
+	// Exactly one routing outcome: every replica's claims converge,
+	// every planned slot Owned by the target at the planned generation.
+	if err := waitTables(c, planned, dst, gen); err != nil {
+		return err
+	}
+	c.debugf("healed split converged: %v", c.table())
+	return nil
+}
+
+// cleanSplit is split 2: a coordinator on replica 1 splits group src
+// into the next spare under the same load, no crash.
+func cleanSplit(c *cluster, src, dst types.GroupID, res *SplitChurnResult) error {
+	host := c.rep(1).host
+	plan, gen, err := host.Table().PlanSplit(src, dst)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), splitStep)
+	rep, err := host.Split(ctx, src, dst)
+	cancel()
+	if err != nil {
+		return fmt.Errorf("clean split g%d->g%d: %w", src, dst, err)
+	}
+	c.debugf("clean split %v->%v gen=%d slots=%d pairs=%d chunks=%d",
+		rep.From, rep.To, rep.Gen, rep.Slots, rep.Pairs, rep.Chunks)
+	if rep.Slots != len(plan) {
+		return fmt.Errorf("clean split moved %d slots, planned %d", rep.Slots, len(plan))
+	}
+	res.MovedPairs += rep.Pairs
+	res.Splits++
+	return waitTables(c, plan, dst, gen)
 }
 
 // waitTables waits until every replica's routing table shows each slot
 // in slots Owned by dst at generation gen and no migrations remain
 // anywhere, then cross-checks that all replicas hold identical claims —
 // the "exactly one routing outcome" assertion.
-func waitTables(reps []*liveReplica, slots []uint32, dst types.GroupID, gen uint32, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+func waitTables(c *cluster, slots []uint32, dst types.GroupID, gen uint32) error {
+	reps := c.live()
+	deadline := time.Now().Add(splitConverge)
 	for {
 		ok := true
 		var detail string
-		for i, lr := range reps {
-			t := lr.host.Table()
+		for _, r := range reps {
+			t := r.host.Table()
 			for _, s := range slots {
-				c := t.Slots[s]
-				if c.Phase != reshard.Owned || c.Owner != dst || c.Gen != gen {
+				cl := t.Slots[s]
+				if cl.Phase != reshard.Owned || cl.Owner != dst || cl.Gen != gen {
 					ok = false
-					detail = fmt.Sprintf("replica %d slot %d = %+v, want Owned by %v at gen %d", i, s, c, dst, gen)
+					detail = fmt.Sprintf("replica %v slot %d = %+v, want Owned by %v at gen %d", r.host.ID(), s, cl, dst, gen)
 				}
 			}
 			if len(t.Migrations()) != 0 {
 				ok = false
-				detail = fmt.Sprintf("replica %d still shows migrations", i)
+				detail = fmt.Sprintf("replica %v still shows migrations", r.host.ID())
 			}
 		}
 		if ok {
@@ -617,10 +375,9 @@ func waitTables(reps []*liveReplica, slots []uint32, dst types.GroupID, gen uint
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	ref := reps[0].host.Table().Slots
-	for i := 1; i < len(reps); i++ {
-		if !reflect.DeepEqual(ref, reps[i].host.Table().Slots) {
-			return fmt.Errorf("split-churn: replicas 0 and %d converged to different routing claims", i)
+	for _, r := range reps[1:] {
+		if !reflect.DeepEqual(reps[0].host.Table().Slots, r.host.Table().Slots) {
+			return fmt.Errorf("split-churn: replicas %v and %v converged to different routing claims", reps[0].host.ID(), r.host.ID())
 		}
 	}
 	return nil
