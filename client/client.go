@@ -506,10 +506,21 @@ func (c *Client) failAll(err error) {
 	}
 }
 
+// requestOverhead is the fixed part of a request frame's payload in
+// rpc.AppendRequest's layout: verb, ID, session, max age and the key and
+// value length prefixes.
+const requestOverhead = 1 + 8 + 8 + 8 + 4 + 4
+
 // do submits one request and waits for its result. ctx bounds only the
 // wait: an abandoned request still runs to completion in the background
 // (its window slot frees when the response arrives).
 func (c *Client) do(ctx context.Context, verb rpc.Verb, key string, value []byte, sess int64, maxAge int64, idem bool) (rpc.Response, error) {
+	// The server drops a connection whose frame exceeds rpc.MaxFrame, so
+	// such a request could never be answered: a read would be resent on
+	// every reconnect and a write would fail as ErrConnLost.
+	if n := requestOverhead + len(key) + len(value); n > rpc.MaxFrame {
+		return rpc.Response{}, fmt.Errorf("%w: %d-byte request frame exceeds the %d-byte limit", rpc.ErrBadRequest, n, rpc.MaxFrame)
+	}
 	ca := &call{
 		req: rpc.Request{
 			ID:      c.ids.Add(1),

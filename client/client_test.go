@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -163,6 +164,35 @@ func TestClientBasicOps(t *testing.T) {
 	}
 	if reply, err := c.Admin(ctx, "STATUS"); err != nil || reply != "OK STATUS" {
 		t.Fatalf("Admin: %q, %v", reply, err)
+	}
+}
+
+// TestClientRejectsOversizedRequest: a request whose frame the server
+// would refuse fails at once with rpc.ErrBadRequest — a read is not
+// resent on every reconnect until ctx expires, and a write does not
+// surface as ErrConnLost — and the connection keeps serving.
+func TestClientRejectsOversizedRequest(t *testing.T) {
+	// The size check counts the frame from lengths; it must agree with
+	// the encoder.
+	req := rpc.Request{Verb: rpc.VPut, Key: []byte("k"), Value: []byte("vv")}
+	if n := len(rpc.AppendRequest(nil, &req)) - 4; n != requestOverhead+3 {
+		t.Fatalf("encoded request payload is %d bytes, requestOverhead predicts %d", n, requestOverhead+3)
+	}
+
+	cl := startCluster(t, 3, 2*time.Millisecond, rpc.ServerOptions{})
+	c := dialCluster(t, cl, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	huge := strings.Repeat("k", rpc.MaxFrame)
+	if _, err := c.GetLin(ctx, huge); !errors.Is(err, rpc.ErrBadRequest) {
+		t.Fatalf("oversized GetLin: %v, want rpc.ErrBadRequest", err)
+	}
+	if _, err := c.Put(ctx, huge, nil); !errors.Is(err, rpc.ErrBadRequest) {
+		t.Fatalf("oversized Put: %v, want rpc.ErrBadRequest", err)
+	}
+	if _, err := c.Put(ctx, "k", []byte("v")); err != nil {
+		t.Fatalf("Put after oversized requests: %v", err)
 	}
 }
 

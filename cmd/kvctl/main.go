@@ -1,5 +1,6 @@
 // Command kvctl is a client for kvserver: the data commands and the
-// membership/status operator API, over either protocol.
+// membership/status operator API, over the binary front door through
+// the client package.
 //
 // Data:
 //
@@ -10,9 +11,9 @@
 // Reads take a consistency level (default: the replicated read, which
 // commits through the log like a write):
 //
-//	kvctl -addr 127.0.0.1:7200 get -level=lin greeting     # GETL: local linearizable
-//	kvctl -addr 127.0.0.1:7200 get -level=seq greeting     # GETS: session-monotonic
-//	kvctl -addr 127.0.0.1:7200 get -level=stale greeting   # GETA: immediate
+//	kvctl -addr 127.0.0.1:7200 get -level=lin greeting     # local linearizable
+//	kvctl -addr 127.0.0.1:7200 get -level=seq greeting     # session-monotonic
+//	kvctl -addr 127.0.0.1:7200 get -level=stale greeting   # immediate
 //	kvctl -addr 127.0.0.1:7200 get -level=stale -maxage=100ms greeting
 //
 // Operations:
@@ -30,19 +31,14 @@
 // group hosted by the addressed replica to the new configuration and
 // prints the resulting member set and per-group epochs.
 //
-// With -rpc, kvctl speaks the binary front door (the kvserver -rpc
-// port) through the client package instead of the line protocol; -addr
-// then takes one or more comma-separated replica RPC addresses and the
-// client fails over between them. The line protocol remains the
-// default.
+// -addr takes one or more comma-separated replica addresses; the client
+// fails over between them.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"time"
@@ -51,39 +47,38 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7200", "kvserver client address (with -rpc: comma-separated RPC addresses)")
+	addr := flag.String("addr", "127.0.0.1:7200", "comma-separated kvserver client addresses (tried in order, with failover)")
 	timeout := flag.Duration("timeout", 30*time.Second, "request timeout")
-	useRPC := flag.Bool("rpc", false, "use the binary front door (kvserver -rpc port) via the client package")
 	flag.Parse()
 
-	run := runLine
-	if *useRPC {
-		run = runRPC
-	}
 	if err := run(*addr, *timeout, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "kvctl:", err)
 		os.Exit(1)
 	}
 }
 
-// getSpec is a parsed `get` invocation, shared by the line and RPC
-// paths.
+// getSpec is a parsed `get` invocation.
 type getSpec struct {
 	key    string
-	level  string // "", "lin", "seq" or "stale"
-	maxAge string // duration text; only with level "stale"
+	level  string        // "", "lin", "seq" or "stale"
+	maxAge time.Duration // only with level "stale"; 0 serves unconditionally
 }
 
 // parseGet parses `get [-level=...] [-maxage=...] <key>`.
 func parseGet(args []string) (getSpec, error) {
 	var g getSpec
 	var keys []string
+	bounded := false
 	for _, a := range args {
 		switch {
 		case strings.HasPrefix(a, "-level="):
 			g.level = strings.TrimPrefix(a, "-level=")
 		case strings.HasPrefix(a, "-maxage="):
-			g.maxAge = strings.TrimPrefix(a, "-maxage=")
+			d, err := time.ParseDuration(strings.TrimPrefix(a, "-maxage="))
+			if err != nil {
+				return g, fmt.Errorf("bad -maxage: %v", err)
+			}
+			g.maxAge, bounded = d, true
 		default:
 			keys = append(keys, a)
 		}
@@ -92,7 +87,7 @@ func parseGet(args []string) (getSpec, error) {
 		return g, fmt.Errorf("usage: kvctl get [-level=lin|seq|stale] [-maxage=<dur>] <key>")
 	}
 	g.key = keys[0]
-	if g.maxAge != "" && g.level != "stale" {
+	if bounded && g.level != "stale" {
 		return g, fmt.Errorf("-maxage applies only to -level=stale (the other levels have no staleness bound)")
 	}
 	switch g.level {
@@ -103,41 +98,14 @@ func parseGet(args []string) (getSpec, error) {
 	}
 }
 
-// buildLine translates a kvctl invocation into one protocol line.
+// buildLine translates an operator subcommand into the admin line the
+// server's handler parses.
 func buildLine(args []string) (string, error) {
 	usage := fmt.Errorf("usage: kvctl [flags] put|get|del <key> [value] | members|epoch|status|routes|heal | reconf <id,id,...> | split <src> <dst>")
 	if len(args) == 0 {
 		return "", usage
 	}
 	switch strings.ToLower(args[0]) {
-	case "put":
-		if len(args) < 3 {
-			return "", fmt.Errorf("usage: kvctl put <key> <value>")
-		}
-		return "PUT " + args[1] + " " + strings.Join(args[2:], " "), nil
-	case "get":
-		g, err := parseGet(args[1:])
-		if err != nil {
-			return "", err
-		}
-		switch g.level {
-		case "":
-			return "GET " + g.key, nil
-		case "lin":
-			return "GETL " + g.key, nil
-		case "seq":
-			return "GETS " + g.key, nil
-		default: // stale
-			if g.maxAge != "" {
-				return "GETA " + g.key + " " + g.maxAge, nil
-			}
-			return "GETA " + g.key, nil
-		}
-	case "del":
-		if len(args) != 2 {
-			return "", fmt.Errorf("usage: kvctl del <key>")
-		}
-		return "DEL " + args[1], nil
 	case "members", "epoch", "status", "routes", "heal":
 		if len(args) != 1 {
 			return "", fmt.Errorf("usage: kvctl %s", strings.ToLower(args[0]))
@@ -169,54 +137,75 @@ func buildLine(args []string) (string, error) {
 	}
 }
 
-// dialLine opens a line-protocol connection with the whole-request
-// deadline applied — the one place dial/timeout handling lives.
-func dialLine(addr string, timeout time.Duration) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// request is one validated kvctl invocation, bound to the client call
+// that serves it; it returns the reply line to print.
+type request func(ctx context.Context, c *client.Client) (string, error)
+
+// parseRequest validates an invocation before anything is dialed: data
+// verbs map to client methods, operator verbs travel as admin lines.
+func parseRequest(args []string) (request, error) {
+	verb := ""
+	if len(args) > 0 {
+		verb = strings.ToLower(args[0])
+	}
+	switch verb {
+	case "put":
+		if len(args) < 3 {
+			return nil, fmt.Errorf("usage: kvctl put <key> <value>")
+		}
+		key, val := args[1], []byte(strings.Join(args[2:], " "))
+		return func(ctx context.Context, c *client.Client) (string, error) {
+			return okLine(c.Put(ctx, key, val))
+		}, nil
+	case "del":
+		if len(args) != 2 {
+			return nil, fmt.Errorf("usage: kvctl del <key>")
+		}
+		return func(ctx context.Context, c *client.Client) (string, error) {
+			return okLine(c.Del(ctx, args[1]))
+		}, nil
+	case "get":
+		g, err := parseGet(args[1:])
+		if err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context, c *client.Client) (string, error) {
+			switch g.level {
+			case "lin":
+				return okLine(c.GetLin(ctx, g.key))
+			case "seq":
+				return okLine(c.GetSeq(ctx, g.key))
+			case "stale":
+				return okLine(c.GetStale(ctx, g.key, g.maxAge))
+			default:
+				return okLine(c.Get(ctx, g.key))
+			}
+		}, nil
+	}
+	line, err := buildLine(args)
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return conn, nil
+	return func(ctx context.Context, c *client.Client) (string, error) {
+		return c.Admin(ctx, line)
+	}, nil
 }
 
-// runLine performs one request over the legacy line protocol.
-func runLine(addr string, timeout time.Duration, args []string) error {
-	line, err := buildLine(args)
+// okLine renders a data call's result as "OK <value>" ("OK (nil)" for an
+// absent key).
+func okLine(v []byte, err error) (string, error) {
 	if err != nil {
-		return err
+		return "", err
 	}
-	conn, err := dialLine(addr, timeout)
-	if err != nil {
-		return err
+	if v == nil {
+		return "OK (nil)", nil
 	}
-	defer conn.Close()
-
-	if _, err := fmt.Fprintln(conn, line); err != nil {
-		return err
-	}
-	resp, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("read reply: %w", err)
-	}
-	fmt.Print(resp)
-	if strings.HasPrefix(resp, "ERR") {
-		return fmt.Errorf("server error")
-	}
-	return nil
+	return "OK " + string(v), nil
 }
 
-// runRPC performs one request over the binary front door via the
-// client package: data verbs map to client methods, operator verbs
-// travel as admin lines. -addr may list several replicas; the client
-// fails over between them.
-func runRPC(addr string, timeout time.Duration, args []string) error {
-	// Validate the invocation before dialing so usage errors don't wait
-	// on an unreachable server.
-	line, err := buildLine(args)
+// run performs one request against the replicas in addr.
+func run(addr string, timeout time.Duration, args []string) error {
+	req, err := parseRequest(args)
 	if err != nil {
 		return err
 	}
@@ -231,60 +220,13 @@ func runRPC(addr string, timeout time.Duration, args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 
-	printVal := func(v []byte, err error) error {
-		if err != nil {
-			return err
-		}
-		if v == nil {
-			fmt.Println("OK (nil)")
-		} else {
-			fmt.Printf("OK %s\n", v)
-		}
-		return nil
+	reply, err := req(ctx, c)
+	if err != nil {
+		return err
 	}
-	switch strings.ToLower(args[0]) {
-	case "put":
-		v, err := c.Put(ctx, args[1], []byte(strings.Join(args[2:], " ")))
-		return printVal(v, err)
-	case "del":
-		v, err := c.Del(ctx, args[1])
-		return printVal(v, err)
-	case "get":
-		g, err := parseGet(args[1:])
-		if err != nil {
-			return err
-		}
-		switch g.level {
-		case "":
-			v, err := c.Get(ctx, g.key)
-			return printVal(v, err)
-		case "lin":
-			v, err := c.GetLin(ctx, g.key)
-			return printVal(v, err)
-		case "seq":
-			v, err := c.GetSeq(ctx, g.key)
-			return printVal(v, err)
-		default: // stale
-			var maxAge time.Duration
-			if g.maxAge != "" {
-				if maxAge, err = time.ParseDuration(g.maxAge); err != nil {
-					return fmt.Errorf("bad -maxage %q: %v", g.maxAge, err)
-				}
-			}
-			v, err := c.GetStale(ctx, g.key, maxAge)
-			return printVal(v, err)
-		}
-	default:
-		// Operator verbs share buildLine's syntax and the server's admin
-		// handler; the line just travels inside a VAdmin frame.
-		reply, err := c.Admin(ctx, line)
-		if err != nil {
-			return err
-		}
-		fmt.Println(reply)
-		if strings.HasPrefix(reply, "ERR") {
-			return fmt.Errorf("server error")
-		}
-		return nil
+	fmt.Println(reply)
+	if strings.HasPrefix(reply, "ERR") {
+		return fmt.Errorf("server error")
 	}
+	return nil
 }

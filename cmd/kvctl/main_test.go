@@ -8,33 +8,20 @@ func TestBuildLine(t *testing.T) {
 		want    string
 		wantErr bool
 	}{
-		{[]string{"put", "k", "v"}, "PUT k v", false},
-		{[]string{"PUT", "k", "two words"}, "PUT k two words", false},
-		{[]string{"put", "k", "two", "words"}, "PUT k two words", false},
-		{[]string{"get", "k"}, "GET k", false},
-		{[]string{"get", "-level=lin", "k"}, "GETL k", false},
-		{[]string{"get", "-level=seq", "k"}, "GETS k", false},
-		{[]string{"get", "-level=stale", "k"}, "GETA k", false},
-		{[]string{"get", "-level=stale", "-maxage=100ms", "k"}, "GETA k 100ms", false},
-		{[]string{"get", "k", "-level=lin"}, "GETL k", false},
-		{[]string{"get", "-level=bogus", "k"}, "", true},
-		{[]string{"get", "-level=lin", "-maxage=100ms", "k"}, "", true},
-		{[]string{"get", "-maxage=100ms", "k"}, "", true},
-		{[]string{"get", "-level=lin", "k", "extra"}, "", true},
-		{[]string{"get", "-level=lin"}, "", true},
-		{[]string{"del", "k"}, "DEL k", false},
-		{[]string{"del", "k", "x"}, "", true},
 		{[]string{"members"}, "MEMBERS", false},
 		{[]string{"epoch"}, "EPOCH", false},
-		{[]string{"status"}, "STATUS", false},
+		{[]string{"STATUS"}, "STATUS", false},
+		{[]string{"routes"}, "ROUTES", false},
+		{[]string{"heal"}, "HEAL", false},
+		{[]string{"split", "g0", "g2"}, "SPLIT g0 g2", false},
 		{[]string{"reconf", "0,1,2"}, "RECONF 0,1,2", false},
 		{[]string{"reconf", "0", "1", "2"}, "RECONF 0,1,2", false},
 		{[]string{"reconf", "r0,r1", "r2"}, "RECONF r0,r1,r2", false},
-		{[]string{"put", "k"}, "", true},
-		{[]string{"get"}, "", true},
 		{[]string{"members", "x"}, "", true},
+		{[]string{"split", "g0"}, "", true},
 		{[]string{"reconf"}, "", true},
 		{[]string{"reconf", ","}, "", true},
+		{[]string{"put", "k", "v"}, "", true}, // data verbs are client calls, not admin lines
 		{[]string{"bogus"}, "", true},
 		{nil, "", true},
 	}
@@ -46,6 +33,30 @@ func TestBuildLine(t *testing.T) {
 		}
 		if got != tt.want {
 			t.Errorf("buildLine(%v) = %q, want %q", tt.args, got, tt.want)
+		}
+	}
+}
+
+// TestParseRequestUsage: every malformed invocation fails before
+// anything is dialed.
+func TestParseRequestUsage(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"bogus"},
+		{"put", "k"},
+		{"del"},
+		{"del", "k", "x"},
+		{"get"},
+		{"get", "-level=lin"},
+		{"get", "-level=lin", "k", "extra"},
+		{"get", "-level=bogus", "k"},
+		{"get", "-maxage=100ms", "k"},
+		{"get", "-level=lin", "-maxage=100ms", "k"},
+		{"get", "-level=stale", "-maxage=nonsense", "k"},
+		{"members", "x"},
+	} {
+		if _, err := parseRequest(args); err == nil {
+			t.Errorf("parseRequest(%q) accepted a malformed invocation", args)
 		}
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"clockrsm/internal/types"
 )
 
-// admin serves the operator side of the line protocol on the client
-// port:
+// admin serves the operator lines that arrive as rpc VAdmin requests on
+// the client port:
 //
 //	MEMBERS              -> OK g0=r0,r1,r2 g1=r0,r1,r2
 //	EPOCH                -> OK g0=1 g1=1
-//	STATUS               -> OK id=r0 groups=2 routes=(...) g0=(epoch=... ...) g1=(...)
+//	STATUS               -> OK id=r0 groups=2 routes=(...) rpc=(...) g0=(epoch=... ...) g1=(...)
 //	RECONF <id,id,...>   -> OK members=r0,r1,r2 epochs=g0:2,g1:2
 //	ROUTES               -> OK version=3 slots=512 groups=3 g0=170 ... migrating=0
 //	SPLIT <src> <dst>    -> OK from=g0 to=g2 gen=2 slots=128 pairs=940 chunks=8
@@ -27,12 +27,9 @@ import (
 // ("r0,r1,r2"). SPLIT live-moves half of group src's key slots to dst
 // (a hosted spare or existing group) under the fence/checkpoint/install
 // protocol of internal/reshard; HEAL rolls forward any split a crashed
-// coordinator left mid-flight. It reports whether the line was an admin
-// command; data commands (PUT/GET/DEL) fall through to the replication
-// path.
+// coordinator left mid-flight. It reports whether the line named a known
+// verb. The rpc server bounds ctx by -client-timeout.
 func (s *server) admin(ctx context.Context, line string) (string, bool) {
-	// Only the verb decides whether this is an admin line; don't split a
-	// data command's whole value just to find out it is a PUT.
 	verb, rest, _ := strings.Cut(line, " ")
 	switch strings.ToUpper(verb) {
 	case "MEMBERS":
@@ -46,13 +43,10 @@ func (s *server) admin(ctx context.Context, line string) (string, bool) {
 	case "STATUS":
 		st := s.host.Status()
 		var b strings.Builder
-		fmt.Fprintf(&b, "OK id=%s groups=%d routes=(version=%d groups=%d migrating=%d)",
-			st.ID, len(st.Groups), st.RouteVersion, st.RouteGroups, st.RouteMigrating)
-		if s.rpc != nil {
-			cs := s.rpc.Counters()
-			fmt.Fprintf(&b, " rpc=(conns=%d inflight=%d accepted=%d shed=%d)",
-				cs.Conns, cs.InFlight, cs.Accepted, cs.Shed)
-		}
+		cs := s.rpc.Counters()
+		fmt.Fprintf(&b, "OK id=%s groups=%d routes=(version=%d groups=%d migrating=%d) rpc=(conns=%d inflight=%d accepted=%d shed=%d)",
+			st.ID, len(st.Groups), st.RouteVersion, st.RouteGroups, st.RouteMigrating,
+			cs.Conns, cs.InFlight, cs.Accepted, cs.Shed)
 		if len(st.Faults) > 0 {
 			keys := make([]string, 0, len(st.Faults))
 			for k := range st.Faults {
@@ -96,12 +90,7 @@ func (s *server) admin(ctx context.Context, line string) (string, bool) {
 		if err != nil {
 			return "ERR " + err.Error(), true
 		}
-		rctx, done := ctx, func() {}
-		if s.timeout > 0 {
-			rctx, done = context.WithTimeout(ctx, s.timeout)
-		}
-		defer done()
-		if err := s.host.ReconfigureAll(rctx, members); err != nil {
+		if err := s.host.ReconfigureAll(ctx, members); err != nil {
 			return "ERR reconf: " + err.Error(), true
 		}
 		st := s.host.Status()
@@ -158,24 +147,14 @@ func (s *server) admin(ctx context.Context, line string) (string, bool) {
 		if err1 != nil || err2 != nil {
 			return "ERR bad group (want g0, g1, ... or a bare index)", true
 		}
-		sctx, done := ctx, func() {}
-		if s.timeout > 0 {
-			sctx, done = context.WithTimeout(ctx, s.timeout)
-		}
-		defer done()
-		rep, err := s.host.Split(sctx, src, dst)
+		rep, err := s.host.Split(ctx, src, dst)
 		if err != nil {
 			return "ERR split: " + err.Error(), true
 		}
 		return fmt.Sprintf("OK from=%s to=%s gen=%d slots=%d pairs=%d chunks=%d",
 			rep.From, rep.To, rep.Gen, rep.Slots, rep.Pairs, rep.Chunks), true
 	case "HEAL":
-		hctx, done := ctx, func() {}
-		if s.timeout > 0 {
-			hctx, done = context.WithTimeout(ctx, s.timeout)
-		}
-		defer done()
-		reps, err := s.host.Heal(hctx)
+		reps, err := s.host.Heal(ctx)
 		if err != nil {
 			return "ERR heal: " + err.Error(), true
 		}

@@ -1,32 +1,21 @@
 // Command kvserver runs one replica of the Clock-RSM replicated
-// key-value store over TCP, accepting line-oriented client commands:
+// key-value store over TCP. Clients reach it on -client through the
+// binary front door (internal/rpc): a multiplexed, pipelined
+// request/response protocol with per-connection and global admission
+// budgets (-rpc-conn-budget, -rpc-budget), spoken by the client package
+// and kvctl.
 //
-//	PUT <key> <value>
-//	GET <key>
-//	DEL <key>
+// Writes (PUT, DEL) and the replicated GET enter the replication stack
+// through node.Host.Execute and reply once they have committed
+// (linearizably) at this replica. The consistency-tiered reads — GETL
+// (linearizable), GETS (session-monotonic), GETA (bounded staleness) —
+// are served from the replica's stable prefix through
+// node.Host.ReadKey, with no replication traffic. Every wait is bounded
+// by -client-timeout and canceled the moment the client connection
+// closes.
 //
-// Each command replies with "OK <previous-or-read-value>" once the
-// update has committed (linearizably) at this replica. Commands enter
-// the replication stack through the node.Host client API: one Propose
-// per line, with the wait bounded by -client-timeout and canceled the
-// moment the client connection closes.
-//
-// Reads additionally come in consistency-tiered verbs served from the
-// replica's stable prefix — no replication traffic (node.Host.Read):
-//
-//	GETL <key>             linearizable: waits until the executed
-//	                       watermark covers the read's capture time
-//	GETS <key>             sequential: immediate, monotonic within the
-//	                       connection (a per-connection session token)
-//	GETA <key> [maxage]    stale: immediate, served if the watermark is
-//	                       at most maxage old (a Go duration; omitted
-//	                       or 0 serves unconditionally)
-//
-// Plain GET keeps replicating the read through the log — the strongest
-// (and slowest) read, and the baseline the read path is measured
-// against.
-//
-// The same port serves the operator API (see admin.go and kvctl):
+// The same port serves the operator API as admin lines (see admin.go
+// and kvctl):
 //
 //	MEMBERS              per-group configuration member sets
 //	EPOCH                per-group configuration epochs
@@ -42,13 +31,6 @@
 //	kvserver -id 1 -peers 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 -client 127.0.0.1:7201
 //	kvserver -id 2 -peers 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 -client 127.0.0.1:7202
 //
-// With -rpc <addr> the replica additionally serves the binary front
-// door (internal/rpc) on that address: a multiplexed, pipelined
-// request/response protocol with per-connection and global admission
-// budgets (-rpc-conn-budget, -rpc-budget), spoken by the client package
-// and `kvctl -rpc`. The line protocol stays available for debugging and
-// legacy clients.
-//
 // With -groups G every replica hosts G independent Clock-RSM groups
 // multiplexed over the same peer connections; the key space is
 // partitioned into slots routed by a dynamic table (internal/reshard)
@@ -61,9 +43,7 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -110,10 +90,6 @@ type serverConfig struct {
 	// reconfigured this replica out while it was down), "always" rejoins
 	// every group, "never" disables it.
 	rejoin string
-	// rpcAddr, when non-empty, serves the binary front-door protocol
-	// (internal/rpc: multiplexed, pipelined; see the client package) on
-	// that address, beside the line protocol.
-	rpcAddr string
 	// rpcBudget / rpcConnBudget are the front door's global and
 	// per-connection admission budgets (0 = the rpc package defaults).
 	rpcBudget     int
@@ -138,24 +114,25 @@ func main() {
 	flag.DurationVar(&cfg.delta, "delta", 5*time.Millisecond, "CLOCKTIME broadcast interval Δ (0 disables)")
 	flag.DurationVar(&cfg.suspect, "suspect", 0, "failure detector timeout (0 disables reconfiguration)")
 	flag.StringVar(&cfg.logPath, "log", "", "stable log file (empty = in-memory; group g uses <path>.g<g>)")
-	flag.DurationVar(&cfg.clientTimeout, "client-timeout", 30*time.Second, "per-command commit wait bound for client connections (0 disables)")
+	flag.DurationVar(&cfg.clientTimeout, "client-timeout", 30*time.Second, "server-side wait bound per client request (0 = the rpc default, 10s)")
 	flag.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync mode with -log: always, batch (group commit), or off")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint", 0, "snapshot + compact the log every N committed commands (0 disables)")
 	flag.StringVar(&cfg.rejoin, "rejoin", "auto", "rejoin the configuration after restart: auto (replayed groups), always, or never")
-	flag.StringVar(&cfg.rpcAddr, "rpc", "", "binary RPC listen address (empty disables the front door)")
 	flag.IntVar(&cfg.rpcBudget, "rpc-budget", 0, "front-door global in-flight admission budget (0 = default)")
 	flag.IntVar(&cfg.rpcConnBudget, "rpc-conn-budget", 0, "front-door per-connection in-flight admission budget (0 = default)")
 	flag.Int64Var(&cfg.chaosSeed, "chaos-seed", 0, "arm a deterministic random fault schedule from this seed (0 disables; test deployments only)")
 	flag.StringVar(&cfg.chaosSchedule, "chaos-schedule", "", "arm the encoded fault schedule in this file (chaos replay artifact; overrides -chaos-seed)")
 	flag.Parse()
 
-	if err := run(cfg); err != nil {
+	if err := run(context.Background(), cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "kvserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg serverConfig) error {
+// run serves one replica until ctx is canceled (or the client listener
+// fails), then stops it.
+func run(ctx context.Context, cfg serverConfig) error {
 	id, groups := cfg.id, cfg.groups
 	peerList, clientAddr, logPath := cfg.peers, cfg.clientAddr, cfg.logPath
 	if groups < 1 {
@@ -266,7 +243,6 @@ func run(cfg serverConfig) error {
 	if err != nil {
 		return err
 	}
-	srv := &server{host: host, timeout: cfg.clientTimeout}
 	for g := 0; g < groups; g++ {
 		gid := types.GroupID(g)
 		app := &rsm.App{SM: kvstore.New()}
@@ -313,39 +289,25 @@ func run(cfg serverConfig) error {
 			id, cfg.chaosSeed, cfg.chaosSchedule)
 	}
 
-	// Binary front door (internal/rpc): multiplexed, pipelined RPC with
-	// admission control, beside the legacy line protocol. The operator
-	// verbs are shared — VAdmin routes through the same admin handler.
-	if cfg.rpcAddr != "" {
-		rpcSrv := rpc.NewServer(host, rpc.ServerOptions{
-			MaxInFlight:  cfg.rpcBudget,
-			ConnInFlight: cfg.rpcConnBudget,
-			Timeout:      cfg.clientTimeout,
-			Admin:        srv.admin,
-		})
-		srv.rpc = rpcSrv
-		defer rpcSrv.Close()
-		rln, err := net.Listen("tcp", cfg.rpcAddr)
-		if err != nil {
-			return err
-		}
-		defer rln.Close()
-		go rpcSrv.Serve(rln)
-		log.Printf("replica r%d front door on %s", id, rln.Addr())
-	}
-
+	// The front door (internal/rpc) is the only way in: data verbs reach
+	// the host through Execute / ReadKey, operator verbs arrive as VAdmin
+	// lines for the admin handler.
+	srv := &server{host: host}
+	srv.rpc = rpc.NewServer(host, rpc.ServerOptions{
+		MaxInFlight:  cfg.rpcBudget,
+		ConnInFlight: cfg.rpcConnBudget,
+		Timeout:      cfg.clientTimeout,
+		Admin:        srv.admin,
+	})
+	defer srv.rpc.Close()
 	ln, err := net.Listen("tcp", clientAddr)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go srv.serve(conn)
-	}
+	stop := context.AfterFunc(ctx, srv.rpc.Close)
+	defer stop()
+	return srv.rpc.Serve(ln)
 }
 
 // GroupLayoutError is the typed refusal for a -groups value the
@@ -429,226 +391,9 @@ func recordGroupLayout(base string, groups int) error {
 	return os.WriteFile(base+".groups", []byte(strconv.Itoa(groups)+"\n"), 0o644)
 }
 
-// maxLineBytes caps one line-protocol command line (verb + key +
-// value). bufio.Scanner's default 64 KiB cap silently killed the
-// connection on large PUTs; this raises the cap and makes crossing it
-// a reported protocol error (errLineTooLong).
-const maxLineBytes = 1 << 20
-
-// errLineTooLong is the typed reply for a command line over
-// maxLineBytes.
-var errLineTooLong = fmt.Errorf("line too long (max %d bytes)", maxLineBytes)
-
-// server bridges client connections to the replica's groups. All
-// submission plumbing — ID allocation, completion routing, timeouts —
-// lives in the node client API; the server just proposes and waits.
+// server holds what the admin handler reads: the host it operates on
+// and the front door whose admission counters STATUS reports.
 type server struct {
-	host    *node.Host
-	timeout time.Duration
-	// rpc is the binary front-door server when -rpc is set (nil
-	// otherwise); STATUS surfaces its admission counters.
-	rpc *rpc.Server
-}
-
-// serve handles one client connection: each line becomes one key-routed
-// Propose through the host. The wait for a commit is bounded by the
-// -client-timeout deadline and canceled outright when the connection
-// closes, so an abandoned client never strands a waiter.
-func (s *server) serve(conn net.Conn) {
-	defer conn.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// The connection's read session: GETS reads through it are monotonic
-	// across every replica this client might talk to via proxies; here it
-	// scopes monotonicity to the connection.
-	var sess node.Session
-	// A dedicated reader detects connection close (EOF or error) even
-	// while a command is in flight; canceling ctx then releases the
-	// Wait below. The scanner's token cap is raised from bufio's 64 KiB
-	// default to maxLineBytes, and hitting it is a typed, reported error
-	// instead of a silent connection drop.
-	type lineEvent struct {
-		line string
-		err  error
-	}
-	lines := make(chan lineEvent)
-	go func() {
-		defer cancel()
-		defer close(lines)
-		sc := bufio.NewScanner(conn)
-		sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
-		for sc.Scan() {
-			select {
-			case lines <- lineEvent{line: sc.Text()}:
-			case <-ctx.Done():
-				return
-			}
-		}
-		if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
-			select {
-			case lines <- lineEvent{err: errLineTooLong}:
-			case <-ctx.Done():
-			}
-		}
-	}()
-	w := bufio.NewWriter(conn)
-	for ev := range lines {
-		if ev.err != nil {
-			// The stream past an oversized line cannot be re-framed; report
-			// the typed error and drop the connection.
-			fmt.Fprintf(w, "ERR %v\n", ev.err)
-			w.Flush()
-			return
-		}
-		line := strings.TrimSpace(ev.line)
-		if line == "" {
-			continue
-		}
-		// Admin commands (MEMBERS/EPOCH/STATUS/RECONF) are served on the
-		// same port, off the replication path.
-		if resp, ok := s.admin(ctx, line); ok {
-			fmt.Fprintln(w, resp)
-			w.Flush()
-			continue
-		}
-		// Consistency-tiered reads (GETL/GETS/GETA) serve from the local
-		// stable prefix, off the replication path too.
-		if query, lvl, isRead, err := parseRead(line, &sess); isRead {
-			s.serveRead(ctx, w, query, lvl, err)
-			continue
-		}
-		payload, err := parse(line)
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			w.Flush()
-			continue
-		}
-		cmdCtx, done := ctx, func() {}
-		if s.timeout > 0 {
-			cmdCtx, done = context.WithTimeout(ctx, s.timeout)
-		}
-		// ExecutePayload routes by the live table and retries through a
-		// split's fence window, so a resharding in progress is invisible
-		// here unless it outlives the timeout.
-		res, err := s.host.ExecutePayload(cmdCtx, payload)
-		switch {
-		case err == nil:
-			if res.Value == nil {
-				fmt.Fprintln(w, "OK (nil)")
-			} else {
-				fmt.Fprintf(w, "OK %s\n", res.Value)
-			}
-		case ctx.Err() != nil:
-			// Connection closed while waiting: nothing left to reply to.
-			done()
-			return
-		case errors.Is(err, node.ErrWrongGroup):
-			fmt.Fprintln(w, "ERR key mid-migration (split in progress; retry)")
-		case errors.Is(cmdCtx.Err(), context.DeadlineExceeded):
-			fmt.Fprintln(w, "ERR timeout")
-		case errors.Is(err, node.ErrStopped):
-			fmt.Fprintln(w, "ERR stopped")
-		default:
-			fmt.Fprintf(w, "ERR %v\n", err)
-		}
-		done()
-		w.Flush()
-	}
-}
-
-// serveRead answers one tiered read line. The wait (a Linearizable or
-// session-catch-up park) is bounded by -client-timeout; ErrTooStale and
-// ErrNotInConfig map to client-visible errors so the client can retry
-// at another replica or a stronger level.
-func (s *server) serveRead(ctx context.Context, w *bufio.Writer, query []byte, lvl node.Level, perr error) {
-	defer w.Flush()
-	if perr != nil {
-		fmt.Fprintf(w, "ERR %v\n", perr)
-		return
-	}
-	cmdCtx, done := ctx, func() {}
-	if s.timeout > 0 {
-		cmdCtx, done = context.WithTimeout(ctx, s.timeout)
-	}
-	defer done()
-	res, err := s.host.Read(cmdCtx, query, lvl)
-	switch {
-	case err == nil:
-		if res.Value == nil {
-			fmt.Fprintln(w, "OK (nil)")
-		} else {
-			fmt.Fprintf(w, "OK %s\n", res.Value)
-		}
-	case errors.Is(err, node.ErrTooStale):
-		fmt.Fprintln(w, "ERR too stale")
-	case errors.Is(err, node.ErrNotInConfig):
-		fmt.Fprintln(w, "ERR not in configuration (read elsewhere)")
-	case errors.Is(err, node.ErrWrongGroup):
-		fmt.Fprintln(w, "ERR key mid-migration (split in progress; retry)")
-	case errors.Is(cmdCtx.Err(), context.DeadlineExceeded):
-		fmt.Fprintln(w, "ERR timeout")
-	case errors.Is(err, node.ErrStopped):
-		fmt.Fprintln(w, "ERR stopped")
-	default:
-		fmt.Fprintf(w, "ERR %v\n", err)
-	}
-}
-
-// parseRead recognizes the consistency-tiered read verbs. It reports
-// whether the line was a read line; the error covers malformed read
-// lines only (other verbs fall through to parse).
-func parseRead(line string, sess *node.Session) (query []byte, lvl node.Level, isRead bool, err error) {
-	parts := strings.Fields(line)
-	if len(parts) == 0 {
-		return nil, lvl, false, nil
-	}
-	switch strings.ToUpper(parts[0]) {
-	case "GETL":
-		if len(parts) != 2 {
-			return nil, lvl, true, fmt.Errorf("usage: GETL <key>")
-		}
-		return kvstore.Get(parts[1]), node.Linearizable, true, nil
-	case "GETS":
-		if len(parts) != 2 {
-			return nil, lvl, true, fmt.Errorf("usage: GETS <key>")
-		}
-		return kvstore.Get(parts[1]), node.Sequential(sess), true, nil
-	case "GETA":
-		if len(parts) != 2 && len(parts) != 3 {
-			return nil, lvl, true, fmt.Errorf("usage: GETA <key> [maxage]")
-		}
-		var maxAge time.Duration
-		if len(parts) == 3 {
-			maxAge, err = time.ParseDuration(parts[2])
-			if err != nil {
-				return nil, lvl, true, fmt.Errorf("bad maxage %q: %v", parts[2], err)
-			}
-		}
-		return kvstore.Get(parts[1]), node.Stale(maxAge), true, nil
-	}
-	return nil, lvl, false, nil
-}
-
-// parse converts a client line into a state-machine payload.
-func parse(line string) ([]byte, error) {
-	parts := strings.SplitN(line, " ", 3)
-	switch strings.ToUpper(parts[0]) {
-	case "PUT":
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("usage: PUT <key> <value>")
-		}
-		return kvstore.Put(parts[1], []byte(parts[2])), nil
-	case "GET":
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("usage: GET <key>")
-		}
-		return kvstore.Get(parts[1]), nil
-	case "DEL":
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("usage: DEL <key>")
-		}
-		return kvstore.Delete(parts[1]), nil
-	default:
-		return nil, fmt.Errorf("unknown command %q", parts[0])
-	}
+	host *node.Host
+	rpc  *rpc.Server
 }

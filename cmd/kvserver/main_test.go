@@ -1,7 +1,9 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -11,84 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"clockrsm/client"
 	"clockrsm/internal/chaos"
-	"clockrsm/internal/kvstore"
-	"clockrsm/internal/node"
 	"clockrsm/internal/reshard"
+	"clockrsm/internal/rpc"
 )
-
-func TestParse(t *testing.T) {
-	tests := []struct {
-		line    string
-		want    []byte
-		wantErr bool
-	}{
-		{"PUT k v", kvstore.Put("k", []byte("v")), false},
-		{"put k v", kvstore.Put("k", []byte("v")), false},
-		{"PUT k value with spaces", kvstore.Put("k", []byte("value with spaces")), false},
-		{"GET k", kvstore.Get("k"), false},
-		{"DEL k", kvstore.Delete("k"), false},
-		{"PUT k", nil, true},
-		{"GET", nil, true},
-		{"NOPE k", nil, true},
-		{"DEL a b", nil, true},
-	}
-	for _, tt := range tests {
-		got, err := parse(tt.line)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("parse(%q) error = %v, wantErr %v", tt.line, err, tt.wantErr)
-			continue
-		}
-		if err == nil && string(got) != string(tt.want) {
-			t.Errorf("parse(%q) = %v, want %v", tt.line, got, tt.want)
-		}
-	}
-}
-
-func TestParseRead(t *testing.T) {
-	var sess node.Session
-	tests := []struct {
-		line    string
-		isRead  bool
-		wantErr bool
-		tier    node.Tier
-	}{
-		{"GETL k", true, false, node.TierLinearizable},
-		{"getl k", true, false, node.TierLinearizable},
-		{"GETS k", true, false, node.TierSequential},
-		{"GETA k", true, false, node.TierStale},
-		{"GETA k 250ms", true, false, node.TierStale},
-		{"GETA k bogus", true, true, 0},
-		{"GETL", true, true, 0},
-		{"GETS a b", true, true, 0},
-		{"GET k", false, false, 0},
-		{"PUT k v", false, false, 0},
-		{"", false, false, 0},
-	}
-	for _, tt := range tests {
-		query, lvl, isRead, err := parseRead(tt.line, &sess)
-		if isRead != tt.isRead {
-			t.Errorf("parseRead(%q) isRead = %v, want %v", tt.line, isRead, tt.isRead)
-			continue
-		}
-		if !isRead {
-			continue
-		}
-		if (err != nil) != tt.wantErr {
-			t.Errorf("parseRead(%q) error = %v, wantErr %v", tt.line, err, tt.wantErr)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if lvl.Tier() != tt.tier {
-			t.Errorf("parseRead(%q) tier = %v, want %v", tt.line, lvl.Tier(), tt.tier)
-		}
-		if string(query) != string(kvstore.Get("k")) {
-			t.Errorf("parseRead(%q) query = %v", tt.line, query)
-		}
-	}
-}
 
 // freePorts reserves n distinct loopback ports.
 func freePorts(t *testing.T, n int) []string {
@@ -109,6 +38,74 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
+// replica is a kvserver config with the test defaults; startCluster
+// fills in its ID and addresses.
+func replica(groups int) serverConfig {
+	return serverConfig{
+		groups: groups, delta: 5 * time.Millisecond, clientTimeout: 30 * time.Second,
+		fsync: "always", rejoin: "auto",
+	}
+}
+
+// startCluster runs one kvserver per config on loopback ports and
+// returns a client pinned to each replica. It fills in each config's ID
+// and addresses in place, so a caller passing cfgs... can read them.
+// client.Dial retries until its replica is up, so nothing here waits.
+// Cleanup closes the clients, then stops every server and waits for it.
+func startCluster(t *testing.T, cfgs ...serverConfig) []*client.Client {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("spawns a real TCP cluster")
+	}
+	ports := freePorts(t, 2*len(cfgs))
+	peers := strings.Join(ports[:len(cfgs)], ",")
+	clients := make([]*client.Client, len(cfgs))
+	for i := range cfgs {
+		cfgs[i].id, cfgs[i].peers, cfgs[i].clientAddr = i, peers, ports[len(cfgs)+i]
+		cfg := cfgs[i]
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if err := run(ctx, cfg); ctx.Err() == nil {
+				t.Errorf("replica %d: %v", i, err)
+			}
+		}()
+		t.Cleanup(func() { cancel(); <-done })
+		c, err := client.Dial(client.Config{Addrs: []string{cfg.clientAddr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clients[i] = c
+	}
+	return clients
+}
+
+func testCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// want checks one client call's (value, error) result: no error and the
+// value val, with "(nil)" standing for an absent key.
+func want(t *testing.T, what, val string) func([]byte, error) {
+	return func(got []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		s := string(got)
+		if got == nil {
+			s = "(nil)"
+		}
+		if s != val {
+			t.Fatalf("%s = %q, want %q", what, s, val)
+		}
+	}
+}
+
 func TestKVServerEndToEnd(t *testing.T) { testKVServerEndToEnd(t, 1) }
 
 // TestKVServerEndToEndSharded runs the same client script against a
@@ -117,111 +114,137 @@ func TestKVServerEndToEnd(t *testing.T) { testKVServerEndToEnd(t, 1) }
 func TestKVServerEndToEndSharded(t *testing.T) { testKVServerEndToEnd(t, 4) }
 
 func testKVServerEndToEnd(t *testing.T, groups int) {
-	if testing.Short() {
-		t.Skip("spawns a real TCP cluster")
-	}
-	peerAddrs := freePorts(t, 3)
-	clientAddrs := freePorts(t, 3)
-	peers := strings.Join(peerAddrs, ",")
+	cs := startCluster(t, replica(groups), replica(groups), replica(groups))
+	c0, c1 := cs[0], cs[1]
+	ctx := testCtx(t)
 
-	for i := 0; i < 3; i++ {
-		i := i
-		go func() {
-			// run blocks serving; errors after shutdown are expected.
-			_ = run(serverConfig{
-				id: i, peers: peers, clientAddr: clientAddrs[i], groups: groups,
-				delta: 5 * time.Millisecond, clientTimeout: 30 * time.Second,
-				fsync: "always", rejoin: "auto",
-			})
-		}()
-	}
-
-	// Wait for the client port to accept.
-	dial := func(addr string) net.Conn {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			c, err := net.Dial("tcp", addr)
-			if err == nil {
-				return c
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		t.Fatalf("server at %s never came up", addr)
-		return nil
-	}
-
-	c0 := dial(clientAddrs[0])
-	defer c0.Close()
-	r0 := bufio.NewReader(c0)
-
-	send := func(conn net.Conn, r *bufio.Reader, line string) string {
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimSpace(resp)
-	}
-
-	if resp := send(c0, r0, "PUT city Lausanne"); resp != "OK (nil)" {
-		t.Fatalf("PUT reply = %q", resp)
-	}
-	if resp := send(c0, r0, "GET city"); resp != "OK Lausanne" {
-		t.Fatalf("GET reply = %q", resp)
-	}
+	want(t, "PUT city", "(nil)")(c0.Put(ctx, "city", []byte("Lausanne")))
+	want(t, "GET city", "Lausanne")(c0.Get(ctx, "city"))
 	// Linearizable read via another replica.
-	c1 := dial(clientAddrs[1])
-	defer c1.Close()
-	r1 := bufio.NewReader(c1)
-	if resp := send(c1, r1, "GET city"); resp != "OK Lausanne" {
-		t.Fatalf("GET via r1 reply = %q", resp)
-	}
+	want(t, "GET city via r1", "Lausanne")(c1.Get(ctx, "city"))
 	// Consistency-tiered reads, served from the stable prefix: the
 	// write completed, so every level observes it at every replica.
-	if resp := send(c1, r1, "GETL city"); resp != "OK Lausanne" {
-		t.Fatalf("GETL reply = %q", resp)
+	want(t, "GETL city", "Lausanne")(c1.GetLin(ctx, "city"))
+	want(t, "GETS city", "Lausanne")(c1.GetSeq(ctx, "city"))
+	if c1.Session() == 0 {
+		t.Fatal("session token did not advance")
 	}
-	if resp := send(c1, r1, "GETS city"); resp != "OK Lausanne" {
-		t.Fatalf("GETS reply = %q", resp)
-	}
-	if resp := send(c1, r1, "GETA city 1h"); resp != "OK Lausanne" {
-		t.Fatalf("GETA reply = %q", resp)
-	}
-	if resp := send(c1, r1, "GETA city"); resp != "OK Lausanne" {
-		t.Fatalf("unbounded GETA reply = %q", resp)
-	}
-	if resp := send(c1, r1, "GETA city nonsense"); !strings.HasPrefix(resp, "ERR") {
-		t.Fatalf("malformed GETA reply = %q", resp)
-	}
-	if resp := send(c1, r1, "GETL"); !strings.HasPrefix(resp, "ERR") {
-		t.Fatalf("keyless GETL reply = %q", resp)
-	}
-	if resp := send(c1, r1, "DEL city"); resp != "OK Lausanne" {
-		t.Fatalf("DEL reply = %q", resp)
-	}
+	want(t, "GETA city 1h", "Lausanne")(c1.GetStale(ctx, "city", time.Hour))
+	want(t, "unbounded GETA city", "Lausanne")(c1.GetStale(ctx, "city", 0))
+	want(t, "DEL city", "Lausanne")(c1.Del(ctx, "city"))
 	// A linearizable local read observes the delete that just completed
-	// on this very connection.
-	if resp := send(c1, r1, "GETL city"); resp != "OK (nil)" {
-		t.Fatalf("GETL after DEL reply = %q", resp)
-	}
-	if resp := send(c0, r0, "BOGUS x"); !strings.HasPrefix(resp, "ERR") {
-		t.Fatalf("bogus command reply = %q", resp)
-	}
+	// through this very client.
+	want(t, "GETL after DEL", "(nil)")(c1.GetLin(ctx, "city"))
+
 	// Spread writes over many keys so a sharded cluster exercises every
 	// group, then read them back through another replica.
 	for i := 0; i < 8; i++ {
-		key, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
-		if resp := send(c0, r0, "PUT "+key+" "+val); resp != "OK (nil)" {
-			t.Fatalf("PUT %s reply = %q", key, resp)
-		}
+		want(t, fmt.Sprintf("PUT k%d", i), "(nil)")(c0.Put(ctx, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))))
 	}
 	for i := 0; i < 8; i++ {
-		key, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
-		if resp := send(c1, r1, "GET "+key); resp != "OK "+val {
-			t.Fatalf("GET %s via r1 reply = %q, want %q", key, resp, "OK "+val)
-		}
+		want(t, fmt.Sprintf("GET k%d via r1", i), fmt.Sprintf("v%d", i))(c1.Get(ctx, fmt.Sprintf("k%d", i)))
+	}
+}
+
+// TestKVServerRPCFrontDoor checks that -client is the binary front door
+// and only that: a 2-group cluster serves data and admin verbs through
+// client, STATUS carries the front door's admission counters, and bytes
+// of the old line protocol get the connection dropped.
+func TestKVServerRPCFrontDoor(t *testing.T) {
+	cfgs := []serverConfig{replica(2), replica(2), replica(2)}
+	cs := startCluster(t, cfgs...)
+	c0, c2 := cs[0], cs[2]
+	ctx := testCtx(t)
+
+	want(t, "PUT city", "(nil)")(c0.Put(ctx, "city", []byte("Lausanne")))
+	want(t, "GETL city via r2", "Lausanne")(c2.GetLin(ctx, "city"))
+	want(t, "GETS city via r2", "Lausanne")(c2.GetSeq(ctx, "city"))
+	if c2.Session() == 0 {
+		t.Fatal("session token did not advance")
+	}
+
+	// STATUS carries the front door's admission counters. c0 holds the
+	// serving replica's only connection, with work accepted on it.
+	status, err := c0.Admin(ctx, "STATUS")
+	if err != nil {
+		t.Fatalf("STATUS: %v", err)
+	}
+	if !strings.Contains(status, "rpc=(conns=1 ") || !strings.Contains(status, "shed=0") {
+		t.Fatalf("STATUS lacks live rpc counters: %q", status)
+	}
+	if !strings.Contains(status, "accepted=") || strings.Contains(status, "accepted=0 ") {
+		t.Fatalf("STATUS shows no accepted rpc requests: %q", status)
+	}
+	if resp, err := c0.Admin(ctx, "MEMBERS"); err != nil || resp != "OK g0=r0,r1,r2 g1=r0,r1,r2" {
+		t.Fatalf("MEMBERS: %q, %v", resp, err)
+	}
+
+	// A line-protocol command on the client port fails the connection
+	// magic: the replica drops the connection without answering.
+	conn, err := net.Dial("tcp", cfgs[1].clientAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintln(conn, "GET city"); err != nil {
+		t.Fatal(err)
+	}
+	wantDropped(t, conn, "line-protocol GET")
+}
+
+// TestKVServerLineLimits pins the request-size limits of the client
+// port (the name predates the binary front door): a 200 KiB value, far
+// over the 64 KiB a line scanner once capped commands at, round-trips;
+// a request over rpc.MaxFrame draws the typed rpc.ErrBadRequest from the
+// client instead of a lost connection; and a raw frame whose length
+// prefix exceeds rpc.MaxFrame gets its connection dropped while the
+// replica keeps serving everyone else.
+func TestKVServerLineLimits(t *testing.T) {
+	cfgs := []serverConfig{replica(1), replica(1), replica(1)}
+	cs := startCluster(t, cfgs...)
+	c0, c1 := cs[0], cs[1]
+	ctx := testCtx(t)
+
+	big := bytes.Repeat([]byte("x"), 200<<10)
+	want(t, "PUT big", "(nil)")(c0.Put(ctx, "big", big))
+	if v, err := c1.Get(ctx, "big"); err != nil || !bytes.Equal(v, big) {
+		t.Fatalf("GET big: %d bytes, %v", len(v), err)
+	}
+
+	// Never touched, so the OS backs it with no memory.
+	huge := make([]byte, rpc.MaxFrame)
+	if _, err := c0.Put(ctx, "huge", huge); !errors.Is(err, rpc.ErrBadRequest) {
+		t.Fatalf("oversized PUT: %v, want rpc.ErrBadRequest", err)
+	}
+	want(t, "GET after oversized PUT", "(nil)")(c0.Get(ctx, "huge"))
+
+	conn, err := net.Dial("tcp", cfgs[1].clientAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], rpc.MaxFrame+1)
+	if err := rpc.WriteMagic(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	wantDropped(t, conn, "oversized frame")
+	if v, err := c1.Get(ctx, "big"); err != nil || !bytes.Equal(v, big) {
+		t.Fatalf("GET big after oversized frame: %d bytes, %v", len(v), err)
+	}
+}
+
+// wantDropped checks that the replica closes conn without a reply.
+func wantDropped(t *testing.T, conn net.Conn, what string) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("%s: connection survived (read %d bytes, %v)", what, n, err)
 	}
 }
 
@@ -230,12 +253,6 @@ func testKVServerEndToEnd(t *testing.T, groups int) {
 // liveness — and checks that commands still commit and the injected
 // faults surface in STATUS.
 func TestKVServerChaosArmed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a real TCP cluster")
-	}
-	peerAddrs := freePorts(t, 3)
-	clientAddrs := freePorts(t, 3)
-	peers := strings.Join(peerAddrs, ",")
 	sched := chaos.Schedule{
 		Clock: []chaos.ClockFault{{Replica: 0, Kind: chaos.ClockJump, At: 0, Duration: time.Hour, Magnitude: 5 * time.Millisecond}},
 		Disk:  []chaos.DiskFault{{Replica: 0, Kind: chaos.DiskSlowAppend, At: 0, Duration: time.Hour, Stall: 200 * time.Microsecond}},
@@ -244,50 +261,21 @@ func TestKVServerChaosArmed(t *testing.T) {
 	if err := os.WriteFile(schedPath, chaos.EncodeSchedule(sched), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		cfg := serverConfig{
-			id: i, peers: peers, clientAddr: clientAddrs[i], groups: 1,
-			delta: 5 * time.Millisecond, clientTimeout: 30 * time.Second,
-			fsync: "off", rejoin: "auto",
-		}
-		if i == 0 {
-			cfg.chaosSchedule = schedPath
-			cfg.logPath = filepath.Join(t.TempDir(), "wal") // disk faults wrap the file log
-		}
-		go func() { _ = run(cfg) }()
+	cfgs := []serverConfig{replica(1), replica(1), replica(1)}
+	for i := range cfgs {
+		cfgs[i].fsync = "off"
 	}
-	dial := func(addr string) net.Conn {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			c, err := net.Dial("tcp", addr)
-			if err == nil {
-				return c
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		t.Fatalf("server at %s never came up", addr)
-		return nil
+	cfgs[0].chaosSchedule = schedPath
+	cfgs[0].logPath = filepath.Join(t.TempDir(), "wal") // disk faults wrap the file log
+	c0 := startCluster(t, cfgs...)[0]
+	ctx := testCtx(t)
+
+	want(t, "PUT under chaos", "(nil)")(c0.Put(ctx, "k", []byte("v")))
+	want(t, "GET under chaos", "v")(c0.Get(ctx, "k"))
+	status, err := c0.Admin(ctx, "STATUS")
+	if err != nil {
+		t.Fatalf("STATUS: %v", err)
 	}
-	c0 := dial(clientAddrs[0])
-	defer c0.Close()
-	r0 := bufio.NewReader(c0)
-	send := func(line string) string {
-		if _, err := fmt.Fprintln(c0, line); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := r0.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimSpace(resp)
-	}
-	if resp := send("PUT k v"); resp != "OK (nil)" {
-		t.Fatalf("PUT under chaos reply = %q", resp)
-	}
-	if resp := send("GET k"); resp != "OK v" {
-		t.Fatalf("GET under chaos reply = %q", resp)
-	}
-	status := send("STATUS")
 	if !strings.Contains(status, "faults=(") ||
 		!strings.Contains(status, "clock.jump=1") ||
 		!strings.Contains(status, "disk.slow_append=") {
@@ -314,109 +302,64 @@ func TestParseMembers(t *testing.T) {
 // to {0,1} and a grow back to {0,1,2}, with data commands committing
 // before, between and after the reconfigurations.
 func TestKVServerAdminEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a real TCP cluster")
-	}
-	peerAddrs := freePorts(t, 3)
-	clientAddrs := freePorts(t, 3)
-	peers := strings.Join(peerAddrs, ",")
-	for i := 0; i < 3; i++ {
-		i := i
-		go func() {
-			_ = run(serverConfig{
-				id: i, peers: peers, clientAddr: clientAddrs[i], groups: 2,
-				delta: 5 * time.Millisecond, clientTimeout: 30 * time.Second,
-				fsync: "always", rejoin: "auto",
-			})
-		}()
-	}
-	dial := func(addr string) net.Conn {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			c, err := net.Dial("tcp", addr)
-			if err == nil {
-				return c
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		t.Fatalf("server at %s never came up", addr)
-		return nil
-	}
-	c0 := dial(clientAddrs[0])
-	defer c0.Close()
-	r0 := bufio.NewReader(c0)
-	send := func(line string) string {
+	cs := startCluster(t, replica(2), replica(2), replica(2))
+	c0, c2 := cs[0], cs[2]
+	ctx := testCtx(t)
+	admin := func(line string) string {
 		t.Helper()
-		if _, err := fmt.Fprintln(c0, line); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := r0.ReadString('\n')
+		reply, err := c0.Admin(ctx, line)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", line, err)
 		}
-		return strings.TrimSpace(resp)
+		return reply
 	}
 
-	if resp := send("PUT city Lugano"); resp != "OK (nil)" {
-		t.Fatalf("PUT reply = %q", resp)
-	}
-	if resp := send("MEMBERS"); resp != "OK g0=r0,r1,r2 g1=r0,r1,r2" {
+	want(t, "PUT city", "(nil)")(c0.Put(ctx, "city", []byte("Lugano")))
+	if resp := admin("MEMBERS"); resp != "OK g0=r0,r1,r2 g1=r0,r1,r2" {
 		t.Fatalf("MEMBERS = %q", resp)
 	}
-	if resp := send("EPOCH"); resp != "OK g0=0 g1=0" {
+	if resp := admin("EPOCH"); resp != "OK g0=0 g1=0" {
 		t.Fatalf("EPOCH = %q", resp)
 	}
-	if resp := send("STATUS"); !strings.HasPrefix(resp, "OK id=r0 groups=2 routes=(version=1 groups=2 migrating=0) g0=(epoch=0 members=r0,r1,r2 in=true") {
+	if resp := admin("STATUS"); !strings.HasPrefix(resp, "OK id=r0 groups=2 routes=(version=1 groups=2 migrating=0) rpc=(") ||
+		!strings.Contains(resp, ") g0=(epoch=0 members=r0,r1,r2 in=true") {
 		t.Fatalf("STATUS = %q", resp)
 	}
-	if resp := send("ROUTES"); resp != "OK version=1 slots=512 groups=2 g0=256 g1=256 migrating=0" {
+	if resp := admin("ROUTES"); resp != "OK version=1 slots=512 groups=2 g0=256 g1=256 migrating=0" {
 		t.Fatalf("ROUTES = %q", resp)
 	}
 
 	// Shrink to {0,1}: both groups move atomically.
-	if resp := send("RECONF 0,1"); resp != "OK members=r0,r1 epochs=g0:1,g1:1" {
+	if resp := admin("RECONF 0,1"); resp != "OK members=r0,r1 epochs=g0:1,g1:1" {
 		t.Fatalf("RECONF shrink = %q", resp)
 	}
-	if resp := send("GET city"); resp != "OK Lugano" {
-		t.Fatalf("GET after shrink = %q", resp)
-	}
-	if resp := send("PUT city Basel"); resp != "OK Lugano" {
-		t.Fatalf("PUT after shrink = %q", resp)
-	}
+	want(t, "GET after shrink", "Lugano")(c0.Get(ctx, "city"))
+	want(t, "PUT after shrink", "Lugano")(c0.Put(ctx, "city", []byte("Basel")))
 
 	// Grow back, r-prefixed IDs; the rejoined replica serves reads.
-	if resp := send("RECONF r0,r1,r2"); resp != "OK members=r0,r1,r2 epochs=g0:2,g1:2" {
+	if resp := admin("RECONF r0,r1,r2"); resp != "OK members=r0,r1,r2 epochs=g0:2,g1:2" {
 		t.Fatalf("RECONF grow = %q", resp)
 	}
-	c2 := dial(clientAddrs[2])
-	defer c2.Close()
-	r2 := bufio.NewReader(c2)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := fmt.Fprintln(c2, "GET city"); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := r2.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.TrimSpace(resp) == "OK Basel" {
+		v, err := c2.Get(ctx, "city")
+		if err == nil && string(v) == "Basel" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rejoined replica never served the value: %q", resp)
+			t.Fatalf("rejoined replica never served the value: %q, %v", v, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 
 	// Malformed operator input is rejected without touching the cluster.
-	if resp := send("RECONF 0"); !strings.HasPrefix(resp, "ERR") {
+	if resp := admin("RECONF 0"); !strings.HasPrefix(resp, "ERR") {
 		t.Fatalf("sub-majority RECONF = %q", resp)
 	}
-	if resp := send("RECONF x,y"); !strings.HasPrefix(resp, "ERR") {
+	if resp := admin("RECONF x,y"); !strings.HasPrefix(resp, "ERR") {
 		t.Fatalf("garbage RECONF = %q", resp)
 	}
-	if resp := send("EPOCH"); resp != "OK g0=2 g1=2" {
+	if resp := admin("EPOCH"); resp != "OK g0=2 g1=2" {
 		t.Fatalf("EPOCH after failed RECONFs = %q", resp)
 	}
 }

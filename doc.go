@@ -16,17 +16,17 @@
 //     loops over in-process or TCP transports), including node.Host — a
 //     multi-group engine running G independent Clock-RSM groups per
 //     node over one shared, group-tagged transport;
-//   - internal/shard: the key→group hash underlying both routers, and
-//     the fixed mod-G router used before a routing table exists;
+//   - internal/shard: the key hash the routing table places keys by,
+//     and per-group log naming;
 //   - internal/reshard: the elastic resharding subsystem — the
 //     versioned slot routing table that is the live source of
 //     placement truth, and the split coordinator that moves slots
 //     between groups under load;
 //   - internal/analysis: the analytical latency model of Table II and
 //     the numerical study of Figure 7 / Table IV;
-//   - internal/rpc, client: the production front door — a multiplexed
-//     binary RPC protocol served beside kvserver's line protocol, and
-//     the public client library that speaks it;
+//   - internal/rpc, client: the front door — the multiplexed binary RPC
+//     protocol that is kvserver's only client protocol, and the public
+//     client library that speaks it;
 //   - internal/chaos: the deterministic fault-injection layer — clock
 //     anomalies, asymmetric partitions and misbehaving disks driven by
 //     seeded, replayable schedules;
@@ -103,11 +103,12 @@
 //     each with its own event loop, log and commit cascade, over ONE
 //     transport endpoint per node — frames carry a 4-byte group tag
 //     (negotiated by a versioned handshake, so the message codec is
-//     untouched and legacy peers interoperate on group 0), and
-//     internal/shard hashes each key into its group. Commands on
-//     different keys commit in parallel on multi-core hardware while
-//     per-key operations keep a total order, so the single-group
-//     throughput ceiling becomes a per-group ceiling.
+//     untouched and legacy peers interoperate on group 0), and the
+//     reshard routing table places each key (by shard.Hash) in its
+//     group. Commands on different keys commit in parallel on
+//     multi-core hardware while per-key operations keep a total order,
+//     so the single-group throughput ceiling becomes a per-group
+//     ceiling.
 //
 // The bench workloads lan3_put_mem (one group) and lan3_g4_mixed (four
 // groups) measure the end-to-end effect (sh bench/run.sh, see
@@ -139,9 +140,9 @@
 //     with it on the removal transition instead of parking) and
 //     ErrReconfigured (command provably discarded by a
 //     reconfiguration) both guarantee the command never executed.
-//   - kvserver serves MEMBERS / EPOCH / STATUS / RECONF on the client
-//     port and kvctl has matching subcommands, so an operator can grow
-//     and shrink a live cluster from the CLI;
+//   - kvserver serves MEMBERS / EPOCH / STATUS / RECONF as admin lines
+//     on the client port and kvctl has matching subcommands, so an
+//     operator can grow and shrink a live cluster from the CLI;
 //     runner.RunMembershipChurn asserts the whole story end to end
 //     (3→5→3 under load, zero lost or duplicated commands).
 //
@@ -149,7 +150,7 @@
 //
 // The key space is divided into a fixed set of hash slots
 // (256 × the genesis group count; reshard.Legacy places slot s at
-// group s mod G, bit-identical to the old fixed router, so adopting
+// group s mod G, bit-identical to shard.Hash(key) mod G, so adopting
 // the table moves no key). A versioned routing table (reshard.Table)
 // records one claim per slot — owner, generation, and Owned/Migrating
 // phase — and replaces hash-mod-G as the source of placement truth.
@@ -199,8 +200,8 @@
 // serves the current watermark immediately, monotonic across replicas
 // through a node.Session token; node.Stale serves from the caller's
 // goroutine against a lock-free watermark cache, bounded by a maximum
-// age (ErrTooStale beyond it). Host.Read/ReadKey route reads through
-// the shard router to the key's group, kvserver exposes GETL/GETS/GETA
+// age (ErrTooStale beyond it). Host.ReadKey routes a read through the
+// routing table to the key's group, kvserver exposes GETL/GETS/GETA
 // next to the replicated GET, and protocols without a watermark
 // (paxos, mencius) fall back to replicating reads as commands. Reads
 // at a removed replica fail with ErrNotInConfig, the same sweep
@@ -210,14 +211,15 @@
 //
 // # Front door
 //
-// The production client path is a length-prefixed, multiplexed binary
-// RPC protocol (internal/rpc): every request carries an ID, many
-// requests pipeline over one connection, and responses complete out of
-// order — so one socket amortizes commit latency across a whole window
-// instead of paying it per command like the line protocol's strict
-// write-then-read. Frames reuse the replica wire's pooled-buffer
-// encode and borrow-from-input decode discipline. kvserver serves it
-// on -rpc beside the legacy line protocol; the public client package
+// The one client path is a length-prefixed, multiplexed binary RPC
+// protocol (internal/rpc): every request carries an ID, many requests
+// pipeline over one connection, and responses complete out of order —
+// so one socket amortizes commit latency across a whole window instead
+// of paying it per command. Frames reuse the replica wire's
+// pooled-buffer encode and borrow-from-input decode discipline.
+// kvserver serves it on -client and reaches the host only through
+// Host.Execute (writes, replicated reads), Host.ReadKey (tiered reads)
+// and its admin handler (operator lines); the public client package
 // wraps it with a bounded in-flight window, replica failover,
 // automatic resubmission of provably-unexecuted commands
 // (ErrNotInConfig/ErrReconfigured — reads also resubmit on connection
@@ -229,8 +231,8 @@
 // node.ErrOverloaded) instead of queueing without bound; STATUS
 // reports conns/inflight/accepted/shed. Every bench workload drives
 // this path (client, internal/rpc, node.Host); lan3_put_mem is the one
-// it dominates. BENCH_8.json records PR 8's comparison against the line
-// protocol.
+// it dominates. BENCH_8.json records PR 8's comparison against the
+// line protocol it replaced.
 //
 // # Fault injection
 //

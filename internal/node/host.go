@@ -9,7 +9,6 @@ import (
 	"clockrsm/internal/msg"
 	"clockrsm/internal/reshard"
 	"clockrsm/internal/rsm"
-	"clockrsm/internal/shard"
 	"clockrsm/internal/storage"
 	"clockrsm/internal/transport"
 	"clockrsm/internal/types"
@@ -50,9 +49,9 @@ type HostOptions struct {
 	PinGroups bool
 	// Table is the initial routing table. Nil derives the legacy
 	// layout from Groups (slot s → group s mod Groups), which places
-	// every key exactly where the fixed hash-mod-G router did. A table
-	// routing to fewer groups than Groups leaves the extras as spares a
-	// split can activate.
+	// every key at shard.Hash(key) mod Groups. A table routing to fewer
+	// groups than Groups leaves the extras as spares a split can
+	// activate.
 	Table *reshard.Table
 	// RoutesPath, when non-empty, persists the routing table there on
 	// every change, and is where a restarted host resumes routing from
@@ -77,10 +76,9 @@ type HostOptions struct {
 // Wire a Host like a set of Nodes: attach a protocol to every group
 // with Group(g).SetProtocol, then Start the host once.
 type Host struct {
-	id     types.ReplicaID
-	tr     transport.Transport
-	nodes  []*Node
-	router *shard.Router
+	id    types.ReplicaID
+	tr    transport.Transport
+	nodes []*Node
 	// faultStats reports injected-fault counters for Status; nil
 	// outside chaos runs (see HostOptions.FaultStats).
 	faultStats func() map[string]uint64
@@ -122,7 +120,6 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 	h := &Host{
 		id:         id,
 		tr:         tr,
-		router:     shard.NewRouter(g),
 		holder:     reshard.NewHolder(tbl, opts.RoutesPath),
 		shardSMs:   make([]*reshard.SM, g),
 		faultStats: opts.FaultStats,
@@ -175,51 +172,12 @@ func (h *Host) Groups() int { return len(h.nodes) }
 // and the handle for Propose/Do against that group.
 func (h *Host) Group(g types.GroupID) *Node { return h.nodes[g] }
 
-// Router returns the legacy fixed key→group router. It reflects the
-// hosted group count, not live routing: since resharding, dispatch
-// goes through the routing table (see Table), which starts out
-// placement-identical to this router and then diverges as groups
-// split.
-func (h *Host) Router() *shard.Router { return h.router }
-
-// Propose routes an encoded kvstore payload to its key's replication
-// group (via the routing table, so every node and client library
-// dispatches identically) and proposes it there. For payloads that are
-// not kvstore commands, or to route by an explicit key, use ProposeKey
-// or Group(g).Propose.
-func (h *Host) Propose(ctx context.Context, payload []byte) (*Future, error) {
-	return h.nodes[h.groupForPayload(payload)].Propose(ctx, payload)
-}
-
-// ProposeKey proposes an opaque payload on the replication group
-// responsible for key. The future fails with ErrWrongGroup if the
-// key's slot migrates before the command executes; Execute wraps this
-// with the retry loop front ends want.
+// ProposeKey proposes an opaque payload on the replication group the
+// routing table assigns key to. The future fails with ErrWrongGroup if
+// the key's slot migrates before the command executes; Execute wraps
+// this with the retry loop front ends want.
 func (h *Host) ProposeKey(ctx context.Context, key string, payload []byte) (*Future, error) {
 	return h.nodes[h.holder.Load().Group(key)].Propose(ctx, payload)
-}
-
-// Read answers a read-only kvstore query at the requested consistency
-// level, routed to its key's replication group by the routing table —
-// the same dispatch Propose uses, so a read always lands in the group
-// whose total order its key's writes belong to. See Node.Read.
-func (h *Host) Read(ctx context.Context, query []byte, lvl Level) (ReadResult, error) {
-	if key, ok := shard.Key(query); ok {
-		return h.ReadKey(ctx, key, query, lvl)
-	}
-	return h.nodes[0].Read(ctx, query, lvl)
-}
-
-// groupForPayload routes an encoded kvstore payload through the table;
-// malformed payloads route to group 0 (every replica executes them as
-// identical deterministic no-ops, so any fixed group preserves
-// agreement).
-func (h *Host) groupForPayload(payload []byte) types.GroupID {
-	key, ok := shard.Key(payload)
-	if !ok {
-		return 0
-	}
-	return h.holder.Load().Group(key)
 }
 
 // Bind connects group g's application to that group's proposal futures

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -142,14 +143,22 @@ func TestHostPinnedGroups(t *testing.T) {
 
 func TestHostMultiGroupTCP(t *testing.T) {
 	const n, groups = 3, 2
-	addrs := map[types.ReplicaID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: "127.0.0.1:0"}
-	// Bind listeners one at a time so each host knows the others' ports.
-	var eps []*transport.TCPEndpoint
+	// Reserve every port before any endpoint exists: a started endpoint
+	// dials from the address map, so the map must be complete and never
+	// written again.
+	addrs := make(map[types.ReplicaID]string, n)
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[types.ReplicaID(i)] = ln.Addr().String()
+		ln.Close()
+	}
 	spec := []types.ReplicaID{0, 1, 2}
 	c := &hostCluster{}
 	for i := 0; i < n; i++ {
 		ep := transport.NewTCP(types.ReplicaID(i), addrs, transport.TCPOptions{DialRetry: 20 * time.Millisecond, Groups: groups})
-		eps = append(eps, ep)
 		h, err := NewHost(types.ReplicaID(i), spec, ep, HostOptions{Groups: groups})
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +177,6 @@ func TestHostMultiGroupTCP(t *testing.T) {
 		if err := h.Start(); err != nil {
 			t.Fatal(err)
 		}
-		addrs[types.ReplicaID(i)] = eps[i].Addr()
 	}
 	t.Cleanup(func() {
 		for _, h := range c.hosts {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"clockrsm/internal/reshard"
-	"clockrsm/internal/shard"
 	"clockrsm/internal/types"
 )
 
@@ -85,20 +84,6 @@ func (h *Host) Execute(ctx context.Context, key string, payload []byte) (types.R
 			return res, err
 		}
 	}
-}
-
-// ExecutePayload is Execute for encoded kvstore payloads, extracting
-// the routing key itself. Non-kvstore payloads execute on group 0.
-func (h *Host) ExecutePayload(ctx context.Context, payload []byte) (types.Result, error) {
-	key, ok := shard.Key(payload)
-	if !ok {
-		fut, err := h.nodes[0].Propose(ctx, payload)
-		if err != nil {
-			return types.Result{}, err
-		}
-		return fut.Wait(ctx)
-	}
-	return h.Execute(ctx, key, payload)
 }
 
 // ReadKey answers an opaque read-only query on the replication group

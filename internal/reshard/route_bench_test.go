@@ -18,16 +18,15 @@ func benchKeys() []string {
 	return keys
 }
 
-// BenchmarkRouterFixed is the baseline: the legacy hash-mod-G router
+// BenchmarkRouterFixed is the baseline: the fixed hash-mod-G placement
 // the dynamic table replaced as the source of placement truth.
 func BenchmarkRouterFixed(b *testing.B) {
-	router := shard.NewRouter(4)
 	keys := benchKeys()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink types.GroupID
 	for i := 0; i < b.N; i++ {
-		sink = router.Group(keys[i&1023])
+		sink = types.GroupID(shard.Hash(keys[i&1023]) % 4)
 	}
 	_ = sink
 }

@@ -1,17 +1,17 @@
-// Package rpc is the production front door of the replicated store: a
-// length-prefixed, multiplexed binary request/response protocol between
-// clients and kvserver, plus the server that speaks it.
+// Package rpc is the front door of the replicated store — kvserver's
+// only client protocol: a length-prefixed, multiplexed binary
+// request/response protocol between clients and kvserver, plus the
+// server that speaks it.
 //
 // One connection carries many requests concurrently: every request is
 // tagged with a client-chosen 64-bit ID, responses return the tag, and
 // the server completes requests out of order as they commit — so a
 // client pipelines an entire window of commands over a single
-// connection instead of paying one round trip per command like the
-// legacy line protocol. The codec follows the replica wire's
-// zero-allocation discipline (internal/msg): requests and responses
-// encode into pooled buffers (msg.GetBuf / EncodeTo idiom) and decode
-// by borrowing from the connection's read buffer, so the steady-state
-// framing path allocates nothing.
+// connection instead of paying one round trip per command. The codec
+// follows the replica wire's zero-allocation discipline (internal/msg):
+// requests and responses encode into pooled buffers (msg.GetBuf /
+// EncodeTo idiom) and decode by borrowing from the connection's read
+// buffer, so the steady-state framing path allocates nothing.
 //
 // The server side adds admission control: per-connection and global
 // in-flight budgets, mapped onto the node client API's MaxInFlight
@@ -47,17 +47,17 @@ const MaxFrame = msg.MaxFrame
 // Verb discriminates the request kind.
 type Verb uint8
 
-// Request verbs. The read verbs mirror kvserver's consistency-tiered
-// line verbs: GETL (linearizable), GETS (session-monotonic sequential,
-// carrying the session token both ways), GETA (bounded staleness).
+// Request verbs. The read verbs are node.Host's consistency tiers:
+// GETL (linearizable), GETS (session-monotonic sequential, carrying the
+// session token both ways), GETA (bounded staleness).
 const (
-	VPut Verb = iota + 1 // replicated write: key, value
-	VGet                 // replicated read (the strongest, slowest read): key
-	VDel                 // replicated delete: key
-	VGetL                // linearizable local read: key
-	VGetS                // sequential read: key + session token
-	VGetA                // stale read: key + max age
-	VAdmin               // operator verb: value carries one admin line (MEMBERS, STATUS, ...)
+	VPut   Verb = iota + 1 // replicated write: key, value
+	VGet                   // replicated read (the strongest, slowest read): key
+	VDel                   // replicated delete: key
+	VGetL                  // linearizable local read: key
+	VGetS                  // sequential read: key + session token
+	VGetA                  // stale read: key + max age
+	VAdmin                 // operator verb: value carries one admin line (MEMBERS, STATUS, ...)
 	maxVerb
 )
 

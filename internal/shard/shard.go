@@ -1,14 +1,15 @@
-// Package shard routes client commands to replication groups. A node
-// that hosts G independent Clock-RSM groups (node.Host) partitions the
-// key space by hashing each command's key: every key lives in exactly
-// one group, so per-key operations stay totally ordered — and therefore
-// linearizable — while distinct groups commit in parallel.
+// Package shard holds the key hash every routing layer derives a key's
+// replication group from, and the per-group log naming. A node that
+// hosts G independent Clock-RSM groups (node.Host) partitions the key
+// space through the reshard slot table, which maps keys to slots with
+// Hash: every key lives in exactly one group, so per-key operations
+// stay totally ordered — and therefore linearizable — while distinct
+// groups commit in parallel.
 package shard
 
 import (
 	"strconv"
 
-	"clockrsm/internal/kvstore"
 	"clockrsm/internal/types"
 )
 
@@ -19,11 +20,10 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// Hash returns the FNV-1a hash of key — the single hash every routing
-// layer (this fixed router and the reshard slot table) derives a key's
-// placement from. Exported so the slot table maps keys to slots with
-// the same bytes-to-bits function, which is what makes the initial
-// slot table placement-identical to hash-mod-G.
+// Hash returns the FNV-1a hash of key — the single hash key placement
+// derives from. The reshard slot table maps keys to slots with it,
+// which is what makes the genesis table placement-identical to
+// Hash(key) mod G.
 func Hash(key string) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(key); i++ {
@@ -31,59 +31,6 @@ func Hash(key string) uint32 {
 		h *= fnvPrime32
 	}
 	return h
-}
-
-// Router maps keys to replication groups. The mapping is a pure
-// function of the key and the group count, so every node — and every
-// client library — routes identically without coordination.
-type Router struct {
-	groups uint32
-}
-
-// NewRouter creates a router over groups replication groups (values
-// below 1 are treated as 1).
-func NewRouter(groups int) *Router {
-	if groups < 1 {
-		groups = 1
-	}
-	return &Router{groups: uint32(groups)}
-}
-
-// Groups returns the number of groups routed over.
-func (r *Router) Groups() int { return int(r.groups) }
-
-// Group returns the replication group responsible for key.
-func (r *Router) Group(key string) types.GroupID {
-	if r.groups == 1 {
-		return 0
-	}
-	return types.GroupID(Hash(key) % r.groups)
-}
-
-// GroupForPayload routes an encoded kvstore command payload by its key.
-// Malformed payloads route to group 0: every replica executes them as
-// identical deterministic no-ops, so any fixed group preserves
-// agreement.
-func (r *Router) GroupForPayload(payload []byte) types.GroupID {
-	if r.groups == 1 {
-		return 0
-	}
-	cmd, err := kvstore.Decode(payload)
-	if err != nil {
-		return 0
-	}
-	return r.Group(cmd.Key)
-}
-
-// Key extracts the routing key from an encoded kvstore command
-// payload. The second result is false for payloads that are not
-// well-formed kvstore commands (they route to group 0 by convention).
-func Key(payload []byte) (string, bool) {
-	cmd, err := kvstore.Decode(payload)
-	if err != nil {
-		return "", false
-	}
-	return cmd.Key, true
 }
 
 // LogPath names group g's stable log file under a base path. Group 0

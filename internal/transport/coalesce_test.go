@@ -172,8 +172,12 @@ func TestTCPCrossGroupCoalescing(t *testing.T) {
 	if final.Frames <= final.Flushes {
 		t.Errorf("no live coalescing: %d frames in %d flushes", final.Frames, final.Flushes)
 	}
-	for g, n := range col.counts {
-		if n == 0 {
+	// b's handlers may still be delivering the live phase: read the
+	// counts under their lock.
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	for g := types.GroupID(0); g < groups; g++ {
+		if col.counts[g] == 0 {
 			t.Errorf("group %v received nothing", g)
 		}
 	}

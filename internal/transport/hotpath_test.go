@@ -11,6 +11,16 @@ import (
 	"clockrsm/internal/types"
 )
 
+// parkPeers registers an outbox with no write loop behind it for each
+// peer, so frames queued to them stay put for the caller to inspect.
+func parkPeers(ep *TCPEndpoint, ids ...types.ReplicaID) {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	for _, id := range ids {
+		ep.peers[id] = &tcpPeer{outbox: make(chan *outFrame, ep.opts.OutboxLen)}
+	}
+}
+
 // TestTCPBroadcastEncodesOnce proves the encode-once fan-out at the
 // frame level: a broadcast to N peers must enqueue the exact same
 // backing bytes (one encoded frame, refcounted) on every outbox.
@@ -21,6 +31,8 @@ func TestTCPBroadcastEncodesOnce(t *testing.T) {
 	ep := NewTCP(0, addrs, TCPOptions{DialRetry: time.Hour}) // never actually dials
 	ep.SetHandler(func(types.ReplicaID, msg.Message) {})
 	defer ep.Close()
+	// A write loop would take the frame off its outbox before we look.
+	parkPeers(ep, 1, 2, 3)
 
 	dst := []types.ReplicaID{0, 1, 2, 3}
 	ep.Broadcast(dst, &msg.Commit{Slot: 42})
@@ -28,7 +40,7 @@ func TestTCPBroadcastEncodesOnce(t *testing.T) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if len(ep.peers) != 3 {
-		t.Fatalf("expected 3 peer queues, got %d", len(ep.peers))
+		t.Fatalf("expected 3 peer queues (none for self), got %d", len(ep.peers))
 	}
 	var first *outFrame
 	for id, p := range ep.peers {
@@ -216,6 +228,7 @@ func BenchmarkTCPBroadcastEncode(b *testing.B) {
 	ep := NewTCP(0, addrs, TCPOptions{DialRetry: time.Hour, OutboxLen: 16})
 	ep.SetHandler(func(types.ReplicaID, msg.Message) {})
 	defer ep.Close()
+	parkPeers(ep, 1, 2, 3, 4)
 	dst := []types.ReplicaID{0, 1, 2, 3, 4}
 	m := &msg.Prepare{
 		Epoch: 1,
