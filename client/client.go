@@ -15,7 +15,7 @@
 //     node.ErrNotInConfig and node.ErrReconfigured both guarantee the
 //     command never executed (the PR 4 error contract), so the Client
 //     fails over to the next replica and resubmits, invisibly to the
-//     caller, up to Config.MaxAttempts tries.
+//     caller, up to maxAttempts (8) tries.
 //   - rpc.StatusWrongGroup (a key caught mid-migration by a live group
 //     split for longer than the server would wait) is resubmitted on
 //     the same connection: the command was fenced before execution, so
@@ -63,8 +63,8 @@ var (
 	// when the connection died: its fate is unknown (it may have
 	// committed), so the Client refuses to resubmit it.
 	ErrConnLost = errors.New("client: connection lost with write in flight (fate unknown)")
-	// ErrTooManyAttempts reports a request that exhausted
-	// Config.MaxAttempts resubmissions.
+	// ErrTooManyAttempts reports a request that exhausted its
+	// maxAttempts tries.
 	ErrTooManyAttempts = errors.New("client: too many attempts")
 )
 
@@ -79,19 +79,23 @@ type Config struct {
 	Window int
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
-	// RetryBackoff is the pause between failed connection attempts
-	// (default 50ms).
-	RetryBackoff time.Duration
-	// MaxAttempts bounds the total tries of one request across typed
-	// resubmissions (default 8).
-	MaxAttempts int
-	// DrainTimeout bounds the drain-then-switch window after a
+}
+
+// Retry policy.
+const (
+	// retryBackoff is the pause between failed passes over the replica
+	// addresses.
+	retryBackoff = 50 * time.Millisecond
+	// maxAttempts bounds the total tries of one request across typed
+	// resubmissions.
+	maxAttempts = 8
+	// drainTimeout bounds the drain-then-switch window after a
 	// NotInConfig response: the Client stops sending, lets the replica
 	// answer what is already in flight (each pending request gets its
 	// own typed, resubmit-safe response), then switches replicas;
-	// stragglers past the bound are cut off (default 2s).
-	DrainTimeout time.Duration
-}
+	// stragglers past the bound are cut off.
+	drainTimeout = 2 * time.Second
+)
 
 func (c *Config) defaults() error {
 	if len(c.Addrs) == 0 {
@@ -102,15 +106,6 @@ func (c *Config) defaults() error {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 2 * time.Second
 	}
 	return nil
 }
@@ -205,7 +200,7 @@ func (c *Client) run() {
 }
 
 // dialNext tries replicas round-robin until one accepts, pausing
-// RetryBackoff between full passes. Only Close stops it.
+// retryBackoff between full passes. Only Close stops it.
 func (c *Client) dialNext() (net.Conn, error) {
 	for {
 		for range c.cfg.Addrs {
@@ -237,7 +232,7 @@ func (c *Client) dialNext() (net.Conn, error) {
 		select {
 		case <-c.closed:
 			return nil, ErrClosed
-		case <-time.After(c.cfg.RetryBackoff):
+		case <-time.After(retryBackoff):
 		}
 	}
 }
@@ -263,7 +258,7 @@ func (c *Client) serveConn(conn net.Conn) {
 	startDrain := func() {
 		if draining.CompareAndSwap(false, true) {
 			close(drainCh)
-			drainTimer = time.AfterFunc(c.cfg.DrainTimeout, func() { conn.Close() })
+			drainTimer = time.AfterFunc(drainTimeout, func() { conn.Close() })
 		}
 	}
 	defer func() {
@@ -419,7 +414,7 @@ func (c *Client) settle(ca *call, resp *rpc.Response, startDrain func()) {
 		// never executed, so resubmission is always safe.
 		startDrain()
 		ca.attempts++
-		if ca.attempts >= c.cfg.MaxAttempts {
+		if ca.attempts >= maxAttempts {
 			c.deliverErr(ca, fmt.Errorf("%w: %d tries, last: %v", ErrTooManyAttempts, ca.attempts, resp.Status.Err(nil)))
 			return
 		}
@@ -431,7 +426,7 @@ func (c *Client) settle(ca *call, resp *rpc.Response, startDrain func()) {
 		// kvserver hosts every group — so resend on this connection (no
 		// drain) and let the server re-route against its refreshed table.
 		ca.attempts++
-		if ca.attempts >= c.cfg.MaxAttempts {
+		if ca.attempts >= maxAttempts {
 			c.deliverErr(ca, fmt.Errorf("%w: %d tries, last: %v", ErrTooManyAttempts, ca.attempts, resp.Status.Err(nil)))
 			return
 		}

@@ -452,7 +452,7 @@ func TestClientFailoverUnderKill(t *testing.T) {
 // stranding their callers.
 func TestClientCloseUnblocks(t *testing.T) {
 	// Unreachable address: requests queue forever until Close.
-	c, err := Dial(Config{Addrs: []string{"127.0.0.1:1"}, RetryBackoff: 10 * time.Millisecond})
+	c, err := Dial(Config{Addrs: []string{"127.0.0.1:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,14 +91,13 @@
 //   - Client-side batching: commands enter the stack through the
 //     asynchronous client API — node.Propose returns a Future that
 //     resolves with the command's execution result — and a node's
-//     submit buffer (Options.SubmitBatch) flushes up to N buffered
+//     submit buffer (HostOptions.SubmitBatch) flushes up to N buffered
 //     proposals into one event-loop turn, so one coalesced PREPARE
 //     broadcast covers the chunk (the paper's client-library batching,
-//     Section VI-D). A bounded in-flight window (Options.MaxInFlight)
-//     applies backpressure: Propose blocks, or fails fast with
-//     ErrOverloaded, instead of queueing unbounded work, and Stop
-//     resolves every unresolved future with ErrStopped so shutdown
-//     never strands a waiter.
+//     Section VI-D). A bounded in-flight window (1024 proposals per
+//     group) applies backpressure: Propose blocks instead of queueing
+//     unbounded work, and Stop resolves every unresolved future with
+//     ErrStopped so shutdown never strands a waiter.
 //   - Group sharding: a node.Host runs G independent Clock-RSM groups,
 //     each with its own event loop, log and commit cascade, over ONE
 //     transport endpoint per node — frames carry a 4-byte group tag
@@ -227,12 +226,11 @@
 // duplicate), and session-sticky sequential reads whose monotonic
 // token survives failover. The server side admits work against
 // per-connection and global in-flight budgets and sheds overload
-// immediately with a typed wire error (rpc.ErrOverloaded mapping to
-// node.ErrOverloaded) instead of queueing without bound; STATUS
-// reports conns/inflight/accepted/shed. Every bench workload drives
-// this path (client, internal/rpc, node.Host); lan3_put_mem is the one
-// it dominates. BENCH_8.json records PR 8's comparison against the
-// line protocol it replaced.
+// immediately with a typed wire error (rpc.ErrOverloaded) instead of
+// queueing without bound; STATUS reports conns/inflight/accepted/shed.
+// Every bench workload drives this path (client, internal/rpc,
+// node.Host); lan3_put_mem is the one it dominates. BENCH_8.json
+// records PR 8's comparison against the line protocol it replaced.
 //
 // # Fault injection
 //

@@ -1,5 +1,5 @@
-// Client API: futures, pipelining, client-side batching, backpressure
-// and cancellation.
+// Client API: futures, pipelining, client-side batching, cancellation
+// and tiered reads.
 //
 // A three-replica Clock-RSM cluster runs in one process over the
 // in-process transport. All commands enter through the first-class
@@ -14,10 +14,7 @@
 //  3. cancellation: a context deadline abandons the wait (the command
 //     may still commit, but at most once, and its result is dropped);
 //
-//  4. backpressure: a fail-fast node rejects proposals with
-//     ErrOverloaded once MaxInFlight are in flight;
-//
-//  5. consistency-tiered reads served from the stable prefix — no
+//  4. consistency-tiered reads served from the stable prefix — no
 //     PREPARE broadcast: Linearizable (parks until the executed
 //     watermark covers the read's capture time), Sequential (immediate,
 //     monotonic through a Session token across replicas), and Stale
@@ -51,44 +48,36 @@ func main() {
 	}
 }
 
-// cluster starts a three-replica cluster with the given client-API
-// options on every node and returns the nodes plus a shutdown func.
-func cluster(opts node.Options) ([]*node.Node, func(), error) {
+func run() error {
+	ctx := context.Background()
+
+	// Three single-group hosts with client-side batching: up to 8
+	// buffered proposals flush into one event-loop turn and share one
+	// PREPARE broadcast.
 	const n = 3
 	hub := transport.NewHub(n, transport.HubOptions{
 		Latency: wan.Uniform(n, 2*time.Millisecond),
 	})
+	defer hub.Close()
 	spec := []types.ReplicaID{0, 1, 2}
 	nodes := make([]*node.Node, n)
 	for i := 0; i < n; i++ {
-		nd := node.New(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), opts)
+		h, err := node.NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), node.HostOptions{SubmitBatch: 8})
+		if err != nil {
+			return err
+		}
+		nd := h.Group(0)
 		app := &rsm.App{SM: kvstore.New()}
 		nd.Bind(app) // execution results resolve Propose futures
 		nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond}))
 		nodes[i] = nd
-		if err := nd.Start(); err != nil {
-			return nil, nil, err
+		if err := h.Start(); err != nil {
+			return err
 		}
+		// Stop resolves whatever is still unresolved with
+		// node.ErrStopped — no waiter ever hangs across shutdown.
+		defer h.Stop()
 	}
-	stop := func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-		hub.Close()
-	}
-	return nodes, stop, nil
-}
-
-func run() error {
-	ctx := context.Background()
-
-	// A node with client-side batching: up to 8 buffered proposals
-	// flush into one event-loop turn and share one PREPARE broadcast.
-	nodes, stop, err := cluster(node.Options{SubmitBatch: 8})
-	if err != nil {
-		return err
-	}
-	defer stop()
 
 	// 1. One proposal, awaited.
 	start := time.Now()
@@ -145,7 +134,7 @@ func run() error {
 		fmt.Println("canceled proposal           -> commit raced the cancellation")
 	}
 
-	// 5. Consistency-tiered reads, served from the local stable prefix
+	// 4. Consistency-tiered reads, served from the local stable prefix
 	// (no replication traffic at any tier).
 	//
 	// Linearizable: observes every write that completed before the read
@@ -181,25 +170,5 @@ func run() error {
 		return err
 	}
 	fmt.Printf("stale read at r1           -> city=%s (≤ %v old)\n", rres.Value, rres.Age.Round(time.Microsecond))
-
-	// 4. Backpressure, fail-fast flavor: a 1-slot window rejects the
-	// second proposal instead of queueing unbounded work.
-	small, stopSmall, err := cluster(node.Options{MaxInFlight: 1, FailFast: true})
-	if err != nil {
-		return err
-	}
-	defer stopSmall()
-	first, err := small[0].Propose(ctx, kvstore.Put("k", []byte("v")))
-	if err != nil {
-		return err
-	}
-	_, err = small[0].Propose(ctx, kvstore.Put("k", []byte("v")))
-	fmt.Printf("window full, fail-fast      -> %v\n", err)
-	if _, err := first.Result(); err != nil {
-		return err
-	}
-
-	// Stop resolves whatever is still unresolved with node.ErrStopped —
-	// no waiter ever hangs across shutdown.
 	return nil
 }

@@ -42,18 +42,23 @@ func run() error {
 	nodes := make([]*node.Node, n)
 
 	for i := 0; i < n; i++ {
+		// One host per replica, running a single replication group.
+		h, err := node.NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), node.HostOptions{})
+		if err != nil {
+			return err
+		}
 		stores[i] = kvstore.New()
-		nd := node.New(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), node.Options{})
+		nd := h.Group(0)
 		app := &rsm.App{SM: stores[i]}
 		nd.Bind(app) // execution results resolve Propose futures
 		nd.SetProtocol(core.New(nd, app, core.Options{
 			ClockTimeInterval: 5 * time.Millisecond,
 		}))
 		nodes[i] = nd
-		if err := nd.Start(); err != nil {
+		if err := h.Start(); err != nil {
 			return err
 		}
-		defer nd.Stop()
+		defer h.Stop()
 	}
 
 	// Issue a few updates, each at a different replica — Clock-RSM is

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -27,15 +28,22 @@ import (
 //     send and never mutates it afterwards, so delayed messages are held
 //     by pointer and dropped messages are simply not forwarded; the
 //     wrapper never copies or recycles.
+//
+// inner must implement transport.GroupTransport and
+// transport.GroupBroadcaster, as every endpoint node.NewHost accepts
+// does; anything else is a wiring bug and panics.
 func (e *Engine) Transport(inner transport.Transport) *ChaosTransport {
-	t := &ChaosTransport{
-		eng:   e,
-		inner: inner,
-		self:  inner.Self(),
+	gt, isGT := inner.(transport.GroupTransport)
+	gb, isGB := inner.(transport.GroupBroadcaster)
+	if !isGT || !isGB {
+		panic(fmt.Sprintf("chaos: transport %T does not multiplex groups", inner))
 	}
-	t.innerB, _ = inner.(transport.Broadcaster)
-	t.innerG, _ = inner.(transport.GroupTransport)
-	t.innerGB, _ = inner.(transport.GroupBroadcaster)
+	t := &ChaosTransport{
+		eng:     e,
+		inner:   gt,
+		innerGB: gb,
+		self:    inner.Self(),
+	}
 	for _, f := range e.sched.Links {
 		if f.From != t.self {
 			continue
@@ -55,15 +63,11 @@ func (e *Engine) Transport(inner transport.Transport) *ChaosTransport {
 }
 
 // ChaosTransport is the fault-injecting endpoint wrapper built by
-// Engine.Transport. It implements Transport, Broadcaster,
-// GroupTransport and GroupBroadcaster; the group methods fall back to
-// single-group semantics when the wrapped endpoint is a plain
-// Transport.
+// Engine.Transport. It implements GroupTransport and GroupBroadcaster;
+// plain Send addresses group 0.
 type ChaosTransport struct {
 	eng     *Engine
-	inner   transport.Transport
-	innerB  transport.Broadcaster
-	innerG  transport.GroupTransport
+	inner   transport.GroupTransport
 	innerGB transport.GroupBroadcaster
 	self    types.ReplicaID
 
@@ -79,8 +83,6 @@ type ChaosTransport struct {
 }
 
 var (
-	_ transport.Transport        = (*ChaosTransport)(nil)
-	_ transport.Broadcaster      = (*ChaosTransport)(nil)
 	_ transport.GroupTransport   = (*ChaosTransport)(nil)
 	_ transport.GroupBroadcaster = (*ChaosTransport)(nil)
 )
@@ -119,67 +121,22 @@ func (t *ChaosTransport) Close() error {
 	return t.inner.Close()
 }
 
-// Groups returns the wrapped endpoint's group count, or 1 for a plain
-// single-group transport.
-func (t *ChaosTransport) Groups() int {
-	if t.innerG != nil {
-		return t.innerG.Groups()
-	}
-	return 1
-}
+// Groups returns the wrapped endpoint's group count.
+func (t *ChaosTransport) Groups() int { return t.inner.Groups() }
 
-// SetGroupHandler passes through; on a plain transport only group 0 is
-// addressable.
+// SetGroupHandler passes through to the wrapped endpoint.
 func (t *ChaosTransport) SetGroupHandler(g types.GroupID, h transport.Handler) {
-	if t.innerG != nil {
-		t.innerG.SetGroupHandler(g, h)
-		return
-	}
-	if g == 0 {
-		t.inner.SetHandler(h)
-	}
+	t.inner.SetGroupHandler(g, h)
 }
 
-// Send transmits m to another replica through the fault windows.
+// Send transmits m to another replica on group 0 through the fault
+// windows.
 func (t *ChaosTransport) Send(to types.ReplicaID, m msg.Message) {
-	t.sendOne(to, 0, m, false)
+	t.SendGroup(to, 0, m)
 }
 
 // SendGroup transmits m tagged with group g through the fault windows.
 func (t *ChaosTransport) SendGroup(to types.ReplicaID, g types.GroupID, m msg.Message) {
-	t.sendOne(to, g, m, true)
-}
-
-// Broadcast fans out per peer so each directed link sees its own fault
-// state; with no faults scheduled from this replica it delegates to the
-// wrapped broadcaster (keeping, e.g., the hub's single-encode path).
-func (t *ChaosTransport) Broadcast(dst []types.ReplicaID, m msg.Message) {
-	if len(t.faults) == 0 && t.innerB != nil {
-		t.innerB.Broadcast(dst, m)
-		return
-	}
-	for _, to := range dst {
-		if to != t.self {
-			t.sendOne(to, 0, m, false)
-		}
-	}
-}
-
-// BroadcastGroup is Broadcast with a group tag.
-func (t *ChaosTransport) BroadcastGroup(dst []types.ReplicaID, g types.GroupID, m msg.Message) {
-	if len(t.faults) == 0 && t.innerGB != nil {
-		t.innerGB.BroadcastGroup(dst, g, m)
-		return
-	}
-	for _, to := range dst {
-		if to != t.self {
-			t.sendOne(to, g, m, true)
-		}
-	}
-}
-
-// sendOne applies the link self→to's fault windows to one message.
-func (t *ChaosTransport) sendOne(to types.ReplicaID, g types.GroupID, m msg.Message, group bool) {
 	el, armed := t.eng.elapsed()
 	var extra time.Duration
 	if armed {
@@ -210,19 +167,26 @@ func (t *ChaosTransport) sendOne(to types.ReplicaID, g types.GroupID, m msg.Mess
 		// All traffic to a delay-faulted destination goes through its
 		// queue, even with zero extra delay, so FIFO order on the link
 		// survives the fault window's edges.
-		q.enqueue(extra, g, m, group)
+		q.enqueue(extra, g, m)
 		return
 	}
-	t.deliver(to, g, m, group)
+	t.inner.SendGroup(to, g, m)
 }
 
-// deliver hands a message to the wrapped endpoint.
-func (t *ChaosTransport) deliver(to types.ReplicaID, g types.GroupID, m msg.Message, group bool) {
-	if group && t.innerG != nil {
-		t.innerG.SendGroup(to, g, m)
+// BroadcastGroup fans out per peer so each directed link sees its own
+// fault state; with no faults scheduled from this replica it delegates
+// to the wrapped broadcaster (keeping, e.g., the hub's single-encode
+// path).
+func (t *ChaosTransport) BroadcastGroup(dst []types.ReplicaID, g types.GroupID, m msg.Message) {
+	if len(t.faults) == 0 {
+		t.innerGB.BroadcastGroup(dst, g, m)
 		return
 	}
-	t.inner.Send(to, m)
+	for _, to := range dst {
+		if to != t.self {
+			t.SendGroup(to, g, m)
+		}
+	}
 }
 
 // fireLocked marks fault window i as having fired (first activation);
@@ -257,10 +221,9 @@ type delayQueue struct {
 }
 
 type delayed struct {
-	due   time.Time
-	g     types.GroupID
-	m     msg.Message
-	group bool
+	due time.Time
+	g   types.GroupID
+	m   msg.Message
 }
 
 func (q *delayQueue) start() {
@@ -282,21 +245,21 @@ func (q *delayQueue) stop() {
 	q.mu.Unlock()
 }
 
-func (q *delayQueue) enqueue(extra time.Duration, g types.GroupID, m msg.Message, group bool) {
+func (q *delayQueue) enqueue(extra time.Duration, g types.GroupID, m msg.Message) {
 	due := time.Now().Add(extra)
 	q.mu.Lock()
 	if q.stopped || q.cond == nil {
 		// Not started (endpoint never Started) or already closing: fall
 		// through synchronously so pre-Start traffic is not lost.
 		q.mu.Unlock()
-		q.t.deliver(q.to, g, m, group)
+		q.t.inner.SendGroup(q.to, g, m)
 		return
 	}
 	if due.Before(q.lastDue) {
 		due = q.lastDue // FIFO: never overtake an earlier, slower message
 	}
 	q.lastDue = due
-	q.pending = append(q.pending, delayed{due: due, g: g, m: m, group: group})
+	q.pending = append(q.pending, delayed{due: due, g: g, m: m})
 	q.cond.Signal()
 	q.mu.Unlock()
 }
@@ -319,6 +282,6 @@ func (q *delayQueue) run() {
 		if wait := time.Until(d.due); wait > 0 {
 			time.Sleep(wait)
 		}
-		q.t.deliver(q.to, d.g, d.m, d.group)
+		q.t.inner.SendGroup(q.to, d.g, d.m)
 	}
 }

@@ -25,14 +25,25 @@ type sunk struct {
 	m  msg.Message
 }
 
-func (s *sinkTransport) Self() types.ReplicaID        { return s.self }
-func (s *sinkTransport) SetHandler(transport.Handler) {}
-func (s *sinkTransport) Start() error                 { return nil }
-func (s *sinkTransport) Close() error                 { return nil }
-func (s *sinkTransport) Send(to types.ReplicaID, m msg.Message) {
+func (s *sinkTransport) Self() types.ReplicaID                            { return s.self }
+func (s *sinkTransport) SetHandler(transport.Handler)                     {}
+func (s *sinkTransport) Groups() int                                      { return 1 }
+func (s *sinkTransport) SetGroupHandler(types.GroupID, transport.Handler) {}
+func (s *sinkTransport) Start() error                                     { return nil }
+func (s *sinkTransport) Close() error                                     { return nil }
+func (s *sinkTransport) Send(to types.ReplicaID, m msg.Message)           { s.SendGroup(to, 0, m) }
+func (s *sinkTransport) SendGroup(to types.ReplicaID, _ types.GroupID, m msg.Message) {
 	s.mu.Lock()
 	s.sent = append(s.sent, sunk{to: to, m: m})
 	s.mu.Unlock()
+}
+
+func (s *sinkTransport) BroadcastGroup(dst []types.ReplicaID, g types.GroupID, m msg.Message) {
+	for _, to := range dst {
+		if to != s.self {
+			s.SendGroup(to, g, m)
+		}
+	}
 }
 
 func (s *sinkTransport) snapshot() []sunk {
@@ -62,9 +73,9 @@ func TestPartitionOneWayDrop(t *testing.T) {
 	}})
 	tr := eng.Transport(sink)
 	eng.Arm()
-	tr.Send(1, ct(1))                               // dropped: faulted link
-	tr.Send(2, ct(2))                               // delivered: other link untouched
-	tr.Broadcast([]types.ReplicaID{0, 1, 2}, ct(3)) // per-peer: only r2 gets it
+	tr.Send(1, ct(1))                                       // dropped: faulted link
+	tr.Send(2, ct(2))                                       // delivered: other link untouched
+	tr.BroadcastGroup([]types.ReplicaID{0, 1, 2}, 0, ct(3)) // per-peer: only r2 gets it
 	got := sink.snapshot()
 	if len(got) != 2 || got[0].to != 2 || got[1].to != 2 {
 		t.Fatalf("delivered %v, want exactly the two sends to replica 2", got)

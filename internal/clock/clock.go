@@ -1,7 +1,8 @@
 // Package clock provides the loosely synchronized physical clock sources
 // used by Clock-RSM (Section II-A). A clock only needs to provide
 // monotonically increasing timestamps; the protocol's correctness does not
-// depend on the synchronization precision, so skew is a tunable here.
+// depend on the synchronization precision. Skew, drift and clock
+// anomalies are injected by internal/chaos.
 package clock
 
 import (
@@ -62,29 +63,6 @@ func (m *Monotonic) Now() int64 {
 	}
 	m.last = now
 	return now
-}
-
-// Skewed offsets an underlying clock by a constant skew and an optional
-// linear drift, modelling a replica whose NTP-disciplined clock is a few
-// milliseconds off from true time.
-type Skewed struct {
-	src   Clock
-	skew  int64   // constant offset in ns
-	drift float64 // fractional drift, e.g. 1e-5 = 10 ppm
-	base  int64   // source reading at construction, anchor for drift
-}
-
-var _ Clock = (*Skewed)(nil)
-
-// NewSkewed returns a clock reading src.Now() + skew + drift*(elapsed).
-func NewSkewed(src Clock, skew time.Duration, drift float64) *Skewed {
-	return &Skewed{src: src, skew: int64(skew), drift: drift, base: src.Now()}
-}
-
-// Now implements Clock.
-func (s *Skewed) Now() int64 {
-	now := s.src.Now()
-	return now + s.skew + int64(float64(now-s.base)*s.drift)
 }
 
 // Manual is a hand-advanced clock for tests.

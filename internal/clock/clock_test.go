@@ -62,32 +62,6 @@ func TestMonotonicConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSkewedOffset(t *testing.T) {
-	man := NewManual(1_000_000)
-	s := NewSkewed(man, 5*time.Millisecond, 0)
-	want := int64(1_000_000) + 5*int64(time.Millisecond)
-	if got := s.Now(); got != want {
-		t.Errorf("skewed clock = %d, want %d", got, want)
-	}
-}
-
-func TestSkewedDrift(t *testing.T) {
-	man := NewManual(0)
-	s := NewSkewed(man, 0, 0.01) // 1% fast
-	man.Advance(1_000_000)
-	if got := s.Now(); got != 1_010_000 {
-		t.Errorf("drifting clock = %d, want 1010000", got)
-	}
-}
-
-func TestSkewedNegativeSkew(t *testing.T) {
-	man := NewManual(1_000)
-	s := NewSkewed(man, -time.Microsecond, 0)
-	if got := s.Now(); got != 0 {
-		t.Errorf("negative skew clock = %d, want 0", got)
-	}
-}
-
 func TestManual(t *testing.T) {
 	m := NewManual(7)
 	if m.Now() != 7 {

@@ -168,7 +168,7 @@ type GroupStatus struct {
 	// Slots is the number of routing-table slots this group owns and
 	// MigratingOut how many of them it is currently fencing away to
 	// another group. Filled by Host.Status from the host's routing
-	// table; zero on bare Nodes.
+	// table; Node.Status leaves them zero.
 	Slots        int
 	MigratingOut int
 }
@@ -253,7 +253,7 @@ func (n *Node) Status() GroupStatus {
 // to the configuration already in force succeeds immediately without
 // consuming an epoch.
 //
-// Reconfiguration bypasses the MaxInFlight window deliberately: a
+// Reconfiguration bypasses the in-flight window deliberately: a
 // stalled group fills the window with proposals that only a
 // reconfiguration can unblock, and the repair operation must not queue
 // behind the work it is meant to unstick. Stop still sweeps the future.

@@ -345,15 +345,17 @@ func TestStatusCountersAndLatency(t *testing.T) {
 // cannot commit, Reconfigure must still be admitted (it is the
 // operation that would unstick them), and Stop must sweep its future.
 func TestReconfigureBypassesFullWindow(t *testing.T) {
-	c := blockedCluster(t, Options{MaxInFlight: 1, FailFast: true})
+	c := blockedCluster(t, HostOptions{}, 1)
 	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
 		t.Fatalf("window-filling Propose: %v", err)
 	}
-	// Window is now full: a data proposal fails fast…
-	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("data Propose with full window: err = %v, want ErrOverloaded", err)
+	// Window is now full: a data proposal blocks until its context ends…
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := c.nodes[0].Propose(ctx, kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("data Propose with full window: err = %v, want ErrCanceled", err)
 	}
-	// …but the control plane is still admitted.
+	// …but the control plane is still admitted at once.
 	fut, err := c.nodes[0].Reconfigure(context.Background(), []types.ReplicaID{0, 1})
 	if err != nil {
 		t.Fatalf("Reconfigure with full window: %v", err)

@@ -3,7 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"time"
 
 	"clockrsm/internal/clock"
 	"clockrsm/internal/msg"
@@ -24,29 +24,13 @@ type HostOptions struct {
 	// keeps cross-group timestamps comparable on one node and mirrors
 	// the paper's single clock_gettime source per machine.
 	Clock clock.Clock
-	// NewLog constructs group g's stable log; nil gives every group its
-	// own in-memory log.
+	// NewLog constructs group g's stable log; nil (or a nil result)
+	// gives the group its own in-memory log.
 	NewLog func(g types.GroupID) storage.Log
-	// QueueLen is the per-group event queue capacity (default 8192).
-	QueueLen int
-	// BatchLimit caps events drained per loop turn per group (default
-	// 256).
-	BatchLimit int
-	// MaxInFlight is each group's backpressure window: proposals
-	// admitted by Propose but not yet resolved (default 1024).
-	MaxInFlight int
-	// FailFast makes Propose return ErrOverloaded on a full window
-	// instead of blocking.
-	FailFast bool
 	// SubmitBatch is each group's client-side batching width (default
 	// 1): up to this many buffered proposals flush into one event-loop
 	// turn, sharing one coalesced PREPARE broadcast (Section VI-D).
 	SubmitBatch int
-	// PinGroups pins each group's event loop to its own CPU (group g to
-	// CPU g mod NumCPU), isolating the loops from scheduler migration on
-	// multi-core hosts. Linux only; elsewhere loops are thread-locked
-	// but not pinned.
-	PinGroups bool
 	// Table is the initial routing table. Nil derives the legacy
 	// layout from Groups (slot s → group s mod Groups), which places
 	// every key at shard.Hash(key) mod Groups. A table routing to fewer
@@ -77,7 +61,7 @@ type HostOptions struct {
 // with Group(g).SetProtocol, then Start the host once.
 type Host struct {
 	id    types.ReplicaID
-	tr    transport.Transport
+	tr    transport.GroupTransport
 	nodes []*Node
 	// faultStats reports injected-fault counters for Status; nil
 	// outside chaos runs (see HostOptions.FaultStats).
@@ -90,26 +74,27 @@ type Host struct {
 }
 
 // NewHost creates a host for replica id over tr with opts.Groups
-// groups. tr must implement transport.GroupTransport when more than
-// one group is requested.
+// groups. tr must implement transport.GroupTransport and
+// transport.GroupBroadcaster, configured for at least that many groups:
+// every message a group sends carries its group tag.
 func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport, opts HostOptions) (*Host, error) {
 	g := opts.Groups
 	if g <= 0 {
 		g = 1
 	}
 	gt, isGT := tr.(transport.GroupTransport)
-	if g > 1 {
-		if !isGT {
-			return nil, fmt.Errorf("host %v: transport %T does not multiplex groups", id, tr)
-		}
-		if gt.Groups() < g {
-			return nil, fmt.Errorf("host %v: transport configured for %d groups, host wants %d", id, gt.Groups(), g)
-		}
+	gb, isGB := tr.(transport.GroupBroadcaster)
+	if !isGT || !isGB {
+		return nil, fmt.Errorf("host %v: transport %T does not multiplex groups", id, tr)
+	}
+	if gt.Groups() < g {
+		return nil, fmt.Errorf("host %v: transport configured for %d groups, host wants %d", id, gt.Groups(), g)
 	}
 	clk := opts.Clock
 	if clk == nil {
 		clk = clock.NewMonotonic(clock.System{})
 	}
+	sbatch := max(opts.SubmitBatch, 1)
 	tbl := opts.Table
 	if tbl == nil {
 		tbl = reshard.Legacy(g)
@@ -119,7 +104,7 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 	}
 	h := &Host{
 		id:         id,
-		tr:         tr,
+		tr:         gt,
 		holder:     reshard.NewHolder(tbl, opts.RoutesPath),
 		shardSMs:   make([]*reshard.SM, g),
 		faultStats: opts.FaultStats,
@@ -130,33 +115,31 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 		if opts.NewLog != nil {
 			lg = opts.NewLog(gid)
 		}
-		pin := 0
-		if opts.PinGroups {
-			pin = i%runtime.NumCPU() + 1
+		if lg == nil {
+			lg = storage.NewMemLog()
 		}
-		n := newNode(id, spec, tr, gid, true, Options{
-			Clock:       clk,
-			Log:         lg,
-			QueueLen:    opts.QueueLen,
-			BatchLimit:  opts.BatchLimit,
-			MaxInFlight: opts.MaxInFlight,
-			FailFast:    opts.FailFast,
-			SubmitBatch: opts.SubmitBatch,
-			PinCPU:      pin,
+		n := &Node{
+			id:          id,
+			spec:        append([]types.ReplicaID(nil), spec...),
+			clk:         clk,
+			log:         lg,
+			group:       gid,
+			gt:          gt,
+			gbcast:      gb,
+			window:      make(chan struct{}, maxInFlight),
+			submitBatch: sbatch,
+			waiters:     make(map[uint64]*Future),
+			readReg:     make(map[*readOp]struct{}),
+			timers:      make(map[*time.Timer]struct{}),
+			events:      make(chan event, queueLen),
+			quit:        make(chan struct{}),
+			done:        make(chan struct{}),
+		}
+		gt.SetGroupHandler(gid, func(from types.ReplicaID, m msg.Message) {
+			if !n.enqueue(event{m: m, from: from}) {
+				msg.Recycle(m) // group stopped: reclaim pooled storage
+			}
 		})
-		if isGT {
-			gt.SetGroupHandler(gid, func(from types.ReplicaID, m msg.Message) {
-				if !n.enqueue(event{m: m, from: from}) {
-					msg.Recycle(m) // group stopped: reclaim pooled storage
-				}
-			})
-		} else {
-			tr.SetHandler(func(from types.ReplicaID, m msg.Message) {
-				if !n.enqueue(event{m: m, from: from}) {
-					msg.Recycle(m) // group stopped: reclaim pooled storage
-				}
-			})
-		}
 		h.nodes = append(h.nodes, n)
 	}
 	return h, nil
@@ -208,7 +191,7 @@ func (h *Host) Start() error {
 	for _, n := range h.nodes {
 		if err := n.startLoop(); err != nil {
 			for _, m := range h.nodes[:started] {
-				m.stopLoop()
+				m.Stop()
 			}
 			return err
 		}
@@ -216,7 +199,7 @@ func (h *Host) Start() error {
 	}
 	if err := h.tr.Start(); err != nil {
 		for _, n := range h.nodes {
-			n.stopLoop()
+			n.Stop()
 		}
 		return err
 	}
@@ -230,7 +213,7 @@ func (h *Host) Start() error {
 // transport. It is idempotent.
 func (h *Host) Stop() {
 	for _, n := range h.nodes {
-		n.stopLoop()
+		n.Stop()
 	}
 	h.tr.Close()
 }

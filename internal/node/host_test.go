@@ -23,19 +23,13 @@ type hostCluster struct {
 
 func newHostCluster(t *testing.T, n, groups int, mkTransport func(id types.ReplicaID) transport.Transport) *hostCluster {
 	t.Helper()
-	return newHostClusterOpts(t, n, HostOptions{Groups: groups}, mkTransport)
-}
-
-func newHostClusterOpts(t *testing.T, n int, opts HostOptions, mkTransport func(id types.ReplicaID) transport.Transport) *hostCluster {
-	t.Helper()
-	groups := opts.Groups
 	c := &hostCluster{}
 	spec := make([]types.ReplicaID, n)
 	for i := range spec {
 		spec[i] = types.ReplicaID(i)
 	}
 	for i := 0; i < n; i++ {
-		h, err := NewHost(types.ReplicaID(i), spec, mkTransport(types.ReplicaID(i)), opts)
+		h, err := NewHost(types.ReplicaID(i), spec, mkTransport(types.ReplicaID(i)), HostOptions{Groups: groups})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,19 +122,6 @@ func TestHostMultiGroupInproc(t *testing.T) {
 	testHostGroupsIsolatedAndReplicated(t, c, groups)
 }
 
-// TestHostPinnedGroups exercises the per-group CPU pinning path
-// (thread-locking plus, on Linux, sched_setaffinity) end to end: pinned
-// loops must commit and replicate like unpinned ones.
-func TestHostPinnedGroups(t *testing.T) {
-	const n, groups = 3, 2
-	hub := transport.NewHub(n, transport.HubOptions{Codec: true, Groups: groups})
-	t.Cleanup(hub.Close)
-	c := newHostClusterOpts(t, n, HostOptions{Groups: groups, PinGroups: true}, func(id types.ReplicaID) transport.Transport {
-		return hub.Endpoint(id)
-	})
-	testHostGroupsIsolatedAndReplicated(t, c, groups)
-}
-
 func TestHostMultiGroupTCP(t *testing.T) {
 	const n, groups = 3, 2
 	// Reserve every port before any endpoint exists: a started endpoint
@@ -195,7 +176,7 @@ func TestHostMultiGroupTCP(t *testing.T) {
 }
 
 func TestHostSingleGroupPlainTransport(t *testing.T) {
-	// A 1-group host must run over a transport with no group support.
+	// A 1-group host runs over a hub built with default options.
 	const n = 3
 	hub := transport.NewHub(n, transport.HubOptions{})
 	t.Cleanup(hub.Close)
@@ -205,12 +186,19 @@ func TestHostSingleGroupPlainTransport(t *testing.T) {
 	testHostGroupsIsolatedAndReplicated(t, c, 1)
 }
 
+// untagged hides every method of a transport but the plain Transport
+// ones, so it cannot tag traffic with a group.
+type untagged struct{ transport.Transport }
+
 func TestHostRejectsUngroupedTransport(t *testing.T) {
 	hub := transport.NewHub(2, transport.HubOptions{Groups: 1})
 	t.Cleanup(hub.Close)
 	spec := []types.ReplicaID{0, 1}
 	if _, err := NewHost(0, spec, hub.Endpoint(0), HostOptions{Groups: 4}); err == nil {
 		t.Fatal("NewHost over a 1-group transport with Groups=4 succeeded")
+	}
+	if _, err := NewHost(0, spec, untagged{hub.Endpoint(0)}, HostOptions{}); err == nil {
+		t.Fatal("NewHost over a transport without group methods succeeded")
 	}
 }
 

@@ -3,21 +3,19 @@
 // is written lock-free against rsm.Env) runs identically to the
 // simulator but over real transports and the real clock.
 //
-// A node can host one protocol instance (New) or — via Host — G
-// independent replication groups, each with its own event loop, log and
-// protocol, multiplexed over one shared transport, clock and connection
-// set (see internal/shard for the key→group router).
+// A Host (NewHost) runs G independent replication groups, each a Node
+// with its own event loop, log and protocol, multiplexed over one
+// shared transport, clock and connection set (see internal/reshard for
+// the key→group routing table).
 package node
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"clockrsm/internal/clock"
-	"clockrsm/internal/cpupin"
 	"clockrsm/internal/msg"
 	"clockrsm/internal/rsm"
 	"clockrsm/internal/storage"
@@ -25,38 +23,18 @@ import (
 	"clockrsm/internal/types"
 )
 
-// Options configure a Node.
-type Options struct {
-	// Clock is the physical clock source; nil uses a monotonic wrapper
-	// over the system clock (the paper's clock_gettime setup).
-	Clock clock.Clock
-	// Log is the stable log; nil uses an in-memory log (the paper's
-	// throughput configuration).
-	Log storage.Log
-	// QueueLen is the event queue capacity (default 8192).
-	QueueLen int
-	// BatchLimit caps how many queued events one loop turn drains before
-	// re-selecting (default 256). Larger batches amortize the commit scan
-	// and outgoing-message coalescing further but delay the flush.
-	BatchLimit int
-	// MaxInFlight is the backpressure window: the maximum number of
-	// proposals admitted by Propose but not yet resolved (default 1024).
-	MaxInFlight int
-	// FailFast makes Propose return ErrOverloaded when the in-flight
-	// window is full instead of blocking for a slot.
-	FailFast bool
-	// SubmitBatch is the client-side batching width (default 1, i.e. no
-	// batching): up to this many buffered proposals are flushed into one
-	// event-loop turn, sharing one coalesced PREPARE broadcast (the
-	// paper's client-library batching, Section VI-D).
-	SubmitBatch int
-	// PinCPU, when positive, locks the event-loop goroutine to its OS
-	// thread and pins that thread to CPU PinCPU-1 (1-based so the zero
-	// value means "no pinning"). Only effective on Linux; elsewhere the
-	// thread is locked but not pinned. Used by multi-group hosts to give
-	// each group's event loop its own core.
-	PinCPU int
-}
+// Per-group event-loop sizing.
+const (
+	// queueLen is the event queue capacity.
+	queueLen = 8192
+	// batchLimit caps how many queued events one loop turn drains before
+	// re-selecting. Larger batches amortize the commit scan and
+	// outgoing-message coalescing further but delay the flush.
+	batchLimit = 256
+	// maxInFlight is the backpressure window: the maximum number of
+	// proposals admitted by Propose but not yet resolved.
+	maxInFlight = 1024
+)
 
 // event is one unit of event-loop work. Deliveries and proposals are
 // passed as plain fields rather than closures so the hot path enqueues
@@ -70,46 +48,34 @@ type event struct {
 	flush bool    // drain the client-side submit buffer
 }
 
-// Node hosts one replica group: transport in, protocol logic on the
-// loop goroutine, transport out. A standalone Node (New) owns its
-// transport and serves group 0; a Node obtained from a Host shares the
+// Node hosts one replication group of a Host: transport in, protocol
+// logic on the loop goroutine, transport out. It shares the Host's
 // transport with its sibling groups and tags its traffic with its
 // group ID.
 type Node struct {
 	id    types.ReplicaID
 	spec  []types.ReplicaID
-	tr    transport.Transport
-	bcast transport.Broadcaster // non-nil if tr supports encode-once fan-out
 	clk   clock.Clock
 	log   storage.Log
 	proto rsm.Protocol
 
-	// group tags outgoing traffic when the transport is shared by a
-	// Host; gt/gbcast are the group-aware transport views (nil for a
-	// standalone node, which talks to the plain Transport directly).
+	// group tags every outgoing message; gt/gbcast are the Host's
+	// shared endpoint, the only way out.
 	group  types.GroupID
 	gt     transport.GroupTransport
 	gbcast transport.GroupBroadcaster
-	// shared marks a Host-managed node: the Host starts and closes the
-	// transport exactly once for all groups.
-	shared bool
 	// loopStarted records that run() was launched, so stopping a node
-	// whose Start never happened (or failed early) does not wait on a
+	// whose Host never started (or failed early) does not wait on a
 	// done channel nothing will close.
 	loopStarted bool
 
-	batchLimit int
-	// pinCPU locks the loop goroutine to CPU pinCPU-1 when positive.
-	pinCPU int
-
 	// Client API state (see propose.go). window holds one token per
-	// admitted, unresolved proposal — the backpressure window. inflight
-	// heads the intrusive registry list Stop sweeps; propBuf is the
-	// client-side submit buffer drained by flush events when
-	// submitBatch > 1. waiters, mint and nextSeq are owned by the event
-	// loop.
+	// admitted, unresolved proposal — the backpressure window of
+	// maxInFlight slots. inflight heads the intrusive registry list Stop
+	// sweeps; propBuf is the client-side submit buffer drained by flush
+	// events when submitBatch > 1. waiters, mint and nextSeq are owned by
+	// the event loop.
 	window      chan struct{}
-	failFast    bool
 	submitBatch int
 
 	propMu      sync.Mutex
@@ -185,11 +151,10 @@ type Node struct {
 	timers        map[*time.Timer]struct{}
 	timersStopped bool
 
-	events    chan event
-	quit      chan struct{}
-	done      chan struct{}
-	stopOnce  sync.Once
-	closeOnce sync.Once
+	events   chan event
+	quit     chan struct{}
+	done     chan struct{}
+	stopOnce sync.Once
 }
 
 var (
@@ -197,89 +162,13 @@ var (
 	_ rsm.Multicaster = (*Node)(nil)
 )
 
-// New creates a node for replica id over tr. spec lists all replicas.
-// The protocol is attached with SetProtocol before Start.
-func New(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport, opts Options) *Node {
-	n := newNode(id, spec, tr, 0, false, opts)
-	tr.SetHandler(func(from types.ReplicaID, m msg.Message) {
-		if !n.enqueue(event{m: m, from: from}) {
-			msg.Recycle(m) // node stopped: reclaim pooled decode storage
-		}
-	})
-	return n
-}
-
-// newNode builds the event loop without installing a transport handler;
-// New and Host wire delivery themselves.
-func newNode(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport, group types.GroupID, shared bool, opts Options) *Node {
-	clk := opts.Clock
-	if clk == nil {
-		clk = clock.NewMonotonic(clock.System{})
-	}
-	lg := opts.Log
-	if lg == nil {
-		lg = storage.NewMemLog()
-	}
-	qlen := opts.QueueLen
-	if qlen <= 0 {
-		qlen = 8192
-	}
-	blimit := opts.BatchLimit
-	if blimit <= 0 {
-		blimit = 256
-	}
-	window := opts.MaxInFlight
-	if window <= 0 {
-		window = 1024
-	}
-	sbatch := opts.SubmitBatch
-	if sbatch <= 0 {
-		sbatch = 1
-	}
-	bcast, _ := tr.(transport.Broadcaster)
-	n := &Node{
-		id:          id,
-		spec:        append([]types.ReplicaID(nil), spec...),
-		tr:          tr,
-		bcast:       bcast,
-		clk:         clk,
-		log:         lg,
-		group:       group,
-		shared:      shared,
-		batchLimit:  blimit,
-		pinCPU:      opts.PinCPU,
-		window:      make(chan struct{}, window),
-		failFast:    opts.FailFast,
-		submitBatch: sbatch,
-		waiters:     make(map[uint64]*Future),
-		readReg:     make(map[*readOp]struct{}),
-		timers:      make(map[*time.Timer]struct{}),
-		events:      make(chan event, qlen),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	if shared {
-		// Host-managed: tag traffic with the group and route through the
-		// group-aware transport views.
-		n.gt, _ = tr.(transport.GroupTransport)
-		n.gbcast, _ = tr.(transport.GroupBroadcaster)
-		if group != 0 && n.gbcast == nil {
-			// An untagged broadcast would land on group 0; fall back to
-			// per-peer group-tagged sends instead.
-			n.bcast = nil
-		}
-	}
-	return n
-}
-
 // ID implements rsm.Env.
 func (n *Node) ID() types.ReplicaID { return n.id }
 
 // Spec implements rsm.Env.
 func (n *Node) Spec() []types.ReplicaID { return n.spec }
 
-// Group returns the replication group this node serves (0 for a
-// standalone node).
+// Group returns the replication group this node serves.
 func (n *Node) Group() types.GroupID { return n.group }
 
 // Clock implements rsm.Env.
@@ -287,29 +176,12 @@ func (n *Node) Clock() int64 { return n.clk.Now() }
 
 // Send implements rsm.Env.
 func (n *Node) Send(to types.ReplicaID, m msg.Message) {
-	if n.gt != nil {
-		n.gt.SendGroup(to, n.group, m)
-		return
-	}
-	n.tr.Send(to, m)
+	n.gt.SendGroup(to, n.group, m)
 }
 
-// SendAll implements rsm.Multicaster: one encode for the whole fan-out
-// when the transport supports it.
+// SendAll implements rsm.Multicaster: one encode for the whole fan-out.
 func (n *Node) SendAll(dst []types.ReplicaID, m msg.Message) {
-	if n.gbcast != nil {
-		n.gbcast.BroadcastGroup(dst, n.group, m)
-		return
-	}
-	if n.bcast != nil {
-		n.bcast.Broadcast(dst, m)
-		return
-	}
-	for _, to := range dst {
-		if to != n.id {
-			n.Send(to, m)
-		}
-	}
+	n.gbcast.BroadcastGroup(dst, n.group, m)
 }
 
 // After implements rsm.Env: the callback runs on the event loop. The
@@ -339,7 +211,7 @@ func (n *Node) After(d time.Duration, fn func()) {
 // Log implements rsm.Env.
 func (n *Node) Log() storage.Log { return n.log }
 
-// SetProtocol binds the protocol instance. Must precede Start. The
+// SetProtocol binds the protocol instance. Must precede Host.Start. The
 // read-path and status interfaces are captured here — setup time, like
 // Bind — so client goroutines created after setup read them safely.
 func (n *Node) SetProtocol(p rsm.Protocol) {
@@ -363,23 +235,6 @@ func (n *Node) enqueue(ev event) bool {
 	case <-n.quit:
 		return false
 	}
-}
-
-// Start launches the event loop and the transport, then starts the
-// protocol on the loop. For Host-managed nodes the Host starts the
-// shared transport once after every group's loop is running.
-func (n *Node) Start() error {
-	if err := n.startLoop(); err != nil {
-		return err
-	}
-	if !n.shared {
-		if err := n.tr.Start(); err != nil {
-			n.stopLoop()
-			return err
-		}
-	}
-	n.enqueue(event{fn: n.proto.Start})
-	return nil
 }
 
 // startLoop launches the event loop goroutine.
@@ -418,11 +273,11 @@ func (n *Node) startLoop() error {
 	return nil
 }
 
-// stopLoop terminates the event loop without touching the transport,
-// cancels every outstanding timer, then fails every unresolved proposal
-// with ErrStopped. Idempotent; concurrent callers block until the sweep
-// completed.
-func (n *Node) stopLoop() {
+// Stop terminates the event loop, cancels every outstanding timer, then
+// fails every unresolved proposal and read with ErrStopped. The shared
+// transport stays up for the sibling groups; Host.Stop closes it.
+// Idempotent; concurrent callers block until the sweep completed.
+func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.quit)
 		if n.loopStarted {
@@ -463,18 +318,12 @@ func (n *Node) exec(ev event) {
 }
 
 // run is the event loop. Each turn drains every event already queued
-// (up to BatchLimit) before re-selecting; when the protocol supports
+// (up to batchLimit) before re-selecting; when the protocol supports
 // batch delivery, the whole drained burst runs inside one
 // BeginBatch/EndBatch bracket so it triggers a single commit cascade
 // and one coalesced outgoing flush instead of per-message wakeups.
 func (n *Node) run() {
 	defer close(n.done)
-	if n.pinCPU > 0 {
-		// Dedicate an OS thread (and, on Linux, a core) to this loop so
-		// sibling groups' loops do not migrate onto each other's caches.
-		runtime.LockOSThread()
-		cpupin.Pin(n.pinCPU - 1) // best-effort; errors just mean no pinning
-	}
 	bd, _ := n.proto.(rsm.BatchDeliverer)
 	for {
 		select {
@@ -485,7 +334,7 @@ func (n *Node) run() {
 				bd.BeginBatch()
 			}
 			n.exec(ev)
-			for drained := 1; drained < n.batchLimit; drained++ {
+			for drained := 1; drained < batchLimit; drained++ {
 				select {
 				case ev = <-n.events:
 					n.exec(ev)
@@ -514,15 +363,5 @@ func (n *Node) Do(fn func()) {
 	select {
 	case <-done:
 	case <-n.quit:
-	}
-}
-
-// Stop terminates the event loop, fails all in-flight proposals with
-// ErrStopped, and closes the transport. Host-managed nodes leave the
-// shared transport to the Host. Idempotent.
-func (n *Node) Stop() {
-	n.stopLoop()
-	if !n.shared {
-		n.closeOnce.Do(func() { n.tr.Close() })
 	}
 }

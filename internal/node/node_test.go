@@ -16,10 +16,12 @@ import (
 	"clockrsm/internal/wan"
 )
 
-// cluster wires n nodes over an in-process hub running the given
-// protocol constructor. Commands enter through the public Propose API.
+// cluster wires n single-group hosts over an in-process hub running the
+// given protocol constructor. Commands enter through the public Propose
+// API of each host's group-0 node.
 type cluster struct {
 	hub    *transport.Hub
+	hosts  []*Host
 	nodes  []*Node
 	stores []*kvstore.Store
 	orders [][]types.CommandID
@@ -28,11 +30,13 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, lat *wan.Matrix,
 	mk func(env rsm.Env, app *rsm.App) rsm.Protocol) *cluster {
-	return newClusterOpts(t, n, lat, mk, Options{})
+	return newClusterOpts(t, n, lat, mk, HostOptions{}, 0)
 }
 
+// newClusterOpts is newCluster with host options and, when window > 0,
+// every node's in-flight window shrunk to that many slots before Start.
 func newClusterOpts(t *testing.T, n int, lat *wan.Matrix,
-	mk func(env rsm.Env, app *rsm.App) rsm.Protocol, opts Options) *cluster {
+	mk func(env rsm.Env, app *rsm.App) rsm.Protocol, opts HostOptions, window int) *cluster {
 	t.Helper()
 	c := &cluster{
 		hub:    transport.NewHub(n, transport.HubOptions{Latency: lat}),
@@ -42,11 +46,24 @@ func newClusterOpts(t *testing.T, n int, lat *wan.Matrix,
 	for i := range spec {
 		spec[i] = types.ReplicaID(i)
 	}
+	t.Cleanup(func() {
+		for _, h := range c.hosts {
+			h.Stop()
+		}
+		c.hub.Close()
+	})
 	for i := 0; i < n; i++ {
 		i := i
+		h, err := NewHost(types.ReplicaID(i), spec, c.hub.Endpoint(types.ReplicaID(i)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		store := kvstore.New()
 		c.stores = append(c.stores, store)
-		nd := New(types.ReplicaID(i), spec, c.hub.Endpoint(types.ReplicaID(i)), opts)
+		nd := h.Group(0)
+		if window > 0 {
+			nd.window = make(chan struct{}, window)
+		}
 		app := &rsm.App{
 			SM: store,
 			OnCommit: func(ts types.Timestamp, cmd types.Command) {
@@ -57,19 +74,14 @@ func newClusterOpts(t *testing.T, n int, lat *wan.Matrix,
 		}
 		nd.Bind(app)
 		nd.SetProtocol(mk(nd, app))
+		c.hosts = append(c.hosts, h)
 		c.nodes = append(c.nodes, nd)
 	}
-	for _, nd := range c.nodes {
-		if err := nd.Start(); err != nil {
+	for _, h := range c.hosts {
+		if err := h.Start(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			nd.Stop()
-		}
-		c.hub.Close()
-	})
 	return c
 }
 
@@ -174,32 +186,34 @@ func TestNodeOverTCP(t *testing.T) {
 	addrs := map[types.ReplicaID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: "127.0.0.1:0"}
 	spec := []types.ReplicaID{0, 1, 2}
 	// Bind listeners one at a time so each node knows the others' ports.
-	var eps []*transport.TCPEndpoint
-	var nodes []*Node
+	var hosts []*Host
 	stores := make([]*kvstore.Store, 3)
 	for i := 0; i < 3; i++ {
 		ep := transport.NewTCP(types.ReplicaID(i), addrs, transport.TCPOptions{DialRetry: 20 * time.Millisecond})
-		eps = append(eps, ep)
+		h, err := NewHost(types.ReplicaID(i), spec, ep, HostOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		stores[i] = kvstore.New()
-		nd := New(types.ReplicaID(i), spec, ep, Options{})
+		nd := h.Group(0)
 		app := &rsm.App{SM: stores[i]}
 		nd.Bind(app)
 		nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond}))
-		nodes = append(nodes, nd)
-		if err := nd.Start(); err != nil {
+		hosts = append(hosts, h)
+		if err := h.Start(); err != nil {
 			t.Fatal(err)
 		}
 		addrs[types.ReplicaID(i)] = ep.Addr()
 	}
 	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
+		for _, h := range hosts {
+			h.Stop()
 		}
 	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	fut, err := nodes[0].Propose(ctx, kvstore.Put("greeting", []byte("hello")))
+	fut, err := hosts[0].Group(0).Propose(ctx, kvstore.Put("greeting", []byte("hello")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ var (
 	// commit (replication cannot be recalled once the PREPARE left), but
 	// it executes at most once and its result is discarded.
 	ErrCanceled = errors.New("node: proposal canceled")
-	// ErrOverloaded reports that the in-flight window was full and the
-	// node was configured to fail fast instead of blocking.
-	ErrOverloaded = errors.New("node: in-flight window full")
 )
 
 // Future is the pending result of one Propose or Reconfigure call. It
@@ -131,7 +128,7 @@ func (f *Future) resolve(res types.Result, err error) {
 		}
 		// Release the window slot before publishing the resolution, so a
 		// caller that observes the future done can immediately re-propose
-		// without a spurious ErrOverloaded from a slot still held here.
+		// without waiting on a slot still held here.
 		// Control-plane futures never took one.
 		if !f.control {
 			<-n.window
@@ -157,16 +154,15 @@ func (f *Future) resolved() bool {
 // so no caller ever touches protocol state across goroutines.
 //
 // Backpressure: a proposal is admitted only while fewer than
-// Options.MaxInFlight proposals are unresolved. When the window is
-// full, Propose blocks until a slot frees, ctx is done (ErrCanceled) or
-// the node stops (ErrStopped); with Options.FailFast it returns
-// ErrOverloaded immediately instead.
+// maxInFlight proposals are unresolved. When the window is full,
+// Propose blocks until a slot frees, ctx is done (ErrCanceled) or the
+// node stops (ErrStopped).
 //
-// Batching: with Options.SubmitBatch > 1, admitted proposals gather in
-// a submit buffer and the event loop drains them in chunks of up to
-// SubmitBatch per batch turn, so one coalesced PREPARE broadcast (one
-// encode, one frame per link) covers the whole chunk — the paper's
-// client-library batching (Section VI-D).
+// Batching: with HostOptions.SubmitBatch > 1, admitted proposals
+// gather in a submit buffer and the event loop drains them in chunks
+// of up to SubmitBatch per batch turn, so one coalesced PREPARE
+// broadcast (one encode, one frame per link) covers the whole chunk —
+// the paper's client-library batching (Section VI-D).
 //
 // ctx governs admission and can later cancel the wait through
 // Future.Wait; it does not cancel a command already replicating.
@@ -200,8 +196,8 @@ func (n *Node) Propose(ctx context.Context, payload []byte) (*Future, error) {
 }
 
 // admit performs the shared admission path of Propose and Reconfigure:
-// it takes a window slot (blocking, failing fast, or aborting with the
-// context as configured), allocates the future and links it into the
+// it takes a window slot (blocking until one frees, the context ends or
+// the node stops), allocates the future and links it into the
 // in-flight registry so Stop sweeps it.
 func (n *Node) admit(ctx context.Context, payload []byte) (*Future, error) {
 	if ctx.Err() != nil {
@@ -209,17 +205,10 @@ func (n *Node) admit(ctx context.Context, payload []byte) (*Future, error) {
 	}
 	select {
 	case n.window <- struct{}{}:
-	default:
-		if n.failFast {
-			return nil, ErrOverloaded
-		}
-		select {
-		case n.window <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ErrCanceled
-		case <-n.quit:
-			return nil, ErrStopped
-		}
+	case <-ctx.Done():
+		return nil, ErrCanceled
+	case <-n.quit:
+		return nil, ErrStopped
 	}
 	f := &Future{n: n, payload: payload, done: make(chan struct{})}
 	// Subsample commit latency for Status: one timed proposal per

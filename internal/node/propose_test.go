@@ -47,7 +47,7 @@ func TestProposeFutureResult(t *testing.T) {
 // correct results and distinct IDs.
 func TestProposeClientBatching(t *testing.T) {
 	c := newClusterOpts(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"],
-		Options{SubmitBatch: 8})
+		HostOptions{SubmitBatch: 8}, 0)
 	const clients, per = 16, 10
 	var wg sync.WaitGroup
 	ids := make(chan types.CommandID, clients*per)
@@ -87,39 +87,21 @@ func TestProposeClientBatching(t *testing.T) {
 
 // blockedCluster returns a 3-replica cluster in which replicas 1 and 2
 // are stopped, so nothing replica 0 proposes can ever reach a majority
-// and commit: its window fills and stays full.
-func blockedCluster(t *testing.T, opts Options) *cluster {
+// and commit: its window (window slots when positive) fills and stays
+// full.
+func blockedCluster(t *testing.T, opts HostOptions, window int) *cluster {
 	t.Helper()
-	c := newClusterOpts(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], opts)
+	c := newClusterOpts(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], opts, window)
 	c.nodes[1].Stop()
 	c.nodes[2].Stop()
 	return c
-}
-
-// TestProposeBackpressureFailFast fills a 1-slot window on a cluster
-// that cannot commit and checks the fail-fast path returns
-// ErrOverloaded without blocking.
-func TestProposeBackpressureFailFast(t *testing.T) {
-	c := blockedCluster(t, Options{MaxInFlight: 1, FailFast: true})
-	first, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v")))
-	if err != nil {
-		t.Fatalf("first Propose: %v", err)
-	}
-	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second Propose with full window: err = %v, want ErrOverloaded", err)
-	}
-	// Freeing the slot (here: canceling) re-admits proposals.
-	first.Cancel()
-	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
-		t.Fatalf("Propose after slot freed: %v", err)
-	}
 }
 
 // TestProposeBackpressureBlocks checks the blocking path: a Propose
 // against a full window waits, and the admission context can abandon
 // the wait with ErrCanceled.
 func TestProposeBackpressureBlocks(t *testing.T) {
-	c := blockedCluster(t, Options{MaxInFlight: 1})
+	c := blockedCluster(t, HostOptions{}, 1)
 	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
 		t.Fatalf("first Propose: %v", err)
 	}
@@ -135,13 +117,12 @@ func TestProposeBackpressureBlocks(t *testing.T) {
 	}
 }
 
-// TestProposeFailFastNoSpuriousOverload drives a 1-slot fail-fast
-// window with a strictly sequential client: a proposal made right
-// after the previous future resolved must never see ErrOverloaded,
-// i.e. resolution releases the window slot before publishing.
-func TestProposeFailFastNoSpuriousOverload(t *testing.T) {
-	c := newClusterOpts(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"],
-		Options{MaxInFlight: 1, FailFast: true})
+// TestProposeSlotReleasedBeforeDone drives a 1-slot window with a
+// strictly sequential client: resolution must release the window slot
+// before publishing, so a proposal made right after the previous future
+// resolved is admitted without waiting.
+func TestProposeSlotReleasedBeforeDone(t *testing.T) {
+	c := newClusterOpts(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], HostOptions{}, 1)
 	for k := 0; k < 20; k++ {
 		fut, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte{byte(k)}))
 		if err != nil {
@@ -149,6 +130,9 @@ func TestProposeFailFastNoSpuriousOverload(t *testing.T) {
 		}
 		if _, err := fut.Result(); err != nil {
 			t.Fatalf("future %d: %v", k, err)
+		}
+		if len(c.nodes[0].window) != 0 {
+			t.Fatalf("future %d resolved with its window slot still held", k)
 		}
 	}
 }
@@ -215,7 +199,7 @@ func TestProposeCancelAtMostOnce(t *testing.T) {
 func TestStopFailsInFlightProposals(t *testing.T) {
 	for _, batch := range []int{1, 8} {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			c := blockedCluster(t, Options{SubmitBatch: batch})
+			c := blockedCluster(t, HostOptions{SubmitBatch: batch}, 0)
 			var futs []*Future
 			for k := 0; k < 20; k++ {
 				fut, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v")))

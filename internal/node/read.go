@@ -444,7 +444,7 @@ func (n *Node) failParkedReads(err error) {
 }
 
 // sweepReads fails every unresolved read with ErrStopped. It runs
-// once, after the event loop has exited (see stopLoop), so Stop never
+// once, after the event loop has exited (see Stop), so Stop never
 // strands a read waiter: queued, parked, and in-admission reads all
 // resolve deterministically.
 func (n *Node) sweepReads() {

@@ -14,12 +14,12 @@
 // buffer, so the steady-state framing path allocates nothing.
 //
 // The server side adds admission control: per-connection and global
-// in-flight budgets, mapped onto the node client API's MaxInFlight
-// backpressure. A request past either budget is shed immediately with
-// a typed wire-level overload status (StatusOverloaded → ErrOverloaded)
-// instead of queueing without bound and collapsing latency for
-// everyone; shed/accepted/in-flight counters are surfaced through
-// kvserver's STATUS verb.
+// in-flight budgets in front of each group's blocking in-flight window.
+// A request past either budget is shed immediately with a typed
+// wire-level overload status (StatusOverloaded → ErrOverloaded) instead
+// of queueing without bound and collapsing latency for everyone;
+// shed/accepted/in-flight counters are surfaced through kvserver's
+// STATUS verb.
 package rpc
 
 import (
@@ -208,10 +208,7 @@ func StatusFor(err error) Status {
 		return StatusTooStale
 	case errors.Is(err, node.ErrStopped):
 		return StatusStopped
-	case errors.Is(err, node.ErrOverloaded), errors.Is(err, ErrOverloaded):
-		// A node-level window rejection (FailFast hosts) sheds with the
-		// same wire status as the front door's own budgets: one overload
-		// signal for clients, wherever the budget lives.
+	case errors.Is(err, ErrOverloaded):
 		return StatusOverloaded
 	case errors.Is(err, node.ErrWrongGroup):
 		return StatusWrongGroup

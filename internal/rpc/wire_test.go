@@ -162,10 +162,6 @@ func TestStatusErrMapping(t *testing.T) {
 			}
 		}
 	}
-	// node-level window rejection sheds with the wire overload status.
-	if got := StatusFor(node.ErrOverloaded); got != StatusOverloaded {
-		t.Fatalf("StatusFor(node.ErrOverloaded) = %v, want StatusOverloaded", got)
-	}
 	if got := StatusFor(errors.New("anything else")); got != StatusErr {
 		t.Fatalf("StatusFor(generic) = %v, want StatusErr", got)
 	}

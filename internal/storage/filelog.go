@@ -109,7 +109,7 @@ type Syncer interface {
 	Sync() error
 }
 
-// LogStats counts WAL activity, in the style of transport.WireStats.
+// LogStats counts WAL activity, in the style of transport.WireCounters.
 type LogStats struct {
 	// Appends is the number of records appended.
 	Appends uint64

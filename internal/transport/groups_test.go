@@ -345,7 +345,10 @@ func TestInprocGroupDemux(t *testing.T) {
 func TestTCPGroupNoHeadOfLineBlocking(t *testing.T) {
 	addrs := map[types.ReplicaID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
 	a := NewTCP(0, addrs, TCPOptions{DialRetry: 20 * time.Millisecond, Groups: 2})
-	b := NewTCP(1, addrs, TCPOptions{DialRetry: 20 * time.Millisecond, Groups: 2, InboxLen: 4})
+	b := NewTCP(1, addrs, TCPOptions{DialRetry: 20 * time.Millisecond, Groups: 2})
+	for g := range b.inboxes {
+		b.inboxes[g] = make(chan inDelivery, 4) // tiny, so group 0 overflows
+	}
 	for g := 0; g < 2; g++ {
 		a.SetGroupHandler(types.GroupID(g), func(types.ReplicaID, msg.Message) {})
 	}
@@ -377,7 +380,7 @@ func TestTCPGroupNoHeadOfLineBlocking(t *testing.T) {
 		a.SendGroup(1, 1, &msg.Commit{Slot: 100})
 		return col.count(1) > 0
 	}, 5*time.Second)
-	if d := b.InboundDrops(); d == 0 {
+	if d := b.Counters().InboundDrops; d == 0 {
 		t.Error("expected overflow drops on the wedged group, got none")
 	}
 }

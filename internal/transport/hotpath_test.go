@@ -17,7 +17,7 @@ func parkPeers(ep *TCPEndpoint, ids ...types.ReplicaID) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	for _, id := range ids {
-		ep.peers[id] = &tcpPeer{outbox: make(chan *outFrame, ep.opts.OutboxLen)}
+		ep.peers[id] = &tcpPeer{outbox: make(chan *outFrame, outboxLen)}
 	}
 }
 
@@ -107,12 +107,12 @@ func TestTCPWriteCoalescing(t *testing.T) {
 	defer b.Close()
 
 	waitFor(t, func() bool { return col.count() == burst }, 5*time.Second)
-	frames, flushes := a.WireStats()
-	if frames != burst {
-		t.Fatalf("framesSent = %d, want %d", frames, burst)
+	wc := a.Counters()
+	if wc.Frames != burst {
+		t.Fatalf("framesSent = %d, want %d", wc.Frames, burst)
 	}
-	if flushes != 1 {
-		t.Errorf("flushes = %d, want 1 (whole burst coalesced into one write)", flushes)
+	if wc.Flushes != 1 {
+		t.Errorf("flushes = %d, want 1 (whole burst coalesced into one write)", wc.Flushes)
 	}
 	// Order must survive coalescing.
 	col.mu.Lock()
@@ -225,7 +225,7 @@ func BenchmarkTCPBroadcastEncode(b *testing.B) {
 	addrs := map[types.ReplicaID]string{
 		0: "127.0.0.1:1", 1: "127.0.0.1:2", 2: "127.0.0.1:3", 3: "127.0.0.1:4", 4: "127.0.0.1:5",
 	}
-	ep := NewTCP(0, addrs, TCPOptions{DialRetry: time.Hour, OutboxLen: 16})
+	ep := NewTCP(0, addrs, TCPOptions{DialRetry: time.Hour})
 	ep.SetHandler(func(types.ReplicaID, msg.Message) {})
 	defer ep.Close()
 	parkPeers(ep, 1, 2, 3, 4)

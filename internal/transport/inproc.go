@@ -16,13 +16,9 @@ type HubOptions struct {
 	// latency, emulating a WAN deployment in real time.
 	Latency *wan.Matrix
 	// Codec forces every message through the binary codec
-	// (encode+decode), charging realistic serialization CPU cost. The
-	// throughput study enables this so message size matters as it does
-	// on a real network stack.
+	// (encode+decode), charging realistic serialization CPU cost, so
+	// message size matters as it does on a real network stack.
 	Codec bool
-	// QueueLen is the per-group inbox capacity (default 4096). A full
-	// inbox applies backpressure to senders.
-	QueueLen int
 	// Groups is the number of replication groups multiplexed over each
 	// endpoint (default 1). Each group gets its own inbox and delivery
 	// goroutine, so groups at one endpoint make progress independently —
@@ -45,11 +41,12 @@ type Hub struct {
 	eps  []*inprocEndpoint
 }
 
+// hubQueueLen is the per-group inbox capacity of a hub endpoint. A full
+// inbox applies backpressure to senders.
+const hubQueueLen = 4096
+
 // NewHub creates a hub with n endpoints.
 func NewHub(n int, opts HubOptions) *Hub {
-	if opts.QueueLen <= 0 {
-		opts.QueueLen = 4096
-	}
 	if opts.Groups <= 0 {
 		opts.Groups = 1
 	}
@@ -70,7 +67,7 @@ func NewHub(n int, opts HubOptions) *Hub {
 				ep.groups[g].notify = make(chan struct{}, 1)
 				ep.groups[g].space = make(chan struct{}, 1)
 			} else {
-				ep.groups[g].inbox = make(chan delivery, opts.QueueLen)
+				ep.groups[g].inbox = make(chan delivery, hubQueueLen)
 			}
 		}
 		h.eps = append(h.eps, ep)
@@ -335,7 +332,7 @@ func (e *inprocEndpoint) deliver(to types.ReplicaID, g types.GroupID, m msg.Mess
 	due := time.Now().Add(e.hub.opts.Latency.OneWay(e.self, to))
 	for {
 		grp.mu.Lock()
-		if grp.queued < e.hub.opts.QueueLen {
+		if grp.queued < hubQueueLen {
 			d := delivery{from: e.self, m: m, due: due, seq: grp.nextSeq}
 			grp.nextSeq++
 			grp.queues[e.self] = append(grp.queues[e.self], d)

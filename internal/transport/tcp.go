@@ -38,25 +38,28 @@ const (
 	readShrinkAfter = 256
 )
 
+// Queue capacities of a TCP endpoint.
+const (
+	// outboxLen is the per-peer send queue capacity; a full queue drops
+	// messages, matching best-effort semantics.
+	outboxLen = 4096
+	// inboxLen is the per-group inbound queue capacity of a grouped
+	// endpoint. A full queue drops that group's messages — best-effort,
+	// like the outbox — instead of letting one stalled group
+	// head-of-line-block its siblings on the shared connection.
+	inboxLen = 4096
+)
+
 // TCPOptions configure a TCP endpoint.
 type TCPOptions struct {
 	// DialRetry is the backoff between reconnect attempts (default 1s).
 	DialRetry time.Duration
-	// OutboxLen is the per-peer send queue capacity (default 4096);
-	// a full queue drops messages, matching best-effort semantics.
-	OutboxLen int
 	// Groups is the number of replication groups multiplexed over this
 	// endpoint (default 1). With Groups > 1 the endpoint speaks the
 	// group-tagged framing version: connections open with the versioned
 	// handshake and every frame carries a 4-byte group tag. All
 	// endpoints of one cluster must agree on Groups.
 	Groups int
-	// InboxLen is the per-group inbound queue capacity of a grouped
-	// endpoint (default 4096). A full queue drops that group's
-	// messages — best-effort, like the outbox — instead of letting one
-	// stalled group head-of-line-block its siblings on the shared
-	// connection.
-	InboxLen int
 }
 
 // hsMagicV2 opens a version-2 (group-tagged) connection handshake:
@@ -191,17 +194,11 @@ func NewTCP(self types.ReplicaID, addrs map[types.ReplicaID]string, opts TCPOpti
 	if opts.DialRetry <= 0 {
 		opts.DialRetry = time.Second
 	}
-	if opts.OutboxLen <= 0 {
-		opts.OutboxLen = 4096
-	}
 	if opts.Groups <= 0 {
 		opts.Groups = 1
 	}
 	if opts.Groups > MaxGroups {
 		opts.Groups = MaxGroups
-	}
-	if opts.InboxLen <= 0 {
-		opts.InboxLen = 4096
 	}
 	t := &TCPEndpoint{
 		self:     self,
@@ -216,7 +213,7 @@ func NewTCP(self types.ReplicaID, addrs map[types.ReplicaID]string, opts TCPOpti
 	if t.grouped {
 		t.inboxes = make([]chan inDelivery, opts.Groups)
 		for g := range t.inboxes {
-			t.inboxes[g] = make(chan inDelivery, opts.InboxLen)
+			t.inboxes[g] = make(chan inDelivery, inboxLen)
 		}
 	}
 	return t
@@ -247,12 +244,6 @@ func (t *TCPEndpoint) Addr() string {
 		return ""
 	}
 	return t.ln.Addr().String()
-}
-
-// WireStats returns the frames written and flushes performed so far;
-// frames/flushes is the achieved write-coalescing factor.
-func (t *TCPEndpoint) WireStats() (frames, flushes uint64) {
-	return t.framesSent.Load(), t.flushes.Load()
 }
 
 // WireCounters is a snapshot of an endpoint's wire-level counters.
@@ -491,10 +482,6 @@ func (t *TCPEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// InboundDrops returns how many inbound messages were discarded because
-// their group's delivery queue was full (grouped endpoints only).
-func (t *TCPEndpoint) InboundDrops() uint64 { return t.inDrops.Load() }
-
 // Send implements Transport: it transmits on group 0.
 func (t *TCPEndpoint) Send(to types.ReplicaID, m msg.Message) {
 	t.SendGroup(to, 0, m)
@@ -568,7 +555,7 @@ func (t *TCPEndpoint) peer(to types.ReplicaID) (*tcpPeer, bool) {
 	}
 	p, ok := t.peers[to]
 	if !ok {
-		p = &tcpPeer{outbox: make(chan *outFrame, t.opts.OutboxLen)}
+		p = &tcpPeer{outbox: make(chan *outFrame, outboxLen)}
 		t.peers[to] = p
 		t.wg.Add(1)
 		go t.writeLoop(to, p)

@@ -1,7 +1,7 @@
 // Package transport provides the real-runtime message transports for
-// replica nodes: an in-process transport with optional WAN latency
-// emulation (used by the throughput study and the examples) and a TCP
-// transport with length-prefixed frames (used by the server binaries).
+// replica nodes: an in-process hub with optional WAN latency emulation
+// (used by the tests, scenario harnesses, benchmark and examples) and a
+// TCP transport with length-prefixed frames (used by kvserver).
 package transport
 
 import (
