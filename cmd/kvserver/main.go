@@ -97,8 +97,9 @@ type serverConfig struct {
 	// chaosSeed, when non-zero, arms a deterministic fault-injection
 	// schedule (internal/chaos) drawn from the seed: clock anomalies on
 	// this replica's clock, drops/delays on its outgoing links, stalls on
-	// its log. chaosSchedule instead replays an encoded schedule file (the
-	// artifact format of chaos.EncodeSchedule) and takes precedence. Both
+	// its log. chaosSchedule instead replays a JSON schedule file (a
+	// json.Marshal'd chaos.Schedule, or one written by hand) and takes
+	// precedence. Both
 	// are for test and burn-in deployments only; injected-fault counters
 	// appear under faults=(...) in STATUS.
 	chaosSeed     int64
@@ -121,7 +122,7 @@ func main() {
 	flag.IntVar(&cfg.rpcBudget, "rpc-budget", 0, "front-door global in-flight admission budget (0 = default)")
 	flag.IntVar(&cfg.rpcConnBudget, "rpc-conn-budget", 0, "front-door per-connection in-flight admission budget (0 = default)")
 	flag.Int64Var(&cfg.chaosSeed, "chaos-seed", 0, "arm a deterministic random fault schedule from this seed (0 disables; test deployments only)")
-	flag.StringVar(&cfg.chaosSchedule, "chaos-schedule", "", "arm the encoded fault schedule in this file (chaos replay artifact; overrides -chaos-seed)")
+	flag.StringVar(&cfg.chaosSchedule, "chaos-schedule", "", "arm the JSON fault schedule in this file (chaos replay artifact or hand-written; overrides -chaos-seed)")
 	flag.Parse()
 
 	if err := run(context.Background(), cfg); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -257,8 +258,12 @@ func TestKVServerChaosArmed(t *testing.T) {
 		Clock: []chaos.ClockFault{{Replica: 0, Kind: chaos.ClockJump, At: 0, Duration: time.Hour, Magnitude: 5 * time.Millisecond}},
 		Disk:  []chaos.DiskFault{{Replica: 0, Kind: chaos.DiskSlowAppend, At: 0, Duration: time.Hour, Stall: 200 * time.Microsecond}},
 	}
-	schedPath := filepath.Join(t.TempDir(), "sched.chs")
-	if err := os.WriteFile(schedPath, chaos.EncodeSchedule(sched), 0o644); err != nil {
+	b, err := json.Marshal(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedPath := filepath.Join(t.TempDir(), "sched.json")
+	if err := os.WriteFile(schedPath, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfgs := []serverConfig{replica(1), replica(1), replica(1)}

@@ -100,10 +100,9 @@
 //     ErrStopped so shutdown never strands a waiter.
 //   - Group sharding: a node.Host runs G independent Clock-RSM groups,
 //     each with its own event loop, log and commit cascade, over ONE
-//     transport endpoint per node — frames carry a 4-byte group tag
-//     (negotiated by a versioned handshake, so the message codec is
-//     untouched and legacy peers interoperate on group 0), and the
-//     reshard routing table places each key (by shard.Hash) in its
+//     transport endpoint per node — every frame carries a 4-byte group
+//     tag at the framing layer, so the message codec is untouched — and
+//     the reshard routing table places each key (by shard.Hash) in its
 //     group. Commands on different keys commit in parallel on
 //     multi-core hardware while per-key operations keep a total order,
 //     so the single-group throughput ceiling becomes a per-group
@@ -245,9 +244,10 @@
 // one-way drops, flapping links, per-link delay spikes with FIFO order
 // preserved), and stable logs (slow appends, fsync stalls, transient
 // write errors). Every fault comes from a Schedule — a declarative,
-// seeded, binary-codable fault-window list (chaos.Random,
-// EncodeSchedule/DecodeSchedule) — so a failing run replays
-// bit-for-bit. Injection counters flow from chaos.Engine through
+// seeded fault-window list, plain JSON on disk (chaos.Random,
+// chaos.DecodeSchedule) — so a failing run replays from its schedule
+// file. Link delays and the hub's WAN latency share one FIFO delay line
+// (transport.DelayLine). Injection counters flow from chaos.Engine through
 // node.HostStatus.Faults into kvserver's STATUS line, and
 // runner.RunChaosMatrix sweeps ten scenarios against a live
 // multi-group cluster under closed-loop load, asserting per-key

@@ -19,9 +19,10 @@
 //   - stable logs (internal/storage): slow appends, fsync stalls, and
 //     transient write errors around any storage.Log.
 //
-// Every fault is driven by a Schedule — a declarative, seeded,
-// binary-codable list of fault windows — so a failing chaos run is
-// replayed bit-for-bit from its schedule (or its seed; see Random).
+// Every fault is driven by a Schedule — a declarative, seeded list of
+// fault windows that is plain JSON on disk (DecodeSchedule) — so a
+// failing chaos run is replayed from its schedule (or its seed; see
+// Random).
 // All injectors export counters (Engine.Counts) that the runtime
 // surfaces through node.HostStatus and the kvserver STATUS command, so
 // an operator — or an assertion — can see exactly which faults fired.
@@ -189,8 +190,8 @@ type DiskFault struct {
 
 // Schedule is a complete, declarative fault plan: every anomaly the run
 // will inject, with deterministic timing relative to Engine.Arm. It
-// round-trips through Encode/DecodeSchedule, so a failing run is
-// reproduced from its schedule alone.
+// round-trips through json.Marshal and DecodeSchedule, so a failing run
+// is reproduced from its schedule alone.
 type Schedule struct {
 	// Seed records the generator seed the schedule was derived from
 	// (informational for hand-built schedules).

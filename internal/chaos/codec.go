@@ -1,232 +1,65 @@
 package chaos
 
 import (
-	"encoding/binary"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 	"time"
 
 	"clockrsm/internal/types"
 )
 
-// Schedules serialize to a small versioned binary form so a failing
-// chaos run can ship its exact fault plan in an artifact (or a fuzz
-// corpus) and be replayed bit-for-bit. Layout: magic "CHS1", seed,
-// then the three fault sections, each a u32 count followed by
-// fixed-width records, all little-endian.
+// Schedules are plain JSON — json.Marshal of a Schedule, with kinds as
+// their numeric values and times in nanoseconds — so a failing chaos
+// run ships its exact fault plan as an artifact, and an operator can
+// write one by hand.
 
-const (
-	schedMagic   = "CHS1"
-	clockRecSize = 4 + 1 + 8 + 8 + 8 + 8 // replica kind at dur magnitude drift
-	linkRecSize  = 4 + 4 + 1 + 8 + 8 + 8 // from to kind at dur delay
-	diskRecSize  = 4 + 1 + 8 + 8 + 8     // replica kind at dur stall
-)
+// ErrBadSchedule reports a schedule file that does not parse or names
+// a fault outside the taxonomy.
+var ErrBadSchedule = errors.New("chaos: malformed schedule")
 
-// Codec errors.
-var (
-	ErrBadSchedule = errors.New("chaos: malformed schedule")
-)
-
-// EncodeSchedule serializes s.
-func EncodeSchedule(s Schedule) []byte {
-	b := make([]byte, 0, len(schedMagic)+8+12+
-		len(s.Clock)*clockRecSize+len(s.Links)*linkRecSize+len(s.Disk)*diskRecSize)
-	b = append(b, schedMagic...)
-	b = u64(b, uint64(s.Seed))
-	b = u32(b, uint32(len(s.Clock)))
-	for _, f := range s.Clock {
-		b = u32(b, uint32(int32(f.Replica)))
-		b = append(b, byte(f.Kind))
-		b = u64(b, uint64(f.At))
-		b = u64(b, uint64(f.Duration))
-		b = u64(b, uint64(f.Magnitude))
-		b = u64(b, math.Float64bits(f.Drift))
-	}
-	b = u32(b, uint32(len(s.Links)))
-	for _, f := range s.Links {
-		b = u32(b, uint32(int32(f.From)))
-		b = u32(b, uint32(int32(f.To)))
-		b = append(b, byte(f.Kind))
-		b = u64(b, uint64(f.At))
-		b = u64(b, uint64(f.Duration))
-		b = u64(b, uint64(f.Delay))
-	}
-	b = u32(b, uint32(len(s.Disk)))
-	for _, f := range s.Disk {
-		b = u32(b, uint32(int32(f.Replica)))
-		b = append(b, byte(f.Kind))
-		b = u64(b, uint64(f.At))
-		b = u64(b, uint64(f.Duration))
-		b = u64(b, uint64(f.Stall))
-	}
-	return b
-}
-
-// DecodeSchedule parses a schedule produced by EncodeSchedule. It
-// validates kinds and drift values and rejects truncated or trailing
-// bytes, and never allocates more than the input length can account
-// for, so corrupt counts cannot drive huge allocations.
+// DecodeSchedule parses a JSON schedule. It rejects unknown fields,
+// trailing data, unknown fault kinds, negative replica IDs and negative
+// times or durations.
 func DecodeSchedule(b []byte) (Schedule, error) {
 	var s Schedule
-	if len(b) < len(schedMagic) || string(b[:len(schedMagic)]) != schedMagic {
-		return s, fmt.Errorf("%w: bad magic", ErrBadSchedule)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return Schedule{}, fmt.Errorf("%w: %v", ErrBadSchedule, err)
 	}
-	b = b[len(schedMagic):]
-	seed, b, err := rdU64(b)
-	if err != nil {
-		return s, err
+	if _, err := dec.Token(); err != io.EOF {
+		return Schedule{}, fmt.Errorf("%w: trailing data", ErrBadSchedule)
 	}
-	s.Seed = int64(seed)
-
-	n, b, err := rdCount(b, clockRecSize)
-	if err != nil {
-		return s, err
+	bad := func(what string, i int) (Schedule, error) {
+		return Schedule{}, fmt.Errorf("%w: %s fault %d out of range", ErrBadSchedule, what, i)
 	}
-	s.Clock = make([]ClockFault, n)
-	for i := range s.Clock {
-		f := &s.Clock[i]
-		var r uint32
-		var k byte
-		if r, b, err = rdU32(b); err != nil {
-			return s, err
-		}
-		f.Replica = types.ReplicaID(int32(r))
-		if k, b, err = rdByte(b); err != nil {
-			return s, err
-		}
-		f.Kind = ClockFaultKind(k)
-		if f.Kind < ClockJump || f.Kind > ClockDrift {
-			return s, fmt.Errorf("%w: clock fault kind %d", ErrBadSchedule, k)
-		}
-		var at, dur, mag, drift uint64
-		if at, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		if dur, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		if mag, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		if drift, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		f.At, f.Duration, f.Magnitude = dur64(at), dur64(dur), dur64(mag)
-		f.Drift = math.Float64frombits(drift)
-		if math.IsNaN(f.Drift) || math.IsInf(f.Drift, 0) {
-			return s, fmt.Errorf("%w: non-finite drift", ErrBadSchedule)
+	for i, f := range s.Clock {
+		if f.Kind < ClockJump || f.Kind > ClockDrift || !valid(f.Replica, f.At, f.Duration, f.Magnitude) {
+			return bad("clock", i)
 		}
 	}
-
-	if n, b, err = rdCount(b, linkRecSize); err != nil {
-		return s, err
+	for i, f := range s.Links {
+		if f.Kind < LinkDrop || f.Kind > LinkDelay || !valid(f.From, f.At, f.Duration, f.Delay) || f.To < 0 {
+			return bad("link", i)
+		}
 	}
-	s.Links = make([]LinkFault, n)
-	for i := range s.Links {
-		f := &s.Links[i]
-		var from, to uint32
-		var k byte
-		if from, b, err = rdU32(b); err != nil {
-			return s, err
+	for i, f := range s.Disk {
+		if f.Kind < DiskSlowAppend || f.Kind > DiskSyncError || !valid(f.Replica, f.At, f.Duration, f.Stall) {
+			return bad("disk", i)
 		}
-		if to, b, err = rdU32(b); err != nil {
-			return s, err
-		}
-		f.From, f.To = types.ReplicaID(int32(from)), types.ReplicaID(int32(to))
-		if k, b, err = rdByte(b); err != nil {
-			return s, err
-		}
-		f.Kind = LinkFaultKind(k)
-		if f.Kind < LinkDrop || f.Kind > LinkDelay {
-			return s, fmt.Errorf("%w: link fault kind %d", ErrBadSchedule, k)
-		}
-		var at, dur, delay uint64
-		if at, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		if dur, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		if delay, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		f.At, f.Duration, f.Delay = dur64(at), dur64(dur), dur64(delay)
-	}
-
-	if n, b, err = rdCount(b, diskRecSize); err != nil {
-		return s, err
-	}
-	s.Disk = make([]DiskFault, n)
-	for i := range s.Disk {
-		f := &s.Disk[i]
-		var r uint32
-		var k byte
-		if r, b, err = rdU32(b); err != nil {
-			return s, err
-		}
-		f.Replica = types.ReplicaID(int32(r))
-		if k, b, err = rdByte(b); err != nil {
-			return s, err
-		}
-		f.Kind = DiskFaultKind(k)
-		if f.Kind < DiskSlowAppend || f.Kind > DiskSyncError {
-			return s, fmt.Errorf("%w: disk fault kind %d", ErrBadSchedule, k)
-		}
-		var at, dur, stall uint64
-		if at, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		if dur, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		if stall, b, err = rdU64(b); err != nil {
-			return s, err
-		}
-		f.At, f.Duration, f.Stall = dur64(at), dur64(dur), dur64(stall)
-	}
-
-	if len(b) != 0 {
-		return s, fmt.Errorf("%w: trailing bytes", ErrBadSchedule)
 	}
 	return s, nil
 }
 
-func u64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func u32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-
-func dur64(v uint64) time.Duration { return time.Duration(int64(v)) }
-
-func rdByte(b []byte) (byte, []byte, error) {
-	if len(b) < 1 {
-		return 0, nil, fmt.Errorf("%w: truncated", ErrBadSchedule)
+// valid reports whether a fault's replica ID and times are non-negative.
+func valid(r types.ReplicaID, ds ...time.Duration) bool {
+	for _, d := range ds {
+		if d < 0 {
+			return false
+		}
 	}
-	return b[0], b[1:], nil
-}
-
-func rdU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("%w: truncated", ErrBadSchedule)
-	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
-}
-
-func rdU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("%w: truncated", ErrBadSchedule)
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-// rdCount reads a section count and checks the remaining input is long
-// enough to hold that many fixed-width records, bounding allocation.
-func rdCount(b []byte, recSize int) (int, []byte, error) {
-	n, b, err := rdU32(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if uint64(n)*uint64(recSize) > uint64(len(b)) {
-		return 0, nil, fmt.Errorf("%w: count %d exceeds input", ErrBadSchedule, n)
-	}
-	return int(n), b, nil
+	return r >= 0
 }

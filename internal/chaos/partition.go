@@ -19,15 +19,14 @@ import (
 // Two invariants the protocol depends on are preserved:
 //
 //   - Per-link FIFO: every destination with any LinkDelay window in the
-//     schedule gets its own delay queue with monotonically non-decreasing
-//     due times (due = max(previous due, now + delay)), drained by a
-//     single goroutine, and all traffic to that destination flows
-//     through the queue even outside fault windows — a delayed message
-//     is never overtaken by a later send on the same link.
+//     schedule gets its own transport.DelayLine, and all traffic to that
+//     destination flows through the line even outside fault windows — a
+//     delayed message is never overtaken by a later send on the same
+//     link.
 //   - Message ownership: the replication core relinquishes a message on
 //     send and never mutates it afterwards, so delayed messages are held
 //     by pointer and dropped messages are simply not forwarded; the
-//     wrapper never copies or recycles.
+//     wrapper never copies them.
 //
 // inner must implement transport.GroupTransport and
 // transport.GroupBroadcaster, as every endpoint node.NewHost accepts
@@ -49,14 +48,15 @@ func (e *Engine) Transport(inner transport.Transport) *ChaosTransport {
 			continue
 		}
 		t.faults = append(t.faults, f)
-		if f.Kind == LinkDelay {
-			if t.queues == nil {
-				t.queues = make(map[types.ReplicaID]*delayQueue)
-			}
-			if t.queues[f.To] == nil {
-				t.queues[f.To] = &delayQueue{t: t, to: f.To}
-			}
+		if f.Kind != LinkDelay || t.lines[f.To] != nil {
+			continue
 		}
+		if t.lines == nil {
+			t.lines = make(map[types.ReplicaID]*transport.DelayLine)
+		}
+		t.lines[f.To] = transport.NewDelayLine(0, func(g types.GroupID, m msg.Message) {
+			t.inner.SendGroup(f.To, g, m)
+		})
 	}
 	e.register(t.self, t.addCounts)
 	return t
@@ -72,14 +72,12 @@ type ChaosTransport struct {
 	self    types.ReplicaID
 
 	faults []LinkFault
-	queues map[types.ReplicaID]*delayQueue
+	lines  map[types.ReplicaID]*transport.DelayLine // unbounded
 
 	mu            sync.Mutex
-	closed        bool
 	drops, delays uint64
 	firedDrop     map[int]bool
 	firedDelay    map[int]bool
-	drain         sync.WaitGroup
 }
 
 var (
@@ -93,30 +91,15 @@ func (t *ChaosTransport) Self() types.ReplicaID { return t.self }
 // SetHandler passes through to the wrapped endpoint.
 func (t *ChaosTransport) SetHandler(h transport.Handler) { t.inner.SetHandler(h) }
 
-// Start starts the wrapped endpoint and the delay-queue drainers.
-func (t *ChaosTransport) Start() error {
-	if err := t.inner.Start(); err != nil {
-		return err
-	}
-	for _, q := range t.queues {
-		q.start()
-	}
-	return nil
-}
+// Start starts the wrapped endpoint.
+func (t *ChaosTransport) Start() error { return t.inner.Start() }
 
-// Close stops the drainers (discarding messages still in flight inside
-// a delay window — they were late; now they are lost, which a
-// best-effort transport may always do) and closes the wrapped endpoint.
+// Close closes the delay lines, discarding messages still in flight
+// inside a delay window — they were late; now they are lost, which a
+// best-effort transport may always do — and then the wrapped endpoint.
 func (t *ChaosTransport) Close() error {
-	t.mu.Lock()
-	already := t.closed
-	t.closed = true
-	t.mu.Unlock()
-	if !already {
-		for _, q := range t.queues {
-			q.stop()
-		}
-		t.drain.Wait()
+	for _, l := range t.lines {
+		l.Close()
 	}
 	return t.inner.Close()
 }
@@ -163,11 +146,11 @@ func (t *ChaosTransport) SendGroup(to types.ReplicaID, g types.GroupID, m msg.Me
 			}
 		}
 	}
-	if q := t.queues[to]; q != nil {
+	if l := t.lines[to]; l != nil {
 		// All traffic to a delay-faulted destination goes through its
-		// queue, even with zero extra delay, so FIFO order on the link
+		// line, even with zero extra delay, so FIFO order on the link
 		// survives the fault window's edges.
-		q.enqueue(extra, g, m)
+		l.Push(extra, g, m)
 		return
 	}
 	t.inner.SendGroup(to, g, m)
@@ -204,84 +187,4 @@ func (t *ChaosTransport) addCounts(into map[string]uint64) {
 	defer t.mu.Unlock()
 	add(into, "link.drop", t.drops)
 	add(into, "link.delay", t.delays)
-}
-
-// delayQueue holds the in-flight messages of one delay-faulted directed
-// link, in due-time order (monotone by construction), drained by one
-// goroutine.
-type delayQueue struct {
-	t  *ChaosTransport
-	to types.ReplicaID
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []delayed
-	lastDue time.Time
-	stopped bool
-}
-
-type delayed struct {
-	due time.Time
-	g   types.GroupID
-	m   msg.Message
-}
-
-func (q *delayQueue) start() {
-	q.mu.Lock()
-	if q.cond == nil {
-		q.cond = sync.NewCond(&q.mu)
-	}
-	q.mu.Unlock()
-	q.t.drain.Add(1)
-	go q.run()
-}
-
-func (q *delayQueue) stop() {
-	q.mu.Lock()
-	q.stopped = true
-	if q.cond != nil {
-		q.cond.Broadcast()
-	}
-	q.mu.Unlock()
-}
-
-func (q *delayQueue) enqueue(extra time.Duration, g types.GroupID, m msg.Message) {
-	due := time.Now().Add(extra)
-	q.mu.Lock()
-	if q.stopped || q.cond == nil {
-		// Not started (endpoint never Started) or already closing: fall
-		// through synchronously so pre-Start traffic is not lost.
-		q.mu.Unlock()
-		q.t.inner.SendGroup(q.to, g, m)
-		return
-	}
-	if due.Before(q.lastDue) {
-		due = q.lastDue // FIFO: never overtake an earlier, slower message
-	}
-	q.lastDue = due
-	q.pending = append(q.pending, delayed{due: due, g: g, m: m})
-	q.cond.Signal()
-	q.mu.Unlock()
-}
-
-func (q *delayQueue) run() {
-	defer q.t.drain.Done()
-	for {
-		q.mu.Lock()
-		for len(q.pending) == 0 && !q.stopped {
-			q.cond.Wait()
-		}
-		if q.stopped {
-			q.pending = nil
-			q.mu.Unlock()
-			return
-		}
-		d := q.pending[0]
-		q.pending = q.pending[1:]
-		q.mu.Unlock()
-		if wait := time.Until(d.due); wait > 0 {
-			time.Sleep(wait)
-		}
-		q.t.inner.SendGroup(q.to, d.g, d.m)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"clockrsm/internal/msg"
 	"clockrsm/internal/transport"
 	"clockrsm/internal/types"
+	"clockrsm/internal/wan"
 )
 
 // sinkTransport records every message handed to the wrapped endpoint,
@@ -139,5 +140,89 @@ func TestPartitionDelayPreservesFIFO(t *testing.T) {
 	}
 	if delays := eng.Counts()["link.delay"]; delays == 0 {
 		t.Fatal("no link.delay activations counted")
+	}
+}
+
+func TestPartitionCloseDiscardsDelayed(t *testing.T) {
+	sink := &sinkTransport{self: 0}
+	eng := New(Schedule{Links: []LinkFault{
+		{From: 0, To: 1, Kind: LinkDelay, At: 0, Duration: time.Hour, Delay: 500 * time.Millisecond},
+	}})
+	tr := eng.Transport(sink)
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Arm()
+	tr.Send(1, ct(1))
+	time.Sleep(20 * time.Millisecond) // the drainer is now waiting on the message
+	start := time.Now()
+	tr.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v: it waited out the delay window", d)
+	}
+	if got := sink.snapshot(); len(got) != 0 {
+		t.Fatalf("Close delivered %d delayed messages, want 0", len(got))
+	}
+}
+
+// TestPartitionDelayOverLatencyHub stacks a LinkDelay window on a
+// latency hub: both delays add up and the link stays FIFO.
+func TestPartitionDelayOverLatencyHub(t *testing.T) {
+	const base, extra = 20 * time.Millisecond, 30 * time.Millisecond
+	lat := wan.NewMatrix(2)
+	lat.Set(0, 1, base)
+	hub := transport.NewHub(2, transport.HubOptions{Latency: lat})
+	defer hub.Close()
+	var mu sync.Mutex
+	var got []int64
+	var first time.Time
+	hub.Endpoint(1).SetHandler(func(_ types.ReplicaID, m msg.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(got) == 0 {
+			first = time.Now()
+		}
+		got = append(got, m.(*msg.ClockTime).TS)
+	})
+	if err := hub.Endpoint(1).Start(); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Schedule{Links: []LinkFault{
+		{From: 0, To: 1, Kind: LinkDelay, At: 0, Duration: time.Hour, Delay: extra},
+	}})
+	tr := eng.Transport(hub.Endpoint(0))
+	tr.SetHandler(func(types.ReplicaID, msg.Message) {})
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	eng.Arm()
+	const n = 10
+	start := time.Now()
+	for i := int64(1); i <= n; i++ {
+		tr.Send(1, ct(i))
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		mu.Lock()
+		done := len(got) == n
+		mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d messages delivered", len(got), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, ts := range got {
+		if ts != int64(i+1) {
+			t.Fatalf("delivered %v: FIFO order broken", got)
+		}
+	}
+	if d := first.Sub(start); d < base+extra {
+		t.Fatalf("first message delivered after %v, want at least %v (hub latency + link delay)", d, base+extra)
 	}
 }

@@ -36,7 +36,7 @@ func (c *groupCollector) count(g types.GroupID) int {
 	return len(c.slots[g])
 }
 
-// TestGroupFrameRoundTrip pins the version-2 frame layout: the encoded
+// TestGroupFrameRoundTrip pins the frame layout: the encoded
 // bytes split back into the same group tag and a body that decodes to
 // an identical message.
 func TestGroupFrameRoundTrip(t *testing.T) {
@@ -46,7 +46,7 @@ func TestGroupFrameRoundTrip(t *testing.T) {
 			TS:    types.Timestamp{Wall: 123456789, Node: 2},
 			Cmd:   types.Command{ID: types.CommandID{Origin: 2, Seq: 42}, Payload: []byte("payload")},
 		}
-		f := newFrame(want, 1, g, true)
+		f := newFrame(want, 1, g)
 		n := binary.LittleEndian.Uint32(f.data)
 		if int(n) != len(f.data)-4 {
 			t.Fatalf("group %v: frame length %d, body %d", g, n, len(f.data)-4)
@@ -85,7 +85,7 @@ func TestSplitGroupBodyRejects(t *testing.T) {
 	}
 }
 
-// FuzzGroupFrame feeds arbitrary frame bodies through the version-2
+// FuzzGroupFrame feeds arbitrary frame bodies through the frame
 // parsing path (group split + message decode): it must never panic and
 // must reject anything it cannot round-trip.
 func FuzzGroupFrame(f *testing.F) {
@@ -94,7 +94,7 @@ func FuzzGroupFrame(f *testing.F) {
 	var huge [8]byte
 	binary.LittleEndian.PutUint32(huge[:], 1<<31)
 	f.Add(huge[:])
-	fr := newFrame(&msg.Commit{Slot: 9}, 1, 3, true)
+	fr := newFrame(&msg.Commit{Slot: 9}, 1, 3)
 	f.Add(append([]byte(nil), fr.data[4:]...))
 	fr.release()
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -188,44 +188,7 @@ func TestTCPGroupBroadcastShared(t *testing.T) {
 	}
 }
 
-// TestTCPMixedVersionInterop checks handshake versioning: a legacy
-// (single-group) endpoint and a grouped endpoint exchange group-0
-// traffic in both directions.
-func TestTCPMixedVersionInterop(t *testing.T) {
-	addrs := map[types.ReplicaID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
-	legacy := NewTCP(0, addrs, TCPOptions{DialRetry: 20 * time.Millisecond}) // Groups: 1 → v1 framing
-	grouped := NewTCP(1, addrs, TCPOptions{DialRetry: 20 * time.Millisecond, Groups: 4})
-	colL, colG := newGroupCollector(), newGroupCollector()
-	legacy.SetHandler(colL.handler(0))
-	for g := 0; g < 4; g++ {
-		grouped.SetGroupHandler(types.GroupID(g), colG.handler(types.GroupID(g)))
-	}
-	if err := legacy.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	if err := grouped.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer grouped.Close()
-	addrs[0], addrs[1] = legacy.Addr(), grouped.Addr()
-
-	legacy.Send(1, &msg.Commit{Slot: 1}) // v1 frames land on group 0
-	grouped.SendGroup(0, 0, &msg.Commit{Slot: 2})
-	waitFor(t, func() bool { return colG.count(0) == 1 && colL.count(0) == 1 }, 5*time.Second)
-	// Traffic for a group the legacy endpoint does not host is dropped
-	// without killing the connection.
-	grouped.SendGroup(0, 3, &msg.Commit{Slot: 3})
-	grouped.SendGroup(0, 0, &msg.Commit{Slot: 4})
-	waitFor(t, func() bool { return colL.count(0) == 2 }, 5*time.Second)
-	colL.mu.Lock()
-	defer colL.mu.Unlock()
-	if s := colL.slots[0]; s[0] != 2 || s[1] != 4 {
-		t.Fatalf("legacy endpoint got %v, want [2 4]", s)
-	}
-}
-
-// dialV2 opens a raw version-2 connection claiming to be replica 0.
+// dialV2 opens a raw connection claiming to be replica 0.
 func dialV2(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -241,7 +204,7 @@ func dialV2(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// writeV2Frame writes one raw version-2 frame.
+// writeV2Frame writes one raw frame.
 func writeV2Frame(t *testing.T, conn net.Conn, g uint32, m msg.Message) {
 	t.Helper()
 	body := binary.LittleEndian.AppendUint32(nil, g)

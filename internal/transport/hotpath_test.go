@@ -61,11 +61,11 @@ func TestTCPBroadcastEncodesOnce(t *testing.T) {
 	if got := first.refs.Load(); got != 3 {
 		t.Errorf("frame refcount = %d, want 3", got)
 	}
-	// The frame must carry a well-formed length prefix + message.
+	// The frame must carry a well-formed length prefix + group tag + message.
 	if n := binary.LittleEndian.Uint32(first.data); int(n) != len(first.data)-4 {
 		t.Errorf("frame length prefix %d, want %d", n, len(first.data)-4)
 	}
-	if _, err := msg.Decode(first.data[4:]); err != nil {
+	if _, err := msg.Decode(first.data[8:]); err != nil {
 		t.Errorf("frame body does not decode: %v", err)
 	}
 }
@@ -125,8 +125,8 @@ func TestTCPWriteCoalescing(t *testing.T) {
 }
 
 // TestTCPRejectsUnknownHandshake checks that an inbound connection
-// claiming a replica ID outside the address map is dropped before any
-// frame is processed.
+// claiming a replica ID outside the address map, or opening without the
+// magic word, is dropped before any frame is processed.
 func TestTCPRejectsUnknownHandshake(t *testing.T) {
 	addrs := map[types.ReplicaID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
 	var mu sync.Mutex
@@ -142,15 +142,16 @@ func TestTCPRejectsUnknownHandshake(t *testing.T) {
 	}
 	defer ep.Close()
 
-	send := func(id int32) net.Conn {
+	send := func(magic uint32, id int32) net.Conn {
 		conn, err := net.Dial("tcp", ep.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hs [4]byte
-		binary.LittleEndian.PutUint32(hs[:], uint32(id))
+		var hs [8]byte
+		binary.LittleEndian.PutUint32(hs[:4], magic)
+		binary.LittleEndian.PutUint32(hs[4:], uint32(id))
 		conn.Write(hs[:])
-		body := msg.Encode(&msg.Commit{Slot: 1})
+		body := msg.EncodeTo(make([]byte, 4), &msg.Commit{Slot: 1}) // group 0
 		var lenBuf [4]byte
 		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(body)))
 		conn.Write(lenBuf[:])
@@ -158,13 +159,16 @@ func TestTCPRejectsUnknownHandshake(t *testing.T) {
 		return conn
 	}
 
-	// Unknown replica 99 and the endpoint's own ID must both be rejected.
-	bad1 := send(99)
+	// Unknown replica 99, the endpoint's own ID and a valid peer without
+	// the magic word must all be rejected.
+	bad1 := send(hsMagicV2, 99)
 	defer bad1.Close()
-	bad2 := send(0)
+	bad2 := send(hsMagicV2, 0)
 	defer bad2.Close()
+	bad3 := send(0, 1)
+	defer bad3.Close()
 	// A valid peer still gets through.
-	good := send(1)
+	good := send(hsMagicV2, 1)
 	defer good.Close()
 
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return delivered >= 1 }, 2*time.Second)

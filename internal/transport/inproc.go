@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"clockrsm/internal/msg"
 	"clockrsm/internal/types"
@@ -27,12 +26,10 @@ type HubOptions struct {
 	Groups int
 }
 
-// delivery is one in-flight message.
+// delivery is one message queued at a group's inbox.
 type delivery struct {
 	from types.ReplicaID
 	m    msg.Message
-	due  time.Time
-	seq  uint64 // arrival order, tie-break among equal due times
 }
 
 // Hub connects N in-process endpoints.
@@ -41,8 +38,9 @@ type Hub struct {
 	eps  []*inprocEndpoint
 }
 
-// hubQueueLen is the per-group inbox capacity of a hub endpoint. A full
-// inbox applies backpressure to senders.
+// hubQueueLen is the capacity of a hub endpoint's per-group inbox and,
+// in latency mode, of each sender's delay line into it. A full queue
+// applies backpressure to senders.
 const hubQueueLen = 4096
 
 // NewHub creates a hub with n endpoints.
@@ -62,12 +60,16 @@ func NewHub(n int, opts HubOptions) *Hub {
 			quit:   make(chan struct{}),
 		}
 		for g := range ep.groups {
-			if opts.Latency != nil {
-				ep.groups[g].queues = make(map[types.ReplicaID][]delivery, n)
-				ep.groups[g].notify = make(chan struct{}, 1)
-				ep.groups[g].space = make(chan struct{}, 1)
-			} else {
-				ep.groups[g].inbox = make(chan delivery, hubQueueLen)
+			grp := &ep.groups[g]
+			grp.inbox = make(chan delivery, hubQueueLen)
+			if opts.Latency == nil {
+				continue
+			}
+			grp.lines = make([]*DelayLine, n)
+			for from := range grp.lines {
+				grp.lines[from] = NewDelayLine(hubQueueLen, func(_ types.GroupID, m msg.Message) {
+					ep.enqueue(grp, types.ReplicaID(from), m)
+				})
 			}
 		}
 		h.eps = append(h.eps, ep)
@@ -85,28 +87,19 @@ func (h *Hub) Close() {
 	}
 }
 
-// inprocGroup is one group's inbox and handler at one endpoint. With no
-// latency matrix, `inbox` is a plain FIFO channel (zero overhead — the
-// hot-path benchmarks run here). With a latency matrix, deliveries go
-// through per-sender FIFO queues merged in due-time order instead:
-// each (sender → receiver) link is FIFO, but a near sender's message
-// must not queue behind a far sender's — a single arrival-ordered FIFO
-// would head-of-line-block a 1 ms-due SUSPEND behind a 400 ms-due
-// PREPARE that happened to enqueue first, an artifact no pair of real
-// sockets exhibits (and one that inverted cause and effect in
-// asymmetric-latency reconfiguration tests).
+// inprocGroup is one group's inbox and handler at one endpoint. The
+// inbox is a plain FIFO channel. With a latency matrix, each sender's
+// messages first wait out the one-way latency in lines[sender], so each
+// (sender → receiver) link is FIFO but a near sender's message never
+// queues behind a far sender's — a single arrival-ordered FIFO would
+// head-of-line-block a 1 ms-due SUSPEND behind a 400 ms-due PREPARE
+// that happened to enqueue first, an artifact no pair of real sockets
+// exhibits.
 type inprocGroup struct {
 	handler Handler
 	inbox   chan delivery
+	lines   []*DelayLine // latency mode only, indexed by sender
 	done    chan struct{}
-
-	// Latency-mode state (inbox is then unused).
-	mu      sync.Mutex
-	queues  map[types.ReplicaID][]delivery // per-sender FIFO
-	queued  int                            // total across senders (capacity check)
-	nextSeq uint64
-	notify  chan struct{} // pulsed on enqueue
-	space   chan struct{} // pulsed on dequeue (backpressure release)
 }
 
 // inprocEndpoint is one replica's view of the hub.
@@ -167,18 +160,9 @@ func (e *inprocEndpoint) Start() error {
 	return nil
 }
 
-// run delivers one group's messages. Without a latency matrix this is
-// the plain FIFO inbox. With one, it merges the per-sender FIFO queues
-// in due-time order (arrival order among equal dues): each link stays
-// FIFO — senders' messages deliver in the order sent — but a near
-// sender is never head-of-line-blocked by a far sender's in-flight
-// message, matching what independent kernel sockets would do.
+// run delivers one group's messages in inbox order.
 func (e *inprocEndpoint) run(grp *inprocGroup) {
 	defer close(grp.done)
-	if grp.queues != nil {
-		e.runLatency(grp)
-		return
-	}
 	for {
 		select {
 		case <-e.quit:
@@ -186,69 +170,6 @@ func (e *inprocEndpoint) run(grp *inprocGroup) {
 		case d := <-grp.inbox:
 			grp.handler(d.from, d.m)
 		}
-	}
-}
-
-// runLatency is the due-time-ordered delivery loop of latency mode.
-func (e *inprocEndpoint) runLatency(grp *inprocGroup) {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		grp.mu.Lock()
-		// Earliest-due head across senders; arrival order breaks ties.
-		var head delivery
-		headSender := types.NoReplica
-		for s, q := range grp.queues {
-			if len(q) == 0 {
-				continue
-			}
-			d := q[0]
-			if headSender == types.NoReplica || d.due.Before(head.due) ||
-				(d.due.Equal(head.due) && d.seq < head.seq) {
-				head, headSender = d, s
-			}
-		}
-		if headSender == types.NoReplica {
-			grp.mu.Unlock()
-			select {
-			case <-grp.notify:
-			case <-e.quit:
-				return
-			}
-			continue
-		}
-		if wait := time.Until(head.due); wait > 0 {
-			grp.mu.Unlock()
-			// Sleep until the head is due — or re-evaluate early if a
-			// new message arrives (it may be due sooner).
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-grp.notify:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-e.quit:
-				return
-			}
-			continue
-		}
-		q := grp.queues[headSender]
-		q[0] = delivery{}
-		grp.queues[headSender] = q[1:]
-		if len(q) == 1 {
-			// The slice is spent; let the backing array go.
-			grp.queues[headSender] = nil
-		}
-		grp.queued--
-		grp.mu.Unlock()
-		select {
-		case grp.space <- struct{}{}:
-		default:
-		}
-		grp.handler(head.from, head.m)
 	}
 }
 
@@ -314,43 +235,26 @@ func (e *inprocEndpoint) BroadcastGroup(dst []types.ReplicaID, g types.GroupID, 
 	msg.PutBuf(buf)
 }
 
-// deliver queues m on the destination group's inbox (or, in latency
-// mode, its per-sender queue, stamped with the emulated WAN due time).
-// A full inbox blocks the sender — backpressure — until the receiver
-// drains or quits.
+// deliver hands m to the destination group: straight to its inbox, or
+// in latency mode to this sender's delay line into it, due after the
+// matrix's one-way latency. A full inbox or line blocks the sender —
+// backpressure — until the receiver drains or quits.
 func (e *inprocEndpoint) deliver(to types.ReplicaID, g types.GroupID, m msg.Message) {
 	dst := e.hub.eps[to]
 	grp := &dst.groups[g]
-	if e.hub.opts.Latency == nil {
-		select {
-		case grp.inbox <- delivery{from: e.self, m: m}:
-		case <-dst.quit:
-			msg.Recycle(m) // dropped at teardown: reclaim pooled storage
-		}
+	if grp.lines != nil {
+		grp.lines[e.self].Push(e.hub.opts.Latency.OneWay(e.self, to), g, m)
 		return
 	}
-	due := time.Now().Add(e.hub.opts.Latency.OneWay(e.self, to))
-	for {
-		grp.mu.Lock()
-		if grp.queued < hubQueueLen {
-			d := delivery{from: e.self, m: m, due: due, seq: grp.nextSeq}
-			grp.nextSeq++
-			grp.queues[e.self] = append(grp.queues[e.self], d)
-			grp.queued++
-			grp.mu.Unlock()
-			select {
-			case grp.notify <- struct{}{}:
-			default:
-			}
-			return
-		}
-		grp.mu.Unlock()
-		select {
-		case <-grp.space:
-		case <-dst.quit:
-			msg.Recycle(m) // dropped at teardown: reclaim pooled storage
-			return
-		}
+	dst.enqueue(grp, e.self, m)
+}
+
+// enqueue puts m on grp's inbox, blocking while it is full.
+func (e *inprocEndpoint) enqueue(grp *inprocGroup, from types.ReplicaID, m msg.Message) {
+	select {
+	case grp.inbox <- delivery{from: from, m: m}:
+	case <-e.quit:
+		msg.Recycle(m) // dropped at teardown: reclaim pooled storage
 	}
 }
 
@@ -364,6 +268,9 @@ func (e *inprocEndpoint) Close() error {
 	e.closed = true
 	close(e.quit)
 	for g := range e.groups {
+		for _, l := range e.groups[g].lines {
+			l.Close() // in-flight messages are lost with the endpoint
+		}
 		if e.groups[g].done != nil {
 			<-e.groups[g].done
 		}

@@ -43,7 +43,7 @@ const (
 	// outboxLen is the per-peer send queue capacity; a full queue drops
 	// messages, matching best-effort semantics.
 	outboxLen = 4096
-	// inboxLen is the per-group inbound queue capacity of a grouped
+	// inboxLen is the per-group inbound queue capacity of a multi-group
 	// endpoint. A full queue drops that group's messages — best-effort,
 	// like the outbox — instead of letting one stalled group
 	// head-of-line-block its siblings on the shared connection.
@@ -55,27 +55,21 @@ type TCPOptions struct {
 	// DialRetry is the backoff between reconnect attempts (default 1s).
 	DialRetry time.Duration
 	// Groups is the number of replication groups multiplexed over this
-	// endpoint (default 1). With Groups > 1 the endpoint speaks the
-	// group-tagged framing version: connections open with the versioned
-	// handshake and every frame carries a 4-byte group tag. All
+	// endpoint (default 1). Every frame carries a 4-byte group tag; all
 	// endpoints of one cluster must agree on Groups.
 	Groups int
 }
 
-// hsMagicV2 opens a version-2 (group-tagged) connection handshake:
-// [hsMagicV2 | 4-byte sender] instead of the legacy [4-byte sender].
-// The value collides with no legacy replica ID — IDs are dense indexes
-// validated against the address map — so a receiver distinguishes the
-// two framing versions from the first four bytes alone.
+// hsMagicV2 opens every connection: the handshake is [hsMagicV2 |
+// 4-byte sender], and a connection that does not start with it is
+// rejected like one naming an unknown sender.
 const hsMagicV2 = 0x43525347 // bytes "GSRC" on the wire (little-endian)
 
 // TCPEndpoint is a Transport over TCP with length-prefixed frames.
 // Each endpoint listens on its own address and lazily dials peers;
-// frames carry a 4-byte length followed by the encoded message, and
-// every connection begins with a handshake naming the sender (and, in
-// the group-tagged framing version, a leading magic word; see
-// hsMagicV2). Inbound connections of either version are accepted, so
-// single-group and multi-group peers interoperate on group 0.
+// every connection begins with a handshake naming the sender (see
+// hsMagicV2), and every frame carries a 4-byte length, a 4-byte group
+// tag and the encoded message.
 //
 // The send path is allocation-frugal: messages are encoded once into
 // pooled buffers (msg.GetBuf), broadcasts share a single encoded frame
@@ -90,10 +84,8 @@ type TCPEndpoint struct {
 	// handlers[g] receives group g's messages; a plain SetHandler
 	// installs handlers[0]. Written before Start, read by readLoops.
 	handlers []Handler
-	// grouped selects the version-2 framing for outgoing connections.
-	grouped bool
 	// inboxes[g] decouples group g's deliveries from the shared
-	// readLoops on a grouped endpoint: each group drains its own queue
+	// readLoops on a multi-group endpoint: each group drains its own queue
 	// on its own goroutine, so a group whose handler stalls (e.g. a
 	// slow fsync backing up its event loop) drops its own overflow
 	// instead of blocking sibling groups' traffic on the connection. A
@@ -149,7 +141,7 @@ type inDelivery struct {
 // enqueues the same frame on every peer outbox; refs counts outstanding
 // holders so the backing pooled buffer is released exactly once.
 type outFrame struct {
-	data  []byte   // [4-byte length | encoded message]; read-only once enqueued
+	data  []byte   // [4-byte length | group tag | encoded message]; read-only once enqueued
 	buf   *msg.Buf // pooled backing storage of data
 	group types.GroupID
 	refs  atomic.Int32
@@ -158,16 +150,14 @@ type outFrame struct {
 var framePool = sync.Pool{New: func() any { return new(outFrame) }}
 
 // newFrame encodes m into a pooled buffer as a length-prefixed frame
-// with refs initial holders. In grouped (version-2) framing the body
-// opens with the 4-byte group tag, so the tag is serialized once per
-// fan-out along with the message itself.
-func newFrame(m msg.Message, refs int32, g types.GroupID, grouped bool) *outFrame {
+// with refs initial holders. The body opens with the 4-byte group tag,
+// so the tag is serialized once per fan-out along with the message
+// itself.
+func newFrame(m msg.Message, refs int32, g types.GroupID) *outFrame {
 	f := framePool.Get().(*outFrame)
 	f.buf = msg.GetBuf()
 	b := append(f.buf.B[:0], 0, 0, 0, 0)
-	if grouped {
-		b = binary.LittleEndian.AppendUint32(b, uint32(g))
-	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(g))
 	b = msg.EncodeTo(b, m)
 	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
 	f.buf.B = b
@@ -205,12 +195,11 @@ func NewTCP(self types.ReplicaID, addrs map[types.ReplicaID]string, opts TCPOpti
 		addrs:    addrs,
 		opts:     opts,
 		handlers: make([]Handler, opts.Groups),
-		grouped:  opts.Groups > 1,
 		peers:    make(map[types.ReplicaID]*tcpPeer),
 		conns:    make(map[net.Conn]struct{}),
 		quit:     make(chan struct{}),
 	}
-	if t.grouped {
+	if opts.Groups > 1 {
 		t.inboxes = make([]chan inDelivery, opts.Groups)
 		for g := range t.inboxes {
 			t.inboxes[g] = make(chan inDelivery, inboxLen)
@@ -261,7 +250,7 @@ type WireCounters struct {
 	// same peer merged into one syscall.
 	MultiGroupFlushes uint64
 	// InboundDrops counts inbound messages discarded on full group
-	// queues (grouped endpoints only).
+	// queues (multi-group endpoints only).
 	InboundDrops uint64
 }
 
@@ -303,14 +292,12 @@ func (t *TCPEndpoint) Start() error {
 		return fmt.Errorf("listen %s: %w", t.addrs[t.self], err)
 	}
 	t.ln = ln
-	if t.grouped {
-		for g := range t.inboxes {
-			if t.handlers[g] == nil {
-				continue
-			}
-			t.wg.Add(1)
-			go t.deliverLoop(types.GroupID(g))
+	for g := range t.inboxes {
+		if t.handlers[g] == nil {
+			continue
 		}
+		t.wg.Add(1)
+		go t.deliverLoop(types.GroupID(g))
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -351,7 +338,7 @@ func (t *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// splitGroupBody splits a version-2 frame body into its group tag and
+// splitGroupBody splits a frame body into its group tag and
 // the encoded message bytes. It rejects bodies too short to carry the
 // tag and tags at or above MaxGroups (which no conforming sender can
 // produce, so they prove stream corruption).
@@ -400,29 +387,20 @@ func (r *readBuf) frame(n uint32) []byte {
 // readBuf), and decoding goes through msg.DecodeRecycled, which backs
 // the steady-state message types with pooled records the node event
 // loop recycles after delivery — so the hot read path performs no
-// per-frame allocation at all. The handshake's first word selects the
-// framing version: legacy connections deliver to group 0, version-2
-// connections carry a group tag per frame and demultiplex to the
-// group's handler.
+// per-frame allocation at all. Each frame's group tag demultiplexes it
+// to the group's handler.
 func (t *TCPEndpoint) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	br := bufio.NewReaderSize(conn, wireBufSize)
-	var hs [4]byte
+	var hs [8]byte
 	if _, err := io.ReadFull(br, hs[:]); err != nil {
 		return
 	}
-	word := binary.LittleEndian.Uint32(hs[:])
-	grouped := word == hsMagicV2
-	if grouped {
-		if _, err := io.ReadFull(br, hs[:]); err != nil {
-			return
-		}
-		word = binary.LittleEndian.Uint32(hs[:])
-	}
-	from := types.ReplicaID(int32(word))
-	if _, ok := t.addrs[from]; !ok || from == t.self {
-		return // handshake names an unknown replica: reject the connection
+	from := types.ReplicaID(int32(binary.LittleEndian.Uint32(hs[4:])))
+	if _, ok := t.addrs[from]; !ok || from == t.self ||
+		binary.LittleEndian.Uint32(hs[:4]) != hsMagicV2 {
+		return // no magic word, or an unknown sender: reject the connection
 	}
 	var rb readBuf
 	for {
@@ -438,12 +416,9 @@ func (t *TCPEndpoint) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}
-		g := types.GroupID(0)
-		if grouped {
-			var err error
-			if g, frame, err = splitGroupBody(frame); err != nil {
-				return // corrupt stream: drop the connection
-			}
+		g, frame, err := splitGroupBody(frame)
+		if err != nil {
+			return // corrupt stream: drop the connection
 		}
 		if int(g) >= len(t.handlers) || t.handlers[g] == nil {
 			// A well-formed frame for a group this endpoint does not host:
@@ -467,7 +442,7 @@ func (t *TCPEndpoint) readLoop(conn net.Conn) {
 		default:
 		}
 		if t.inboxes != nil {
-			// Grouped endpoint: hand off to the group's delivery
+			// Multi-group endpoint: hand off to the group's delivery
 			// goroutine so a stalled group cannot head-of-line-block its
 			// siblings on this connection; its own overflow is dropped.
 			select {
@@ -492,7 +467,7 @@ func (t *TCPEndpoint) SendGroup(to types.ReplicaID, g types.GroupID, m msg.Messa
 	if g < 0 || int(g) >= t.opts.Groups {
 		return // unconfigured group: drop, like any delivery failure
 	}
-	f := newFrame(m, 1, g, t.grouped)
+	f := newFrame(m, 1, g)
 	p, ok := t.peer(to)
 	if !ok {
 		f.release()
@@ -522,7 +497,7 @@ func (t *TCPEndpoint) BroadcastGroup(dst []types.ReplicaID, g types.GroupID, m m
 	if n == 0 {
 		return
 	}
-	f := newFrame(m, int32(n), g, t.grouped)
+	f := newFrame(m, int32(n), g)
 	for _, to := range dst {
 		if to == t.self {
 			continue
@@ -628,14 +603,9 @@ func (t *TCPEndpoint) writeLoop(to types.ReplicaID, p *tcpPeer) {
 					}
 				}
 				var hs [8]byte
-				hello := hs[4:]
-				if t.grouped {
-					// Version-2 handshake: magic word, then the sender.
-					binary.LittleEndian.PutUint32(hs[:4], hsMagicV2)
-					hello = hs[:]
-				}
+				binary.LittleEndian.PutUint32(hs[:4], hsMagicV2)
 				binary.LittleEndian.PutUint32(hs[4:], uint32(int32(t.self)))
-				if _, err := c.Write(hello); err != nil {
+				if _, err := c.Write(hs[:]); err != nil {
 					c.Close()
 					continue
 				}
@@ -653,7 +623,7 @@ func (t *TCPEndpoint) writeLoop(to types.ReplicaID, p *tcpPeer) {
 				// Write what the batch holds, then look again: frames that
 				// other groups (or this group's next burst) queued while
 				// these bytes were being buffered join the same flush. On a
-				// grouped endpoint, an empty re-drain yields the processor
+				// multi-group endpoint, an empty re-drain yields the processor
 				// once first — concurrent event loops bursting to this peer
 				// are typically one schedule away from having enqueued —
 				// which is what merges cross-group traffic into one syscall.
@@ -670,7 +640,7 @@ func (t *TCPEndpoint) writeLoop(to types.ReplicaID, p *tcpPeer) {
 					break
 				}
 				n := drainMore()
-				if n == 0 && t.grouped {
+				if n == 0 && t.inboxes != nil {
 					runtime.Gosched()
 					n = drainMore()
 				}
@@ -690,12 +660,10 @@ func (t *TCPEndpoint) writeLoop(to types.ReplicaID, p *tcpPeer) {
 			t.flushes.Add(1)
 			if len(batch) > 1 {
 				t.coalescedFrames.Add(uint64(len(batch)))
-				if t.grouped {
-					for _, f := range batch[1:] {
-						if f.group != batch[0].group {
-							t.multiGroupFlushes.Add(1)
-							break
-						}
+				for _, f := range batch[1:] {
+					if f.group != batch[0].group {
+						t.multiGroupFlushes.Add(1)
+						break
 					}
 				}
 			}
