@@ -88,7 +88,9 @@ func startCluster(t *testing.T, n int, delta time.Duration, srvOpts rpc.ServerOp
 		sm := newCountingSM()
 		app := &rsm.App{SM: sm}
 		nd := h.Group(0)
-		nd.Bind(app)
+		if err := h.Bind(0, app); err != nil {
+			t.Fatal(err)
+		}
 		nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: delta}))
 		cl.hosts = append(cl.hosts, h)
 		cl.sms = append(cl.sms, sm)

@@ -66,7 +66,9 @@ func startRPCCluster(t *testing.T) []string {
 		}
 		app := &rsm.App{SM: kvstore.New()}
 		nd := h.Group(0)
-		nd.Bind(app)
+		if err := h.Bind(0, app); err != nil {
+			t.Fatal(err)
+		}
 		nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 2 * time.Millisecond}))
 		hosts = append(hosts, h)
 	}

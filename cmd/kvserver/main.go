@@ -251,7 +251,9 @@ func run(ctx context.Context, cfg serverConfig) error {
 		// Bind through the host so each group's state machine gets the
 		// resharding wrapper: replicated fence/install commands route and
 		// fence keys, and execution results resolve Propose futures.
-		host.Bind(gid, app)
+		if err := host.Bind(gid, app); err != nil {
+			return err
+		}
 		nd.SetProtocol(core.New(nd, app, core.Options{
 			ClockTimeInterval: cfg.delta,
 			SuspectTimeout:    cfg.suspect,

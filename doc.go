@@ -88,16 +88,16 @@
 //     queue order is link order: per-sender FIFO, which the
 //     stable-order rule assumes and the Sent counters check, and
 //     ack-after-fsync are each enforced in that one place.
-//   - Client-side batching: commands enter the stack through the
-//     asynchronous client API — node.Propose returns a Future that
-//     resolves with the command's execution result — and a node's
-//     submit buffer (HostOptions.SubmitBatch) flushes up to N buffered
-//     proposals into one event-loop turn, so one coalesced PREPARE
-//     broadcast covers the chunk (the paper's client-library batching,
-//     Section VI-D). A bounded in-flight window (1024 proposals per
-//     group) applies backpressure: Propose blocks instead of queueing
-//     unbounded work, and Stop resolves every unresolved future with
-//     ErrStopped so shutdown never strands a waiter.
+//   - Batching: commands enter the stack through the asynchronous
+//     client API — node.Propose returns a Future that resolves with the
+//     command's execution result — and every proposal the event loop
+//     drains in one batch turn shares that turn's coalesced PREPARE
+//     broadcast (the paper's batching, Section VI-D), with no knob: the
+//     deeper the queue, the wider the batch. A bounded in-flight window
+//     (1024 proposals per group) applies backpressure: Propose blocks
+//     instead of queueing unbounded work, and Stop resolves every
+//     unresolved future with ErrStopped so shutdown never strands a
+//     waiter.
 //   - Group sharding: a node.Host runs G independent Clock-RSM groups,
 //     each with its own event loop, log and commit cascade, over ONE
 //     transport endpoint per node — every frame carries a 4-byte group
@@ -203,9 +203,10 @@
 // next to the replicated GET, and protocols without a watermark
 // (paxos, mencius) fall back to replicating reads as commands. Reads
 // at a removed replica fail with ErrNotInConfig, the same sweep
-// contract as write futures. runner.RunReadPath runs each tier against
-// the replicated baseline (PR 5's figures are in BENCH_5.json); the
-// lan3_g4_mixed bench workload measures reads and writes together.
+// contract as write futures. runner.TestReadPathLinearizability checks
+// reads and writes interleaved for linearizability (PR 5's figures are
+// in BENCH_5.json); the lan3_g4_mixed bench workload measures reads and
+// writes together.
 //
 // # Front door
 //

@@ -1,5 +1,4 @@
-// Client API: futures, pipelining, client-side batching, cancellation
-// and tiered reads.
+// Client API: futures, cancellation and tiered reads.
 //
 // A three-replica Clock-RSM cluster runs in one process over the
 // in-process transport. All commands enter through the first-class
@@ -8,13 +7,10 @@
 //
 //  1. a single proposal awaited with Future.Result;
 //
-//  2. a pipeline of concurrent proposals sharing coalesced PREPARE
-//     broadcasts via the SubmitBatch knob (paper Section VI-D);
-//
-//  3. cancellation: a context deadline abandons the wait (the command
+//  2. cancellation: a context deadline abandons the wait (the command
 //     may still commit, but at most once, and its result is dropped);
 //
-//  4. consistency-tiered reads served from the stable prefix — no
+//  3. consistency-tiered reads served from the stable prefix — no
 //     PREPARE broadcast: Linearizable (parks until the executed
 //     watermark covers the read's capture time), Sequential (immediate,
 //     monotonic through a Session token across replicas), and Stale
@@ -30,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"clockrsm/internal/core"
@@ -51,9 +46,7 @@ func main() {
 func run() error {
 	ctx := context.Background()
 
-	// Three single-group hosts with client-side batching: up to 8
-	// buffered proposals flush into one event-loop turn and share one
-	// PREPARE broadcast.
+	// Three single-group hosts.
 	const n = 3
 	hub := transport.NewHub(n, transport.HubOptions{
 		Latency: wan.Uniform(n, 2*time.Millisecond),
@@ -62,13 +55,15 @@ func run() error {
 	spec := []types.ReplicaID{0, 1, 2}
 	nodes := make([]*node.Node, n)
 	for i := 0; i < n; i++ {
-		h, err := node.NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), node.HostOptions{SubmitBatch: 8})
+		h, err := node.NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), node.HostOptions{})
 		if err != nil {
 			return err
 		}
 		nd := h.Group(0)
 		app := &rsm.App{SM: kvstore.New()}
-		nd.Bind(app) // execution results resolve Propose futures
+		if err := h.Bind(0, app); err != nil { // execution results resolve Propose futures
+			return err
+		}
 		nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond}))
 		nodes[i] = nd
 		if err := h.Start(); err != nil {
@@ -92,34 +87,7 @@ func run() error {
 	fmt.Printf("PUT city=Lausanne           -> id %v, committed in %v\n",
 		res.ID, time.Since(start).Round(time.Millisecond))
 
-	// 2. A pipeline: 64 proposals in flight at once, across replicas.
-	// No per-command synchronization — futures are collected and
-	// awaited afterwards; the submit buffer batches each node's burst.
-	start = time.Now()
-	var wg sync.WaitGroup
-	var committed int
-	var mu sync.Mutex
-	for k := 0; k < 64; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			at := types.ReplicaID(k % len(nodes))
-			f, err := nodes[at].Propose(ctx, kvstore.Put(fmt.Sprintf("key-%d", k), []byte("v")))
-			if err != nil {
-				return
-			}
-			if _, err := f.Result(); err == nil {
-				mu.Lock()
-				committed++
-				mu.Unlock()
-			}
-		}(k)
-	}
-	wg.Wait()
-	fmt.Printf("pipeline of 64 proposals    -> %d committed in %v (batched PREPAREs)\n",
-		committed, time.Since(start).Round(time.Millisecond))
-
-	// 3. Cancellation: an expired context abandons the wait. The
+	// 2. Cancellation: an expired context abandons the wait. The
 	// command may still commit — at most once — but its result is
 	// dropped; the future resolves node.ErrCanceled.
 	cctx, cancel := context.WithTimeout(ctx, time.Nanosecond)
@@ -134,7 +102,7 @@ func run() error {
 		fmt.Println("canceled proposal           -> commit raced the cancellation")
 	}
 
-	// 4. Consistency-tiered reads, served from the local stable prefix
+	// 3. Consistency-tiered reads, served from the local stable prefix
 	// (no replication traffic at any tier).
 	//
 	// Linearizable: observes every write that completed before the read

@@ -50,7 +50,9 @@ func run() error {
 		stores[i] = kvstore.New()
 		nd := h.Group(0)
 		app := &rsm.App{SM: stores[i]}
-		nd.Bind(app) // execution results resolve Propose futures
+		if err := h.Bind(0, app); err != nil { // execution results resolve Propose futures
+			return err
+		}
 		nd.SetProtocol(core.New(nd, app, core.Options{
 			ClockTimeInterval: 5 * time.Millisecond,
 		}))

@@ -278,13 +278,6 @@ func (e *Engine) Arm() {
 	}
 }
 
-// Armed reports whether the timeline has started.
-func (e *Engine) Armed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.armed
-}
-
 // elapsed returns the time since Arm, and whether the engine is armed
 // at all (faults are inert before Arm).
 func (e *Engine) elapsed() (time.Duration, bool) {

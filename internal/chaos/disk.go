@@ -150,7 +150,7 @@ func (l *ChaosLog) Stats() storage.LogStats {
 // Mode implements storage.StatsReporter.
 func (l *ChaosLog) Mode() storage.SyncMode {
 	if l.innerR == nil {
-		return storage.SyncDefault
+		return storage.SyncOff
 	}
 	return l.innerR.Mode()
 }

@@ -24,6 +24,7 @@ type consensusProto struct{ p *Paxos }
 func (c *consensusProto) Start()                                      {}
 func (c *consensusProto) Submit(types.Command)                        {}
 func (c *consensusProto) Deliver(from types.ReplicaID, m msg.Message) { c.p.Deliver(from, m) }
+func (c *consensusProto) NextCommandID() types.CommandID              { return types.CommandID{} }
 
 func newHarness(t *testing.T, n int, jitter time.Duration) *harness {
 	t.Helper()

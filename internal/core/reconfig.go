@@ -254,7 +254,7 @@ func (r *Replica) beginApply(d *decision) bool {
 		for _, tc := range r.env.Log().CommandsBetween(cts, need) {
 			r.st.cmds[tc.TS] = tc.Cmd
 		}
-		r.out.sendSpec(&msg.RetrieveCmds{From: cts, To: need})
+		r.out.sendSpec(&msg.RetrieveCmds{From: cts, To: need, Seq: uint64(d.epoch)})
 		if bits.OnesCount64(r.st.okMask) >= types.Majority(len(r.spec)) {
 			r.finishApply(d, sortedCmds(r.st.cmds))
 			return true
@@ -282,7 +282,7 @@ func (r *Replica) onRetrieveCmds(from types.ReplicaID, m *msg.RetrieveCmds) {
 	if r.shouldSnapshotFor(m.From) {
 		r.checkpointNow()
 	}
-	reply := &msg.RetrieveReply{Seq: uint64(r.epoch)}
+	reply := &msg.RetrieveReply{Seq: m.Seq}
 	low := m.From
 	if cp, covers := r.checkpointAfter(m.From); covers {
 		reply.HasSnap, reply.SnapTS, reply.Snap = true, cp.TS, cp.State
@@ -346,10 +346,13 @@ func (r *Replica) checkpointNow() {
 }
 
 // onRetrieveReply collects state-transfer responses until a majority of
-// Spec answered.
+// Spec answered. Only replies tagged with the transfer's epoch count: a
+// late reply to the previous epoch's transfer covers an older range, and
+// counting it toward the majority would install the decision without the
+// commands in between.
 func (r *Replica) onRetrieveReply(from types.ReplicaID, m *msg.RetrieveReply) {
 	st := r.st
-	if st == nil || st.applied {
+	if st == nil || st.applied || m.Seq != uint64(st.epoch) {
 		return
 	}
 	st.okMask |= 1 << uint(from)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -447,4 +448,81 @@ func TestSequentialReconfigurations(t *testing.T) {
 		}
 	}
 	h.checkTotalOrder(2, map[int]bool{3: true, 4: true})
+}
+
+// TestStaleRetrieveReplyIgnored replays what a lagging replica meets when
+// it learns two decisions back to back: the slower responder's reply to
+// the first state transfer arrives while the second is in flight. That
+// reply covers the older range, so it must not count toward the second
+// transfer's majority, or the replica installs the second epoch without
+// the commands between the two baselines and its state diverges.
+func TestStaleRetrieveReplyIgnored(t *testing.T) {
+	env := newRecordEnv(2, 3)
+	var executed []types.CommandID
+	rep := New(env, &rsm.App{SM: rsm.NopSM{}, OnCommit: func(_ types.Timestamp, cmd types.Command) {
+		executed = append(executed, cmd.ID)
+	}}, Options{})
+	rep.Start()
+
+	cmdAt := func(wall int64, seq uint64) msg.TimestampedCommand {
+		return msg.TimestampedCommand{
+			TS:  types.Timestamp{Wall: wall, Node: 0},
+			Cmd: types.Command{ID: types.CommandID{Origin: 0, Seq: seq}, Payload: []byte("x")},
+		}
+	}
+	a, b := cmdAt(10, 1), cmdAt(20, 2)
+	learn := func(e uint64, cfg []types.ReplicaID, ts types.Timestamp) {
+		rep.Deliver(0, &msg.Learn{Instance: e, Value: encodeProposal(cfg, ts, types.Timestamp{}, nil)})
+	}
+	// lastRetrieve returns the newest state-transfer request sent.
+	lastRetrieve := func() *msg.RetrieveCmds {
+		t.Helper()
+		var last *msg.RetrieveCmds
+		var scan func(m msg.Message)
+		scan = func(m msg.Message) {
+			switch mm := m.(type) {
+			case *msg.RetrieveCmds:
+				last = mm
+			case *msg.Batch:
+				for _, sub := range mm.Msgs {
+					scan(sub)
+				}
+			}
+		}
+		for _, s := range env.sends {
+			scan(s.m)
+		}
+		if last == nil {
+			t.Fatal("no state-transfer request sent")
+		}
+		return last
+	}
+
+	// Epoch 1 removes r2 with baseline a; r0 answers the transfer first.
+	learn(1, []types.ReplicaID{0, 1}, a.TS)
+	first := lastRetrieve()
+	rep.Deliver(0, &msg.RetrieveReply{Seq: first.Seq, Cmds: []msg.TimestampedCommand{a}})
+	if got := rep.Epoch(); got != 1 {
+		t.Fatalf("epoch = %d after the first transfer, want 1", got)
+	}
+
+	// Epoch 2 re-adds r2 with baseline b; r1's late answer to the first
+	// transfer arrives while the second one waits.
+	learn(2, []types.ReplicaID{0, 1, 2}, b.TS)
+	second := lastRetrieve()
+	if second == first {
+		t.Fatal("epoch 2 sent no state-transfer request")
+	}
+	rep.Deliver(1, &msg.RetrieveReply{Seq: first.Seq, Cmds: []msg.TimestampedCommand{a}})
+	if got := rep.Epoch(); got != 1 {
+		t.Fatalf("a reply to the epoch-1 transfer installed epoch %d", got)
+	}
+
+	rep.Deliver(1, &msg.RetrieveReply{Seq: second.Seq, Cmds: []msg.TimestampedCommand{a, b}})
+	if got := rep.Epoch(); got != 2 {
+		t.Fatalf("epoch = %d after the second transfer, want 2", got)
+	}
+	if want := []types.CommandID{a.Cmd.ID, b.Cmd.ID}; !slices.Equal(executed, want) {
+		t.Fatalf("executed %v, want %v", executed, want)
+	}
 }

@@ -192,7 +192,6 @@ type Replica struct {
 
 var (
 	_ rsm.Protocol       = (*Replica)(nil)
-	_ rsm.IDAllocator    = (*Replica)(nil)
 	_ rsm.Reconfigurable = (*Replica)(nil)
 	_ rsm.StateReader    = (*Replica)(nil)
 )

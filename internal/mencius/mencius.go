@@ -53,10 +53,7 @@ type Replica struct {
 	nextSeq   uint64
 }
 
-var (
-	_ rsm.Protocol    = (*Replica)(nil)
-	_ rsm.IDAllocator = (*Replica)(nil)
-)
+var _ rsm.Protocol = (*Replica)(nil)
 
 // New creates a Mencius-bcast replica.
 func New(env rsm.Env, app *rsm.App) *Replica {

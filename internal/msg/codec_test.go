@@ -40,7 +40,7 @@ func sampleMessages() []Message {
 		&MCommit{Slot: 17},
 		&Suspend{Epoch: 5, CTS: ts},
 		&SuspendOK{Epoch: 5, Cmds: []TimestampedCommand{{TS: ts, Cmd: cmd}}},
-		&RetrieveCmds{From: ts, To: types.Timestamp{Wall: 222, Node: 1}},
+		&RetrieveCmds{From: ts, To: types.Timestamp{Wall: 222, Node: 1}, Seq: 3},
 		&RetrieveReply{Seq: 3, Cmds: []TimestampedCommand{{TS: ts, Cmd: cmd}, {TS: ts, Cmd: cmd}}},
 		&P1a{Instance: 1, Ballot: 10},
 		&P1b{Instance: 1, Ballot: 10, AcceptedBallot: 3, Value: []byte("cfg")},

@@ -503,10 +503,11 @@ func (m *SuspendOK) decode(b []byte, rec *Record) ([]byte, error) {
 
 // RetrieveCmds requests all logged commands with timestamps in
 // (From, To]: 〈RETRIEVECMDS from, to〉 (Alg. 3 line 26), used by state
-// transfer and recovery.
+// transfer and recovery. Seq is a request tag the reply echoes.
 type RetrieveCmds struct {
 	From types.Timestamp
 	To   types.Timestamp
+	Seq  uint64
 }
 
 var _ Message = (*RetrieveCmds)(nil)
@@ -516,7 +517,8 @@ func (*RetrieveCmds) Type() Type { return TRetrieveCmds }
 
 func (m *RetrieveCmds) appendTo(b []byte) []byte {
 	b = putTS(b, m.From)
-	return putTS(b, m.To)
+	b = putTS(b, m.To)
+	return putU64(b, m.Seq)
 }
 
 func (m *RetrieveCmds) decode(b []byte, rec *Record) ([]byte, error) {
@@ -526,12 +528,17 @@ func (m *RetrieveCmds) decode(b []byte, rec *Record) ([]byte, error) {
 		return nil, err
 	}
 	m.To, b, err = getTS(b)
+	if err != nil {
+		return nil, err
+	}
+	m.Seq, b, err = getU64(b)
 	return b, err
 }
 
 // RetrieveReply returns the requested command range:
-// 〈RETRIEVEREPLY cmds〉 (Alg. 3 line 31). Seq echoes a caller-chosen
-// request tag so concurrent retrievals do not mix. When the responder
+// 〈RETRIEVEREPLY cmds〉 (Alg. 3 line 31). Seq echoes the request's
+// tag so a late reply to an earlier retrieval is not mistaken for one
+// to the current request. When the responder
 // has compacted part of the requested range into a checkpoint
 // (Section V-B), it ships the snapshot covering commands up to SnapTS
 // plus the commands above it.

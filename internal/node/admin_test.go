@@ -345,7 +345,7 @@ func TestStatusCountersAndLatency(t *testing.T) {
 // cannot commit, Reconfigure must still be admitted (it is the
 // operation that would unstick them), and Stop must sweep its future.
 func TestReconfigureBypassesFullWindow(t *testing.T) {
-	c := blockedCluster(t, HostOptions{}, 1)
+	c := blockedCluster(t, 1)
 	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
 		t.Fatalf("window-filling Propose: %v", err)
 	}

@@ -3,6 +3,8 @@ package node
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"strings"
 	"time"
 
 	"clockrsm/internal/clock"
@@ -27,10 +29,6 @@ type HostOptions struct {
 	// NewLog constructs group g's stable log; nil (or a nil result)
 	// gives the group its own in-memory log.
 	NewLog func(g types.GroupID) storage.Log
-	// SubmitBatch is each group's client-side batching width (default
-	// 1): up to this many buffered proposals flush into one event-loop
-	// turn, sharing one coalesced PREPARE broadcast (Section VI-D).
-	SubmitBatch int
 	// Table is the initial routing table. Nil derives the legacy
 	// layout from Groups (slot s → group s mod Groups), which places
 	// every key at shard.Hash(key) mod Groups. A table routing to fewer
@@ -57,8 +55,8 @@ type HostOptions struct {
 // group tag, so adding groups adds event loops — and, on multi-core
 // hardware, parallel commit cascades — without adding sockets.
 //
-// Wire a Host like a set of Nodes: attach a protocol to every group
-// with Group(g).SetProtocol, then Start the host once.
+// Wire a Host group by group: Bind each group's application, attach a
+// protocol with Group(g).SetProtocol, then Start the host once.
 type Host struct {
 	id    types.ReplicaID
 	tr    transport.GroupTransport
@@ -66,11 +64,9 @@ type Host struct {
 	// faultStats reports injected-fault counters for Status; nil
 	// outside chaos runs (see HostOptions.FaultStats).
 	faultStats func() map[string]uint64
-	// holder owns the live routing table (the source of truth for
-	// key→group dispatch); shardSMs are the per-group resharding
-	// wrappers Bind installs around the application state machines.
-	holder   *reshard.Holder
-	shardSMs []*reshard.SM
+	// holder owns the live routing table, the source of truth for
+	// key→group dispatch.
+	holder *reshard.Holder
 }
 
 // NewHost creates a host for replica id over tr with opts.Groups
@@ -94,7 +90,6 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 	if clk == nil {
 		clk = clock.NewMonotonic(clock.System{})
 	}
-	sbatch := max(opts.SubmitBatch, 1)
 	tbl := opts.Table
 	if tbl == nil {
 		tbl = reshard.Legacy(g)
@@ -106,7 +101,6 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 		id:         id,
 		tr:         gt,
 		holder:     reshard.NewHolder(tbl, opts.RoutesPath),
-		shardSMs:   make([]*reshard.SM, g),
 		faultStats: opts.FaultStats,
 	}
 	for i := 0; i < g; i++ {
@@ -119,21 +113,20 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 			lg = storage.NewMemLog()
 		}
 		n := &Node{
-			id:          id,
-			spec:        append([]types.ReplicaID(nil), spec...),
-			clk:         clk,
-			log:         lg,
-			group:       gid,
-			gt:          gt,
-			gbcast:      gb,
-			window:      make(chan struct{}, maxInFlight),
-			submitBatch: sbatch,
-			waiters:     make(map[uint64]*Future),
-			readReg:     make(map[*readOp]struct{}),
-			timers:      make(map[*time.Timer]struct{}),
-			events:      make(chan event, queueLen),
-			quit:        make(chan struct{}),
-			done:        make(chan struct{}),
+			id:      id,
+			spec:    append([]types.ReplicaID(nil), spec...),
+			clk:     clk,
+			log:     lg,
+			group:   gid,
+			gt:      gt,
+			gbcast:  gb,
+			window:  make(chan struct{}, maxInFlight),
+			waiters: make(map[uint64]*Future),
+			readReg: make(map[*readOp]struct{}),
+			timers:  make(map[*time.Timer]struct{}),
+			events:  make(chan event, queueLen),
+			quit:    make(chan struct{}),
+			done:    make(chan struct{}),
 		}
 		gt.SetGroupHandler(gid, func(from types.ReplicaID, m msg.Message) {
 			if !n.enqueue(event{m: m, from: from}) {
@@ -164,18 +157,52 @@ func (h *Host) ProposeKey(ctx context.Context, key string, payload []byte) (*Fut
 }
 
 // Bind connects group g's application to that group's proposal futures
-// (see Node.Bind), wrapping its state machine with the resharding
-// layer first: control commands (fence, install) replicated in g's log
-// mutate routing state, and data commands for migrated slots turn into
-// typed redirects instead of applies. The wrapper forwards the inner
-// machine's query and snapshot capabilities, so reads and checkpoints
-// keep working — checkpoints now carry the route state alongside the
-// data it protects.
-func (h *Host) Bind(g types.GroupID, app *rsm.App) {
-	wrapped := reshard.Wrap(g, app.SM, h.holder)
-	h.shardSMs[g] = reshard.Base(wrapped)
-	app.SM = wrapped
-	h.nodes[g].Bind(app)
+// and read path, wrapping its state machine with the resharding layer
+// first: control commands (fence, install) replicated in g's log mutate
+// routing state, and data commands for migrated slots turn into typed
+// redirects instead of applies. Checkpoints carry the route state
+// alongside the data it protects. app.SM must be a reshard.Store; Bind
+// refuses anything else, naming the methods it lacks. Bind must precede
+// Start.
+func (h *Host) Bind(g types.GroupID, app *rsm.App) error {
+	st, ok := app.SM.(reshard.Store)
+	if !ok {
+		return fmt.Errorf("host %v: group %v state machine %T is not a reshard.Store: it lacks %s",
+			h.id, g, app.SM, strings.Join(missingMethods(app.SM), ", "))
+	}
+	n := h.nodes[g]
+	n.sm = reshard.Wrap(g, st, h.holder)
+	app.SM = n.sm
+	// Execution results of locally originated commands resolve the
+	// matching Future on the event loop; an OnReply already installed
+	// on app keeps firing after the future resolves.
+	prev := app.OnReply
+	app.OnReply = func(res types.Result) {
+		n.completeProposal(res)
+		if prev != nil {
+			prev(res)
+		}
+	}
+	return nil
+}
+
+// missingMethods names the reshard.Store methods sm lacks, or has with
+// the wrong signature.
+func missingMethods(sm rsm.StateMachine) []string {
+	want := reflect.TypeOf((*reshard.Store)(nil)).Elem()
+	have := reflect.ValueOf(sm)
+	var missing []string
+	for i := 0; i < want.NumMethod(); i++ {
+		m := want.Method(i)
+		var f reflect.Value
+		if have.IsValid() {
+			f = have.MethodByName(m.Name)
+		}
+		if !f.IsValid() || f.Type() != m.Type {
+			missing = append(missing, m.Name)
+		}
+	}
+	return missing
 }
 
 // Start launches every group's event loop, then the shared transport,

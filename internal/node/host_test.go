@@ -2,7 +2,9 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,7 +41,9 @@ func newHostCluster(t *testing.T, n, groups int, mkTransport func(id types.Repli
 			stores[g] = store
 			app := &rsm.App{SM: store}
 			nd := h.Group(types.GroupID(g))
-			nd.Bind(app)
+			if err := h.Bind(types.GroupID(g), app); err != nil {
+				t.Fatal(err)
+			}
 			nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond}))
 		}
 		c.hosts = append(c.hosts, h)
@@ -150,7 +154,9 @@ func TestHostMultiGroupTCP(t *testing.T) {
 			stores[g] = store
 			app := &rsm.App{SM: store}
 			nd := h.Group(types.GroupID(g))
-			nd.Bind(app)
+			if err := h.Bind(types.GroupID(g), app); err != nil {
+				t.Fatal(err)
+			}
 			nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond}))
 		}
 		c.hosts = append(c.hosts, h)
@@ -214,4 +220,83 @@ func TestHostStartWithoutProtocol(t *testing.T) {
 	}
 	h.Stop()
 	h.Stop() // idempotent
+}
+
+// TestHostSplit: a cluster wired the way these tests wire one — every
+// group bound through Host.Bind, so every group has the resharding
+// wrapper — splits live, and every key written before the split reads
+// back linearizably at every host afterwards, the moved ones from the
+// group they moved to.
+func TestHostSplit(t *testing.T) {
+	const n, groups = 3, 2
+	hub := transport.NewHub(n, transport.HubOptions{Codec: true, Groups: groups})
+	t.Cleanup(hub.Close)
+	c := newHostCluster(t, n, groups, func(id types.ReplicaID) transport.Transport {
+		return hub.Endpoint(id)
+	})
+	c.start(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	keys := make([]string, 32)
+	before := make([]types.GroupID, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("split-%d", i)
+		before[i] = c.hosts[0].Table().Group(keys[i])
+		if _, err := c.hosts[i%n].Execute(ctx, keys[i], kvstore.Put(keys[i], []byte(keys[i]))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := c.hosts[0].Split(ctx, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for i, k := range keys {
+		if before[i] == 0 && c.hosts[0].Table().Group(k) == 1 {
+			moved++
+		}
+	}
+	if rep.Slots == 0 || rep.Pairs == 0 || moved == 0 {
+		t.Fatalf("split moved %d slots, %d pairs, %d of the test keys; want some of each", rep.Slots, rep.Pairs, moved)
+	}
+	for _, h := range c.hosts {
+		for _, k := range keys {
+			res, err := h.ReadKey(ctx, k, kvstore.Get(k), Linearizable)
+			if err != nil || string(res.Value) != k {
+				t.Fatalf("host %v: read %s after split = %q, %v", h.ID(), k, res.Value, err)
+			}
+		}
+	}
+}
+
+// applyOnly is a state machine with Apply and nothing else.
+type applyOnly struct{}
+
+func (applyOnly) Apply([]byte) []byte { return nil }
+
+// TestHostBindRefusesApplyOnlyMachine: every bound group gets the
+// resharding wrapper, which needs the whole reshard.Store, so Bind
+// refuses a machine lacking part of it, names what is missing and
+// leaves the app untouched; a kvstore binds.
+func TestHostBindRefusesApplyOnlyMachine(t *testing.T) {
+	hub := transport.NewHub(1, transport.HubOptions{})
+	t.Cleanup(hub.Close)
+	h, err := NewHost(0, []types.ReplicaID{0}, hub.Endpoint(0), HostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &rsm.App{SM: applyOnly{}}
+	err = h.Bind(0, app)
+	if err == nil {
+		t.Fatal("Bind accepted an apply-only state machine")
+	}
+	if want := "lacks InstallPair, Query, Restore, Snapshot"; !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("Bind error %q does not end with %q", err, want)
+	}
+	if app.SM != (applyOnly{}) || app.OnReply != nil || h.Group(0).sm != nil {
+		t.Fatal("a refused Bind still wired the group")
+	}
+	if err := h.Bind(0, &rsm.App{SM: kvstore.New()}); err != nil {
+		t.Fatalf("Bind refused a kvstore: %v", err)
+	}
 }

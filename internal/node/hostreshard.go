@@ -141,8 +141,8 @@ func (c splitCluster) Propose(ctx context.Context, g types.GroupID, payload []by
 }
 
 func (c splitCluster) SourceSnapshot(g types.GroupID, slots []uint32) ([]reshard.Pair, error) {
-	if int(g) >= len(c.h.shardSMs) || c.h.shardSMs[g] == nil {
-		return nil, fmt.Errorf("host %v: group %v has no resharding wrapper (Bind through Host.Bind)", c.h.id, g)
+	if int(g) >= len(c.h.nodes) || c.h.nodes[g].sm == nil {
+		return nil, fmt.Errorf("host %v: group %v has no bound state machine", c.h.id, g)
 	}
 	var pairs []reshard.Pair
 	var err error
@@ -151,7 +151,7 @@ func (c splitCluster) SourceSnapshot(g types.GroupID, slots []uint32) ([]reshard
 	// snapshot sits at a well-defined log position (after the fence).
 	c.h.nodes[g].Do(func() {
 		ran = true
-		pairs, err = c.h.shardSMs[g].SnapshotSlots(slots)
+		pairs, err = c.h.nodes[g].sm.SnapshotSlots(slots)
 	})
 	if !ran {
 		return nil, ErrStopped

@@ -17,6 +17,7 @@ import (
 
 	"clockrsm/internal/clock"
 	"clockrsm/internal/msg"
+	"clockrsm/internal/reshard"
 	"clockrsm/internal/rsm"
 	"clockrsm/internal/storage"
 	"clockrsm/internal/transport"
@@ -40,12 +41,11 @@ const (
 // passed as plain fields rather than closures so the hot path enqueues
 // no per-message heap allocation; fn covers timers and Do callbacks.
 type event struct {
-	fn    func()
-	m     msg.Message // non-nil: deliver m from `from`
-	from  types.ReplicaID
-	fut   *Future // non-nil: mint an ID and submit this proposal
-	read  *readOp // non-nil: serve or park this local read
-	flush bool    // drain the client-side submit buffer
+	fn   func()
+	m    msg.Message // non-nil: deliver m from `from`
+	from types.ReplicaID
+	fut  *Future // non-nil: mint an ID and submit this proposal
+	read *readOp // non-nil: serve or park this local read
 }
 
 // Node hosts one replication group of a Host: transport in, protocol
@@ -72,36 +72,29 @@ type Node struct {
 	// Client API state (see propose.go). window holds one token per
 	// admitted, unresolved proposal — the backpressure window of
 	// maxInFlight slots. inflight heads the intrusive registry list Stop
-	// sweeps; propBuf is the client-side submit buffer drained by flush
-	// events when submitBatch > 1. waiters, mint and nextSeq are owned by
-	// the event loop.
-	window      chan struct{}
-	submitBatch int
+	// sweeps.
+	window chan struct{}
 
 	propMu      sync.Mutex
 	inflight    *Future
-	propBuf     []*Future
-	propSpare   []*Future
-	flushQueued bool
 	propStopped bool
 
 	// waiters routes completions back to futures, keyed by the minted
-	// Seq alone: every ID minted here carries Origin == n.id, and
-	// App.Execute only reports results for locally originated commands.
+	// Seq alone: every ID the protocol mints here carries Origin == n.id,
+	// and App.Execute only reports results for locally originated
+	// commands. Owned by the event loop.
 	waiters map[uint64]*Future
-	mint    rsm.IDAllocator
-	nextSeq uint64
 
 	// Read-path state (see read.go). sr is the protocol's watermark
 	// interface (nil for protocols without one: reads fall back to
-	// replication); app/canQuery come from Bind and gate local serving;
+	// replication); sm is the resharding-wrapped state machine Host.Bind
+	// installs, which local reads query (nil until bound);
 	// watermark is the lock-free cache of the executed watermark,
 	// refreshed by the stable listener (Stale reads and Status read
 	// it); readQ is the loop-owned timestamp-ordered waiter queue;
 	// readReg is the registry Stop sweeps.
 	sr        rsm.StateReader
-	app       *rsm.App
-	canQuery  bool
+	sm        *reshard.SM
 	watermark atomic.Int64
 	readQ     readQueue
 
@@ -213,7 +206,7 @@ func (n *Node) Log() storage.Log { return n.log }
 
 // SetProtocol binds the protocol instance. Must precede Host.Start. The
 // read-path and status interfaces are captured here — setup time, like
-// Bind — so client goroutines created after setup read them safely.
+// Host.Bind — so client goroutines created after setup read them safely.
 func (n *Node) SetProtocol(p rsm.Protocol) {
 	n.proto = p
 	n.sr, _ = p.(rsm.StateReader)
@@ -242,10 +235,6 @@ func (n *Node) startLoop() error {
 	if n.proto == nil {
 		return fmt.Errorf("node %v has no protocol", n.id)
 	}
-	// Mint command IDs through the protocol when it allocates them
-	// itself, so proposals and any direct protocol use share one
-	// collision-free sequence.
-	n.mint, _ = n.proto.(rsm.IDAllocator)
 	// Wire the read path: the protocol's watermark listener releases
 	// parked reads and refreshes the lock-free watermark cache. The
 	// loop has not started yet, so priming the cache is safe.
@@ -310,8 +299,6 @@ func (n *Node) exec(ev event) {
 		n.execPropose(ev.fut)
 	case ev.read != nil:
 		n.execRead(ev.read)
-	case ev.flush:
-		n.flushProposals()
 	default:
 		ev.fn()
 	}

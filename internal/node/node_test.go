@@ -30,13 +30,13 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, lat *wan.Matrix,
 	mk func(env rsm.Env, app *rsm.App) rsm.Protocol) *cluster {
-	return newClusterOpts(t, n, lat, mk, HostOptions{}, 0)
+	return newClusterWindow(t, n, lat, mk, 0)
 }
 
-// newClusterOpts is newCluster with host options and, when window > 0,
-// every node's in-flight window shrunk to that many slots before Start.
-func newClusterOpts(t *testing.T, n int, lat *wan.Matrix,
-	mk func(env rsm.Env, app *rsm.App) rsm.Protocol, opts HostOptions, window int) *cluster {
+// newClusterWindow is newCluster with, when window > 0, every node's
+// in-flight window shrunk to that many slots before Start.
+func newClusterWindow(t *testing.T, n int, lat *wan.Matrix,
+	mk func(env rsm.Env, app *rsm.App) rsm.Protocol, window int) *cluster {
 	t.Helper()
 	c := &cluster{
 		hub:    transport.NewHub(n, transport.HubOptions{Latency: lat}),
@@ -54,7 +54,7 @@ func newClusterOpts(t *testing.T, n int, lat *wan.Matrix,
 	})
 	for i := 0; i < n; i++ {
 		i := i
-		h, err := NewHost(types.ReplicaID(i), spec, c.hub.Endpoint(types.ReplicaID(i)), opts)
+		h, err := NewHost(types.ReplicaID(i), spec, c.hub.Endpoint(types.ReplicaID(i)), HostOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,9 @@ func newClusterOpts(t *testing.T, n int, lat *wan.Matrix,
 				c.mu.Unlock()
 			},
 		}
-		nd.Bind(app)
+		if err := h.Bind(0, app); err != nil {
+			t.Fatal(err)
+		}
 		nd.SetProtocol(mk(nd, app))
 		c.hosts = append(c.hosts, h)
 		c.nodes = append(c.nodes, nd)
@@ -197,7 +199,9 @@ func TestNodeOverTCP(t *testing.T) {
 		stores[i] = kvstore.New()
 		nd := h.Group(0)
 		app := &rsm.App{SM: stores[i]}
-		nd.Bind(app)
+		if err := h.Bind(0, app); err != nil {
+			t.Fatal(err)
+		}
 		nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond}))
 		hosts = append(hosts, h)
 		if err := h.Start(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clockrsm/internal/rsm"
 	"clockrsm/internal/types"
 )
 
@@ -158,35 +157,23 @@ func (f *Future) resolved() bool {
 // Propose blocks until a slot frees, ctx is done (ErrCanceled) or the
 // node stops (ErrStopped).
 //
-// Batching: with HostOptions.SubmitBatch > 1, admitted proposals
-// gather in a submit buffer and the event loop drains them in chunks
-// of up to SubmitBatch per batch turn, so one coalesced PREPARE
-// broadcast (one encode, one frame per link) covers the whole chunk —
-// the paper's client-library batching (Section VI-D).
+// Batching: every proposal the event loop drains in one batch turn
+// runs inside that turn's BeginBatch/EndBatch bracket, so one coalesced
+// PREPARE broadcast (one encode, one frame per link) covers all of
+// them — the paper's batching (Section VI-D), with no knob: the deeper
+// the queue under load, the wider the batch.
 //
 // ctx governs admission and can later cancel the wait through
 // Future.Wait; it does not cancel a command already replicating.
 //
-// The result's CommandID is minted on the event loop and is unique
-// within this node's replication group; sibling groups of a Host mint
-// their own sequences, so cross-group consumers key by (group, ID).
+// The result's CommandID is minted on the event loop by the protocol's
+// NextCommandID and is unique within this node's replication group;
+// sibling groups of a Host mint their own sequences, so cross-group
+// consumers key by (group, ID).
 func (n *Node) Propose(ctx context.Context, payload []byte) (*Future, error) {
 	f, err := n.admit(ctx, payload)
 	if err != nil {
 		return nil, err
-	}
-	if n.submitBatch > 1 {
-		n.propMu.Lock()
-		n.propBuf = append(n.propBuf, f)
-		queued := n.flushQueued
-		n.flushQueued = true
-		n.propMu.Unlock()
-		if !queued {
-			// One flush event drains the whole buffer; later proposals
-			// join it for free until the loop gets there.
-			n.enqueue(event{flush: true})
-		}
-		return f, nil
 	}
 	if !n.enqueue(event{fut: f}) {
 		f.resolve(types.Result{}, ErrStopped)
@@ -257,25 +244,6 @@ func (n *Node) register(f *Future) error {
 	return nil
 }
 
-// Bind connects the replicated application to this node's proposal
-// futures: execution results of locally originated commands resolve the
-// matching Future on the event loop. An OnReply already installed on
-// app keeps firing after the future resolves. Bind also hands the app
-// to the read path, so Read can serve queries from local state when
-// both the protocol and the state machine support it. Bind must
-// precede Start.
-func (n *Node) Bind(app *rsm.App) {
-	n.app = app
-	_, n.canQuery = app.SM.(rsm.StateQuerier)
-	prev := app.OnReply
-	app.OnReply = func(res types.Result) {
-		n.completeProposal(res)
-		if prev != nil {
-			prev(res)
-		}
-	}
-}
-
 // execPropose runs on the event loop: it mints the command ID, registers
 // the completion and submits the command to the protocol. A future
 // canceled before reaching the loop is dropped without ever submitting,
@@ -291,13 +259,7 @@ func (n *Node) execPropose(f *Future) {
 		f.resolve(types.Result{}, ErrNotInConfig)
 		return
 	}
-	var id types.CommandID
-	if n.mint != nil {
-		id = n.mint.NextCommandID()
-	} else {
-		n.nextSeq++
-		id = types.CommandID{Origin: n.id, Seq: n.nextSeq}
-	}
+	id := n.proto.NextCommandID()
 	f.seq.Store(id.Seq)
 	// Re-check after publishing the seq: a Cancel racing in between saw
 	// seq == 0 and won't unregister, so don't register (or submit) at
@@ -309,37 +271,9 @@ func (n *Node) execPropose(f *Future) {
 	n.proto.Submit(types.Command{ID: id, Payload: f.payload})
 }
 
-// flushProposals runs on the event loop: it drains the submit buffer in
-// chunks of SubmitBatch proposals. The loop turn already brackets the
-// event in BeginBatch/EndBatch, so each chunk's PREPAREs coalesce into
-// one outgoing frame; between chunks the bracket is cycled to bound the
-// per-broadcast batch at SubmitBatch.
-func (n *Node) flushProposals() {
-	n.propMu.Lock()
-	buf := n.propBuf
-	// Swap in the spare backing array and nil the spare out while buf is
-	// borrowed: the two must never alias, or concurrent appends would
-	// overwrite the entries being drained.
-	n.propBuf = n.propSpare[:0]
-	n.propSpare = nil
-	n.flushQueued = false
-	n.propMu.Unlock()
-	bd, _ := n.proto.(rsm.BatchDeliverer)
-	for i, f := range buf {
-		if i > 0 && i%n.submitBatch == 0 && bd != nil {
-			bd.EndBatch()
-			bd.BeginBatch()
-		}
-		n.execPropose(f)
-		buf[i] = nil
-	}
-	n.propMu.Lock()
-	n.propSpare = buf[:0] // hand the drained array back for reuse
-	n.propMu.Unlock()
-}
-
 // completeProposal resolves the future registered for a finished
-// command. It runs on the event loop (via the Bind OnReply hook).
+// command. It runs on the event loop, through the OnReply hook
+// Host.Bind installs.
 // A result carrying a routing redirect means the command was fenced —
 // never executed — so its future fails with the typed wrong-group
 // error and the caller is free to resubmit at the new owner.
@@ -358,10 +292,10 @@ func (n *Node) completeProposal(res types.Result) {
 
 // sweepProposals fails every unresolved proposal with ErrStopped. It
 // runs once, after the event loop has exited, so Stop never strands a
-// waiter: admitted-but-unflushed, queued, and submitted-but-uncommitted
-// proposals all resolve deterministically. Each resolve unlinks the
-// head of the registry, so popping the head until empty visits every
-// in-flight future exactly once (racing Cancels just pop it for us).
+// waiter: queued and submitted-but-uncommitted proposals all resolve
+// deterministically. Each resolve unlinks the head of the registry, so
+// popping the head until empty visits every in-flight future exactly
+// once (racing Cancels just pop it for us).
 func (n *Node) sweepProposals() {
 	n.propMu.Lock()
 	n.propStopped = true

@@ -43,11 +43,10 @@ func TestProposeFutureResult(t *testing.T) {
 }
 
 // TestProposeClientBatching pushes many concurrent proposals through a
-// node configured with a submit batch and checks they all commit with
-// correct results and distinct IDs.
+// default node — the event loop drains them in shared batch turns — and
+// checks they all commit with distinct IDs.
 func TestProposeClientBatching(t *testing.T) {
-	c := newClusterOpts(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"],
-		HostOptions{SubmitBatch: 8}, 0)
+	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
 	const clients, per = 16, 10
 	var wg sync.WaitGroup
 	ids := make(chan types.CommandID, clients*per)
@@ -89,9 +88,9 @@ func TestProposeClientBatching(t *testing.T) {
 // are stopped, so nothing replica 0 proposes can ever reach a majority
 // and commit: its window (window slots when positive) fills and stays
 // full.
-func blockedCluster(t *testing.T, opts HostOptions, window int) *cluster {
+func blockedCluster(t *testing.T, window int) *cluster {
 	t.Helper()
-	c := newClusterOpts(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], opts, window)
+	c := newClusterWindow(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], window)
 	c.nodes[1].Stop()
 	c.nodes[2].Stop()
 	return c
@@ -101,7 +100,7 @@ func blockedCluster(t *testing.T, opts HostOptions, window int) *cluster {
 // against a full window waits, and the admission context can abandon
 // the wait with ErrCanceled.
 func TestProposeBackpressureBlocks(t *testing.T) {
-	c := blockedCluster(t, HostOptions{}, 1)
+	c := blockedCluster(t, 1)
 	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
 		t.Fatalf("first Propose: %v", err)
 	}
@@ -122,7 +121,7 @@ func TestProposeBackpressureBlocks(t *testing.T) {
 // before publishing, so a proposal made right after the previous future
 // resolved is admitted without waiting.
 func TestProposeSlotReleasedBeforeDone(t *testing.T) {
-	c := newClusterOpts(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], HostOptions{}, 1)
+	c := newClusterWindow(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], 1)
 	for k := 0; k < 20; k++ {
 		fut, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte{byte(k)}))
 		if err != nil {
@@ -194,37 +193,36 @@ func TestProposeCancelAtMostOnce(t *testing.T) {
 }
 
 // TestStopFailsInFlightProposals stops a node whose proposals cannot
-// commit and checks every outstanding future resolves ErrStopped —
-// including ones still sitting in the submit buffer of a batching node.
+// commit and checks every outstanding future resolves ErrStopped. The
+// subtest name records that each proposal reaches the event loop as its
+// own submit event, one command per submit.
 func TestStopFailsInFlightProposals(t *testing.T) {
-	for _, batch := range []int{1, 8} {
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			c := blockedCluster(t, HostOptions{SubmitBatch: batch}, 0)
-			var futs []*Future
-			for k := 0; k < 20; k++ {
-				fut, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v")))
-				if err != nil {
-					t.Fatal(err)
-				}
-				futs = append(futs, fut)
+	t.Run("batch1", func(t *testing.T) {
+		c := blockedCluster(t, 0)
+		var futs []*Future
+		for k := 0; k < 20; k++ {
+			fut, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v")))
+			if err != nil {
+				t.Fatal(err)
 			}
-			c.nodes[0].Stop()
-			for i, fut := range futs {
-				select {
-				case <-fut.Done():
-				case <-time.After(5 * time.Second):
-					t.Fatalf("future %d still unresolved after Stop", i)
-				}
-				if _, err := fut.Result(); !errors.Is(err, ErrStopped) {
-					t.Fatalf("future %d: err = %v, want ErrStopped", i, err)
-				}
+			futs = append(futs, fut)
+		}
+		c.nodes[0].Stop()
+		for i, fut := range futs {
+			select {
+			case <-fut.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatalf("future %d still unresolved after Stop", i)
 			}
-			// A proposal after Stop must fail immediately, not hang.
-			if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrStopped) {
-				t.Fatalf("Propose after Stop: err = %v, want ErrStopped", err)
+			if _, err := fut.Result(); !errors.Is(err, ErrStopped) {
+				t.Fatalf("future %d: err = %v, want ErrStopped", i, err)
 			}
-		})
-	}
+		}
+		// A proposal after Stop must fail immediately, not hang.
+		if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrStopped) {
+			t.Fatalf("Propose after Stop: err = %v, want ErrStopped", err)
+		}
+	})
 }
 
 // TestHostStopUnderLoad hammers a 2-group host cluster with concurrent
@@ -239,14 +237,16 @@ func TestHostStopUnderLoad(t *testing.T) {
 	spec := []types.ReplicaID{0, 1, 2}
 	hosts := make([]*Host, replicas)
 	for i := 0; i < replicas; i++ {
-		h, err := NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), HostOptions{Groups: groups, SubmitBatch: 4})
+		h, err := NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), HostOptions{Groups: groups})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for g := 0; g < groups; g++ {
 			app := &rsm.App{SM: kvstore.New()}
 			nd := h.Group(types.GroupID(g))
-			nd.Bind(app)
+			if err := h.Bind(types.GroupID(g), app); err != nil {
+				t.Fatal(err)
+			}
 			nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 2 * time.Millisecond}))
 		}
 		hosts[i] = h

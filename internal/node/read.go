@@ -214,9 +214,9 @@ func (q *readQueue) Pop() interface{} {
 // stable prefix whenever the protocol supports it (rsm.StateReader) —
 // no PREPARE broadcast, no log traffic. query uses the state machine's
 // own encoding (kvstore.Get for the key-value store) and must be
-// read-only: when the protocol exposes no watermark (paxos, mencius) or
-// the state machine no local query, the read falls back to replicating
-// query through the log as a command, and executes it there.
+// read-only: when the protocol exposes no watermark (paxos, mencius),
+// the read falls back to replicating query through the log as a
+// command, and executes it there.
 //
 // A Linearizable read can stall while the watermark catches up to its
 // capture time: with no write traffic the watermark advances only with
@@ -235,7 +235,7 @@ func (n *Node) readGated(ctx context.Context, query []byte, lvl Level, gate func
 	if ctx.Err() != nil {
 		return ReadResult{}, ErrCanceled
 	}
-	if n.sr == nil || n.app == nil || !n.canQuery {
+	if n.sr == nil || n.sm == nil {
 		return n.readReplicated(ctx, query)
 	}
 	if lvl.tier == TierStale {
@@ -306,7 +306,7 @@ func (n *Node) readStale(query []byte, lvl Level, gate func() error) (ReadResult
 	if lvl.maxAge > 0 && age > lvl.maxAge {
 		return ReadResult{}, ErrTooStale
 	}
-	val, _ := n.app.Query(query)
+	val := n.sm.Query(query)
 	n.readsLocal.Add(1)
 	return ReadResult{Value: val, Watermark: w, Age: age}, nil
 }
@@ -376,7 +376,7 @@ func (n *Node) serveRead(op *readOp, w int64) {
 			return
 		}
 	}
-	val, _ := n.app.Query(op.query)
+	val := n.sm.Query(op.query)
 	// Count only reads whose result was actually delivered: a caller's
 	// cancellation can win the race right up to this resolve, and an
 	// abandoned read must not inflate the served counter.

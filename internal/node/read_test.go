@@ -26,6 +26,19 @@ func (c *cluster) readAt(t *testing.T, at types.ReplicaID, query []byte, lvl Lev
 	return res
 }
 
+// assertProposed checks that the whole cluster proposed exactly want
+// commands: a read served from local state proposes none.
+func (c *cluster) assertProposed(t *testing.T, want uint64) {
+	t.Helper()
+	var proposed uint64
+	for _, nd := range c.nodes {
+		proposed += nd.Status().Proposed
+	}
+	if proposed != want {
+		t.Fatalf("local reads proposed commands: %d total proposals, want %d", proposed, want)
+	}
+}
+
 // TestReadLinearizableObservesCompletedWrite is the headline contract:
 // a linearizable read started after a write completed observes it, at
 // any replica, without replicating the read.
@@ -46,13 +59,7 @@ func TestReadLinearizableObservesCompletedWrite(t *testing.T) {
 	}
 	// The reads added no replication traffic: only the single PUT was
 	// ever proposed anywhere.
-	var proposed uint64
-	for _, nd := range c.nodes {
-		proposed += nd.Status().Proposed
-	}
-	if proposed != 1 {
-		t.Fatalf("local reads proposed commands: %d total proposals, want 1", proposed)
-	}
+	c.assertProposed(t, 1)
 }
 
 // TestReadSequentialSession checks session monotonicity: a sequential
@@ -80,6 +87,7 @@ func TestReadSequentialSession(t *testing.T) {
 			t.Fatalf("replica %v: served at %d below session %d", at, res.Watermark, sess.Watermark())
 		}
 	}
+	c.assertProposed(t, 1)
 }
 
 // TestReadStale checks the bounded-staleness tier: reads serve
@@ -109,6 +117,7 @@ func TestReadStale(t *testing.T) {
 	if res.Age <= 0 || res.Watermark == 0 {
 		t.Fatalf("stale read age %v watermark %d, want positive", res.Age, res.Watermark)
 	}
+	c.assertProposed(t, 1)
 }
 
 // TestReadFallbackReplicated: protocols without a watermark (paxos,
@@ -285,7 +294,9 @@ func TestHostReadRouting(t *testing.T) {
 		for g := 0; g < groups; g++ {
 			app := &rsm.App{SM: kvstore.New()}
 			nd := h.Group(types.GroupID(g))
-			nd.Bind(app)
+			if err := h.Bind(types.GroupID(g), app); err != nil {
+				t.Fatal(err)
+			}
 			nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 2 * time.Millisecond}))
 		}
 		hosts[i] = h

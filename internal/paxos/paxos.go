@@ -54,10 +54,7 @@ type Replica struct {
 	nextSeq   uint64
 }
 
-var (
-	_ rsm.Protocol    = (*Replica)(nil)
-	_ rsm.IDAllocator = (*Replica)(nil)
-)
+var _ rsm.Protocol = (*Replica)(nil)
 
 // New creates a Paxos replica.
 func New(env rsm.Env, app *rsm.App, opts Options) *Replica {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"clockrsm/internal/kvstore"
-	"clockrsm/internal/rsm"
 	"clockrsm/internal/types"
 )
 
@@ -18,14 +17,14 @@ import (
 // commit-then-apply contract the real host provides.
 type fakeCluster struct {
 	holder *Holder
-	sms    map[types.GroupID]rsm.StateMachine
+	sms    map[types.GroupID]*SM
 	stores map[types.GroupID]*kvstore.Store
 }
 
 func newFakeCluster(groups, capacity int) *fakeCluster {
 	c := &fakeCluster{
 		holder: NewHolder(Legacy(groups), ""),
-		sms:    make(map[types.GroupID]rsm.StateMachine),
+		sms:    make(map[types.GroupID]*SM),
 		stores: make(map[types.GroupID]*kvstore.Store),
 	}
 	for g := 0; g < capacity; g++ {
@@ -48,7 +47,7 @@ func (c *fakeCluster) Propose(_ context.Context, g types.GroupID, payload []byte
 }
 
 func (c *fakeCluster) SourceSnapshot(g types.GroupID, slots []uint32) ([]Pair, error) {
-	return Base(c.sms[g]).SnapshotSlots(slots)
+	return c.sms[g].SnapshotSlots(slots)
 }
 
 // seed writes n keys routed to group g and returns key→value.
@@ -115,7 +114,7 @@ func TestCoordinatorSplit(t *testing.T) {
 			}
 			// A straggler write at the source must redirect, not apply.
 			c.sms[0].Apply(kvstore.Put(key, []byte("stale")))
-			if to, ok := Base(c.sms[0]).TakeRedirect(); !ok || to != 2 {
+			if to, ok := c.sms[0].TakeRedirect(); !ok || to != 2 {
 				t.Fatalf("straggler write to %q: redirect = %v, %v", key, to, ok)
 			}
 		} else if g != 0 {

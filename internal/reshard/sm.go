@@ -11,14 +11,19 @@ import (
 	"clockrsm/internal/types"
 )
 
-// PairInstaller lets a state machine accept migrated key/value pairs
-// directly. Inner machines that do not implement it are seeded through
-// ordinary Apply calls with synthesized PUT payloads instead — both
-// paths are deterministic, so replicas may not mix them, which they
-// never do (every replica of a group wraps the same machine type).
-type PairInstaller interface {
+// Store is what a replication group's state machine must provide to
+// be hosted (node.Host.Bind): the deterministic Apply, the read path's
+// Query, checkpointing's Snapshot/Restore, and InstallPair, through
+// which a split seeds migrated pairs. kvstore.Store is the reference
+// implementation.
+type Store interface {
+	rsm.StateMachine
+	rsm.StateQuerier
+	rsm.Snapshotter
 	InstallPair(key string, value []byte)
 }
+
+var _ Store = (*kvstore.Store)(nil)
 
 // fenceInfo is the source-side record of one fenced slot.
 type fenceInfo struct {
@@ -36,7 +41,7 @@ type fenceInfo struct {
 // the source group's total order.
 type SM struct {
 	group    types.GroupID
-	inner    rsm.StateMachine
+	inner    Store
 	holder   *Holder
 	numSlots int
 
@@ -54,28 +59,8 @@ type SM struct {
 }
 
 // Wrap builds the resharding wrapper for group g over inner, sharing
-// the host's table holder. The returned machine forwards the inner
-// machine's optional capabilities (StateQuerier, Snapshotter) only
-// when the inner machine has them, so wrapping never grants a group a
-// read or checkpoint path its state machine cannot serve.
-func Wrap(g types.GroupID, inner rsm.StateMachine, holder *Holder) rsm.StateMachine {
-	s := NewSM(g, inner, holder)
-	_, canQuery := inner.(rsm.StateQuerier)
-	_, canSnap := inner.(rsm.Snapshotter)
-	switch {
-	case canQuery && canSnap:
-		return &querySnapSM{querySM{SM: s}}
-	case canQuery:
-		return &querySM{SM: s}
-	case canSnap:
-		return &snapSM{SM: s}
-	default:
-		return s
-	}
-}
-
-// NewSM builds the bare wrapper; most callers want Wrap.
-func NewSM(g types.GroupID, inner rsm.StateMachine, holder *Holder) *SM {
+// the host's table holder.
+func Wrap(g types.GroupID, inner Store, holder *Holder) *SM {
 	return &SM{
 		group:    g,
 		inner:    inner,
@@ -85,27 +70,6 @@ func NewSM(g types.GroupID, inner rsm.StateMachine, holder *Holder) *SM {
 		seeded:   make(map[uint64]bool),
 	}
 }
-
-// Base returns the underlying *SM of a machine built by Wrap, or nil.
-func Base(m rsm.StateMachine) *SM {
-	switch w := m.(type) {
-	case *SM:
-		return w
-	case *querySM:
-		return w.SM
-	case *snapSM:
-		return w.SM
-	case *querySnapSM:
-		return w.SM
-	}
-	return nil
-}
-
-// Inner returns the wrapped state machine.
-func (s *SM) Inner() rsm.StateMachine { return s.inner }
-
-// Group returns the group this wrapper serves.
-func (s *SM) Group() types.GroupID { return s.group }
 
 // Fenced reports how many slots this group has fenced away.
 func (s *SM) Fenced() int { return len(s.fenced) }
@@ -183,14 +147,8 @@ func (s *SM) applyControl(payload []byte) []byte {
 // same frozen pairs (after a coordinator retry) is an idempotent
 // overwrite.
 func (s *SM) installPairs(pairs []Pair) {
-	if pi, ok := s.inner.(PairInstaller); ok {
-		for _, p := range pairs {
-			pi.InstallPair(p.Key, p.Value)
-		}
-		return
-	}
 	for _, p := range pairs {
-		s.inner.Apply(kvstore.Put(p.Key, p.Value))
+		s.inner.InstallPair(p.Key, p.Value)
 	}
 }
 
@@ -208,11 +166,7 @@ func (s *SM) TakeRedirect() (types.GroupID, bool) {
 // slots, sorted by key. It is only meaningful after those slots are
 // fenced (the coordinator's checkpoint step), when the data is frozen.
 func (s *SM) SnapshotSlots(slots []uint32) ([]Pair, error) {
-	sn, ok := s.inner.(rsm.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("reshard: group %v state machine %T cannot snapshot", s.group, s.inner)
-	}
-	m, err := kvstore.DecodeSnapshot(sn.Snapshot())
+	m, err := kvstore.DecodeSnapshot(s.inner.Snapshot())
 	if err != nil {
 		return nil, fmt.Errorf("reshard: group %v snapshot: %w", s.group, err)
 	}
@@ -230,16 +184,20 @@ func (s *SM) SnapshotSlots(slots []uint32) ([]Pair, error) {
 	return pairs, nil
 }
 
-// snapshot encodes the wrapper's routing state followed by the inner
-// machine's snapshot: the route blob rides the existing checkpoint and
-// state-transfer paths, so a rejoining replica receives fence state
-// and table claims along with the data they protect.
-func (s *SM) snapshot() []byte {
+// Query implements rsm.StateQuerier. Queries touch no wrapper state,
+// so they stay safe to run concurrently with Apply — the read-path gate
+// against migrated slots is enforced at serve time by the node, against
+// the live table.
+func (s *SM) Query(q []byte) []byte { return s.inner.Query(q) }
+
+// Snapshot implements rsm.Snapshotter: it encodes the wrapper's routing
+// state followed by the inner machine's snapshot. The route blob rides
+// the existing checkpoint and state-transfer paths, so a rejoining
+// replica receives fence state and table claims along with the data
+// they protect.
+func (s *SM) Snapshot() []byte {
 	tbl := EncodeTable(s.holder.Load())
-	var inner []byte
-	if sn, ok := s.inner.(rsm.Snapshotter); ok {
-		inner = sn.Snapshot()
-	}
+	inner := s.inner.Snapshot()
 	fslots := make([]uint32, 0, len(s.fenced))
 	for sl := range s.fenced {
 		fslots = append(fslots, sl)
@@ -268,11 +226,11 @@ func (s *SM) snapshot() []byte {
 	return append(buf, inner...)
 }
 
-// restore is the inverse of snapshot: it replaces the wrapper's route
-// state, merges the carried table into the host's (monotone, so a
-// stale snapshot cannot roll routing back), and restores the inner
-// machine from the remainder.
-func (s *SM) restore(buf []byte) error {
+// Restore implements rsm.Snapshotter, inverting Snapshot: it replaces
+// the wrapper's route state, merges the carried table into the host's
+// (monotone, so a stale snapshot cannot roll routing back), and
+// restores the inner machine from the remainder.
+func (s *SM) Restore(buf []byte) error {
 	if len(buf) < 4 {
 		return ErrBadTable
 	}
@@ -313,35 +271,11 @@ func (s *SM) restore(buf []byte) error {
 		seeded[binary.LittleEndian.Uint64(buf[8*i:])] = true
 	}
 	buf = buf[8*ns:]
-	if sn, ok := s.inner.(rsm.Snapshotter); ok {
-		if err := sn.Restore(buf); err != nil {
-			return err
-		}
+	if err := s.inner.Restore(buf); err != nil {
+		return err
 	}
 	s.fenced = fenced
 	s.seeded = seeded
 	s.holder.MergeTable(tbl)
 	return nil
 }
-
-// querySM adds StateQuerier forwarding for inner machines that have
-// it. Queries touch no wrapper state, so they stay safe to run
-// concurrently with Apply — the read-path gate against migrated slots
-// is enforced at serve time by the node, against the live table.
-type querySM struct{ *SM }
-
-func (s *querySM) Query(q []byte) []byte {
-	return s.inner.(rsm.StateQuerier).Query(q)
-}
-
-// snapSM adds Snapshotter forwarding for inner machines that have it.
-type snapSM struct{ *SM }
-
-func (s *snapSM) Snapshot() []byte          { return s.snapshot() }
-func (s *snapSM) Restore(buf []byte) error  { return s.restore(buf) }
-
-// querySnapSM has both capabilities.
-type querySnapSM struct{ querySM }
-
-func (s *querySnapSM) Snapshot() []byte         { return s.snapshot() }
-func (s *querySnapSM) Restore(buf []byte) error { return s.restore(buf) }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"clockrsm/internal/kvstore"
-	"clockrsm/internal/rsm"
 	"clockrsm/internal/shard"
 )
 
@@ -31,7 +30,7 @@ func keyFor(t *testing.T, numSlots int, in map[uint32]bool, want bool) string {
 func TestFenceRedirectsData(t *testing.T) {
 	holder := NewHolder(Legacy(2), "")
 	store := kvstore.New()
-	sm := Base(Wrap(0, store, holder))
+	sm := Wrap(0, store, holder)
 	nslots := holder.Load().NumSlots()
 
 	fencedSlots := map[uint32]bool{3: true, 7: true}
@@ -80,7 +79,7 @@ func TestFenceRedirectsData(t *testing.T) {
 func TestInstallDupSuppression(t *testing.T) {
 	holder := NewHolder(Legacy(2), "")
 	store := kvstore.New()
-	sm := Base(Wrap(1, store, holder))
+	sm := Wrap(1, store, holder)
 
 	in := Install{Gen: 1, From: 0, To: 1, Final: true, Slots: []uint32{4},
 		Pairs: []Pair{{Key: "mk", Value: []byte("old")}}}
@@ -117,27 +116,21 @@ func TestInstallDupSuppression(t *testing.T) {
 func TestSnapshotCarriesRouteState(t *testing.T) {
 	holder := NewHolder(Legacy(2), "")
 	store := kvstore.New()
-	m := Wrap(0, store, holder)
-	sm := Base(m)
+	sm := Wrap(0, store, holder)
 
 	sm.Apply(kvstore.Put("keep", []byte("data")))
 	sm.Apply(EncodeFence(Fence{Gen: 2, From: 0, To: 2, Slots: []uint32{1, 5}}))
 	sm.Apply(EncodeInstall(Install{Gen: 1, From: 3, To: 0, Final: true, Slots: []uint32{8},
 		Pairs: []Pair{{Key: "seeded", Value: []byte("in")}}}))
 
-	snap, ok := m.(rsm.Snapshotter)
-	if !ok {
-		t.Fatal("wrapped kvstore lost its Snapshotter capability")
-	}
-	blob := snap.Snapshot()
+	blob := sm.Snapshot()
 
 	holder2 := NewHolder(Legacy(2), "")
 	store2 := kvstore.New()
-	m2 := Wrap(0, store2, holder2)
-	if err := m2.(rsm.Snapshotter).Restore(blob); err != nil {
+	sm2 := Wrap(0, store2, holder2)
+	if err := sm2.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
-	sm2 := Base(m2)
 
 	if sm2.Fenced() != 2 {
 		t.Fatalf("restored Fenced() = %d, want 2", sm2.Fenced())
@@ -160,43 +153,10 @@ func TestSnapshotCarriesRouteState(t *testing.T) {
 
 	// A stale snapshot cannot roll a holder's routing back.
 	holder2.Merge(map[uint32]Claim{5: {Gen: 3, Phase: Owned, Owner: 2}})
-	if err := m2.(rsm.Snapshotter).Restore(blob); err != nil {
+	if err := sm2.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
 	if got := holder2.Load().Slots[5]; got.Gen != 3 || got.Phase != Owned {
 		t.Fatalf("stale snapshot rolled routing back to %+v", got)
-	}
-}
-
-// applyOnly is a state machine with no optional capabilities.
-type applyOnly struct{ n int }
-
-func (a *applyOnly) Apply(cmd []byte) []byte { a.n++; return nil }
-
-// TestWrapForwardsOnlyRealCapabilities: wrapping must not advertise a
-// snapshot or query path the inner machine cannot serve.
-func TestWrapForwardsOnlyRealCapabilities(t *testing.T) {
-	holder := NewHolder(Legacy(1), "")
-
-	bare := Wrap(0, &applyOnly{}, holder)
-	if _, ok := bare.(rsm.Snapshotter); ok {
-		t.Error("wrapper granted Snapshotter to a machine without one")
-	}
-	if _, ok := bare.(rsm.StateQuerier); ok {
-		t.Error("wrapper granted StateQuerier to a machine without one")
-	}
-	if _, ok := bare.(rsm.Redirector); !ok {
-		t.Error("every wrapper must be a Redirector")
-	}
-
-	full := Wrap(0, kvstore.New(), holder)
-	if _, ok := full.(rsm.Snapshotter); !ok {
-		t.Error("wrapper dropped the kvstore's Snapshotter")
-	}
-	if _, ok := full.(rsm.StateQuerier); !ok {
-		t.Error("wrapper dropped the kvstore's StateQuerier")
-	}
-	if Base(full) == nil || Base(bare) == nil {
-		t.Error("Base failed to unwrap a Wrap product")
 	}
 }

@@ -143,11 +143,6 @@ func (t *Table) Group(key string) types.GroupID {
 	return t.Slots[shard.Hash(key)%uint32(len(t.Slots))].Owner
 }
 
-// ClaimOf returns the claim covering key.
-func (t *Table) ClaimOf(key string) Claim {
-	return t.Slots[t.SlotOf(key)]
-}
-
 // Groups returns the number of groups the table routes to: one past
 // the highest group named by any claim. Hosted capacity (the -groups
 // flag) must be at least this.

@@ -36,7 +36,9 @@ func startCluster(t *testing.T, n int, opts node.HostOptions) []*node.Host {
 		}
 		app := &rsm.App{SM: kvstore.New()}
 		nd := h.Group(0)
-		nd.Bind(app)
+		if err := h.Bind(0, app); err != nil {
+			t.Fatal(err)
+		}
 		nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 2 * time.Millisecond}))
 		hosts[i] = h
 	}

@@ -48,15 +48,3 @@ type StateQuerier interface {
 	// protocol or the state machine lacks local-read support.
 	Query(q []byte) []byte
 }
-
-// Query answers a read-only query against the state machine, bypassing
-// the replicated Apply path (and therefore OnReply/OnCommit). It
-// reports false when the state machine does not support local queries,
-// in which case the caller must replicate the read as a command.
-func (a *App) Query(q []byte) ([]byte, bool) {
-	sq, ok := a.SM.(StateQuerier)
-	if !ok {
-		return nil, false
-	}
-	return sq.Query(q), true
-}

@@ -74,16 +74,6 @@ type BatchDeliverer interface {
 	EndBatch()
 }
 
-// IDAllocator is implemented by protocols that allocate client command
-// identifiers from replica-local state. The runtime's event loop mints
-// IDs through it when proposals arrive (node.Propose), so clients never
-// reach across goroutines into protocol state, and proposals share one
-// collision-free sequence with any direct protocol use. Like every
-// Protocol method, NextCommandID must be invoked on the event loop.
-type IDAllocator interface {
-	NextCommandID() types.CommandID
-}
-
 // Protocol is a replication protocol instance bound to one replica.
 type Protocol interface {
 	// Start installs timers and begins participation. It must be called
@@ -94,6 +84,12 @@ type Protocol interface {
 	Submit(cmd types.Command)
 	// Deliver processes a protocol message from another replica.
 	Deliver(from types.ReplicaID, m msg.Message)
+	// NextCommandID allocates an identifier for a command a local client
+	// is about to Submit. The runtime's event loop mints every
+	// proposal's ID through it (node.Propose), so clients never reach
+	// across goroutines into protocol state, and proposals share one
+	// collision-free sequence with any direct protocol use.
+	NextCommandID() types.CommandID
 }
 
 // StateMachine is the deterministic service being replicated

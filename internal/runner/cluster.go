@@ -63,9 +63,8 @@ type clusterSpec struct {
 	chaos *chaos.Engine
 	// protocol, when set to anything but ClockRSM, runs one of the
 	// paper's baselines and ignores core.
-	protocol    Protocol
-	core        core.Options // Replay is the fixture's to set
-	submitBatch int
+	protocol Protocol
+	core     core.Options // Replay is the fixture's to set
 	// onCommit additionally observes every execution, on the executing
 	// group's event loop.
 	onCommit func(id types.ReplicaID, g types.GroupID, cmd types.Command)
@@ -272,9 +271,8 @@ func (c *cluster) build(id types.ReplicaID) (*replica, error) {
 	logs := make([]storage.Log, hosted)
 	replay := make([]bool, hosted)
 	opts := node.HostOptions{
-		Groups:      hosted,
-		SubmitBatch: s.submitBatch,
-		NewLog:      func(g types.GroupID) storage.Log { return logs[g] },
+		Groups: hosted,
+		NewLog: func(g types.GroupID) storage.Log { return logs[g] },
 	}
 	if s.spares > 0 {
 		opts.Table = reshard.Legacy(s.groups)
@@ -348,7 +346,10 @@ func (c *cluster) build(id types.ReplicaID) (*replica, error) {
 		}}
 		// Bind through the host, as kvserver does: the state machine gets
 		// the resharding wrapper and routing follows the host's table.
-		host.Bind(gid, app)
+		if err := host.Bind(gid, app); err != nil {
+			host.Stop()
+			return nil, err
+		}
 		nd := host.Group(gid)
 		if s.protocol != "" && s.protocol != ClockRSM {
 			proto, err := newProtocol(s.protocol, nd, app, throughputLeader, 0)

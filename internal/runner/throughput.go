@@ -21,11 +21,6 @@ type ThroughputConfig struct {
 	Replicas          int
 	Protocol          Protocol
 	ClientsPerReplica int
-	// ClientBatch is the node's client-side submit batch width (the
-	// paper's client-library batching, Section VI-D): up to this many
-	// buffered proposals flush into one event-loop turn and share one
-	// coalesced PREPARE broadcast. Default 1 (no batching).
-	ClientBatch int
 	// PayloadSize is the command size (paper: 10, 100, 1000 bytes).
 	PayloadSize int
 	Warmup      time.Duration
@@ -37,18 +32,8 @@ func (c ThroughputConfig) withDefaults() ThroughputConfig {
 	if c.Replicas == 0 {
 		c.Replicas = 5
 	}
-	if c.ClientBatch <= 0 {
-		c.ClientBatch = 1
-	}
 	if c.ClientsPerReplica == 0 {
-		// A batched run scales the population with the batch width
-		// (capped): closed-loop clients re-propose in waves as each commit
-		// cascade resolves their futures, and only a population ≫ the
-		// batch width lets those waves fill SubmitBatch-sized flush chunks.
 		c.ClientsPerReplica = 16
-		if c.ClientBatch > 1 {
-			c.ClientsPerReplica = min(16*c.ClientBatch, 256)
-		}
 	}
 	if c.PayloadSize == 0 {
 		c.PayloadSize = 100
@@ -66,7 +51,6 @@ func (c ThroughputConfig) withDefaults() ThroughputConfig {
 type ThroughputResult struct {
 	Protocol    Protocol
 	PayloadSize int
-	ClientBatch int
 	// OpsPerSec is committed client commands per second, summed over
 	// all replicas.
 	OpsPerSec float64
@@ -82,9 +66,8 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 	cfg = cfg.withDefaults()
 	c, err := newCluster(clusterSpec{
 		replicas: cfg.Replicas, groups: 1, log: logNull,
-		protocol:    cfg.Protocol,
-		core:        core.Options{ClockTimeInterval: saturationDelta},
-		submitBatch: cfg.ClientBatch,
+		protocol: cfg.Protocol,
+		core:     core.Options{ClockTimeInterval: saturationDelta},
 	})
 	if err != nil {
 		return nil, err
@@ -123,7 +106,6 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 	return &ThroughputResult{
 		Protocol:    cfg.Protocol,
 		PayloadSize: cfg.PayloadSize,
-		ClientBatch: cfg.ClientBatch,
 		OpsPerSec:   float64(completed.Load()) / elapsed.Seconds(),
 	}, nil
 }
@@ -148,31 +130,6 @@ func Figure8(sizes []int, perRun time.Duration) ([]ThroughputResult, error) {
 			}
 			out = append(out, *res)
 		}
-	}
-	return out, nil
-}
-
-// BatchScaling measures hot-path throughput at each client-side batch
-// width, same hardware and protocol: the client-batching study of
-// Section VI-D, recorded in BENCH_3.json. Wider batches amortize one
-// PREPARE broadcast (one encode, one frame per link) over more
-// commands, at the cost of commands waiting for the flush turn.
-func BatchScaling(batches []int, payload int, perRun time.Duration) ([]ThroughputResult, error) {
-	if len(batches) == 0 {
-		batches = []int{1, 8, 64}
-	}
-	var out []ThroughputResult
-	for _, b := range batches {
-		res, err := RunThroughput(ThroughputConfig{
-			Protocol:    ClockRSM,
-			PayloadSize: payload,
-			ClientBatch: b,
-			Duration:    perRun,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *res)
 	}
 	return out, nil
 }

@@ -60,28 +60,6 @@ func TestRunThroughputSmoke(t *testing.T) {
 	}
 }
 
-// TestBatchScalingSmoke runs the client-batching study at tiny scale:
-// every batch width must commit commands, and the config must surface
-// in the result.
-func TestBatchScalingSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time throughput run")
-	}
-	results, err := BatchScaling([]int{1, 4}, 100, 300*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int{1, 4} {
-		if results[i].ClientBatch != want {
-			t.Errorf("result %d: ClientBatch = %d, want %d", i, results[i].ClientBatch, want)
-		}
-		if results[i].OpsPerSec <= 0 {
-			t.Errorf("batch %d: zero throughput", want)
-		}
-		t.Logf("batch %d: %.0f ops/s", want, results[i].OpsPerSec)
-	}
-}
-
 func TestRunThroughputUnknownProtocol(t *testing.T) {
 	if _, err := RunThroughput(ThroughputConfig{Protocol: "nope", Duration: 50 * time.Millisecond}); err == nil {
 		t.Fatal("unknown protocol accepted")

@@ -236,6 +236,10 @@ func (p *echoProto) Submit(cmd types.Command) {
 
 func (p *echoProto) Deliver(from types.ReplicaID, m msg.Message) { p.got++ }
 
+func (p *echoProto) NextCommandID() types.CommandID {
+	return types.CommandID{Origin: p.env.ID(), Seq: uint64(p.submits + 1)}
+}
+
 func TestClusterWiring(t *testing.T) {
 	c := NewCluster(wan.Uniform(3, ms(10)), ClusterOptions{})
 	protos := make([]*echoProto, 3)

@@ -251,16 +251,7 @@ func TestParseSyncMode(t *testing.T) {
 			t.Fatalf("ParseSyncMode(%q) = %v, %v", want.String(), got, err)
 		}
 	}
-	if _, err := ParseSyncMode("sometimes"); err == nil {
-		t.Fatalf("ParseSyncMode accepted garbage")
-	}
-	// Legacy option mapping.
-	dir := t.TempDir()
-	l1, _ := OpenFileLog(filepath.Join(dir, "a"), FileLogOptions{Sync: true})
-	l2, _ := OpenFileLog(filepath.Join(dir, "b"), FileLogOptions{})
-	defer l1.Close()
-	defer l2.Close()
-	if l1.Mode() != SyncAlways || l2.Mode() != SyncOff {
-		t.Fatalf("legacy mapping wrong: %v / %v", l1.Mode(), l2.Mode())
+	if m, err := ParseSyncMode("sometimes"); err == nil || m != SyncOff {
+		t.Fatalf("ParseSyncMode(garbage) = %v, %v; want off and an error", m, err)
 	}
 }

@@ -56,9 +56,10 @@ var ErrCorruptLog = errors.New("storage: corrupt log file")
 type SyncMode int
 
 const (
-	// SyncDefault derives the mode from the legacy Sync flag: true maps
-	// to SyncAlways, false to SyncOff.
-	SyncDefault SyncMode = iota
+	// SyncOff never fsyncs; records reach the OS on every append but
+	// survive only process crashes, not machine crashes. It is the zero
+	// value, so FileLogOptions{} means no fsync.
+	SyncOff SyncMode = iota
 	// SyncAlways fsyncs after every append: maximum durability, one disk
 	// flush per log record.
 	SyncAlways
@@ -67,9 +68,6 @@ const (
 	// replica core places it at the end of each event-loop batch, before
 	// any protocol message acknowledging the appends leaves the node).
 	SyncBatch
-	// SyncOff never fsyncs; records reach the OS on every append but
-	// survive only process crashes, not machine crashes.
-	SyncOff
 )
 
 // String names the mode as accepted by ParseSyncMode.
@@ -79,10 +77,8 @@ func (m SyncMode) String() string {
 		return "always"
 	case SyncBatch:
 		return "batch"
-	case SyncOff:
-		return "off"
 	default:
-		return "default"
+		return "off"
 	}
 }
 
@@ -97,7 +93,7 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	case "off":
 		return SyncOff, nil
 	default:
-		return SyncDefault, fmt.Errorf("unknown fsync mode %q (want always, batch or off)", s)
+		return SyncOff, fmt.Errorf("unknown fsync mode %q (want always, batch or off)", s)
 	}
 }
 
@@ -155,11 +151,7 @@ var (
 
 // FileLogOptions configure OpenFileLog.
 type FileLogOptions struct {
-	// Sync forces an fsync after every append. Deprecated shorthand for
-	// Mode: SyncAlways; consulted only when Mode is SyncDefault.
-	Sync bool
-	// Mode selects the fsync policy. SyncDefault falls back to the Sync
-	// flag (true → SyncAlways, false → SyncOff).
+	// Mode selects the fsync policy (default SyncOff).
 	Mode SyncMode
 }
 
@@ -170,15 +162,7 @@ func OpenFileLog(path string, opts FileLogOptions) (*FileLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open log: %w", err)
 	}
-	mode := opts.Mode
-	if mode == SyncDefault {
-		if opts.Sync {
-			mode = SyncAlways
-		} else {
-			mode = SyncOff
-		}
-	}
-	l := &FileLog{mem: NewMemLog(), f: f, mode: mode, path: path}
+	l := &FileLog{mem: NewMemLog(), f: f, mode: opts.Mode, path: path}
 	validLen, err := l.load()
 	if err != nil {
 		f.Close()

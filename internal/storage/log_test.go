@@ -39,7 +39,7 @@ func factories() []logFactory {
 	return []logFactory{
 		{"mem", func(t *testing.T) Log { return NewMemLog() }},
 		{"file", func(t *testing.T) Log {
-			l, err := OpenFileLog(filepath.Join(t.TempDir(), "log.bin"), FileLogOptions{Sync: true})
+			l, err := OpenFileLog(filepath.Join(t.TempDir(), "log.bin"), FileLogOptions{Mode: SyncAlways})
 			if err != nil {
 				t.Fatal(err)
 			}
