@@ -156,9 +156,11 @@
 // generation the ownership flip supersedes the fence), so replicas
 // fold in routing news from logs, snapshots and disk in any order and
 // converge to one outcome. Each host persists its table beside the WAL
-// (<log>.routes), which is also what legitimizes restarting with a
-// grown -groups value: capacity beyond the table's active groups runs
-// as warm spares for future splits.
+// as a JSON file you can read with any JSON tool (<log>.routes; the
+// FENCE/INSTALL bodies and the snapshot's route header are JSON too),
+// which is also what legitimizes restarting with a grown -groups
+// value: capacity beyond the table's active groups runs as warm spares
+// for future splits.
 //
 // A live split (reshard.Coordinator, Host.Split) moves the upper half
 // of a group's slots to a spare in four phases: a FENCE command

@@ -1,8 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"math/bits"
 	"sort"
 
@@ -558,94 +560,34 @@ func sortedCmds(m map[types.Timestamp]types.Command) []msg.TimestampedCommand {
 
 var errBadProposal = errors.New("core: malformed reconfiguration proposal")
 
-// encodeProposal serializes (confignew, cts, cmds) for the consensus
-// value (Alg. 3 line 6).
+// proposal is the consensus value of Alg. 3 line 6 — (confignew, cts,
+// cmds) plus the responders' newest checkpoint timestamp — as plain
+// JSON. It is decided once per epoch, off the per-command path.
+type proposal struct {
+	Cfg    []types.ReplicaID
+	TS     types.Timestamp
+	SnapTS types.Timestamp
+	Cmds   []msg.TimestampedCommand
+}
+
+// encodeProposal serializes a reconfiguration's consensus value.
 func encodeProposal(cfg []types.ReplicaID, cts, snapTS types.Timestamp, cmds []msg.TimestampedCommand) []byte {
-	b := make([]byte, 0, 64)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cfg)))
-	for _, k := range cfg {
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(k)))
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(cts.Wall))
-	b = binary.LittleEndian.AppendUint32(b, uint32(int32(cts.Node)))
-	b = binary.LittleEndian.AppendUint64(b, uint64(snapTS.Wall))
-	b = binary.LittleEndian.AppendUint32(b, uint32(int32(snapTS.Node)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cmds)))
-	for _, tc := range cmds {
-		b = binary.LittleEndian.AppendUint64(b, uint64(tc.TS.Wall))
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(tc.TS.Node)))
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(tc.Cmd.ID.Origin)))
-		b = binary.LittleEndian.AppendUint64(b, tc.Cmd.ID.Seq)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(tc.Cmd.Payload)))
-		b = append(b, tc.Cmd.Payload...)
-	}
+	b, _ := json.Marshal(proposal{Cfg: cfg, TS: cts, SnapTS: snapTS, Cmds: cmds})
 	return b
 }
 
-// decodeProposal parses an encodeProposal value.
+// decodeProposal parses an encodeProposal value, rejecting anything
+// but one object, unknown fields and trailing data. Payloads round-trip
+// exactly: a nil payload encodes as null and an empty one as "".
 func decodeProposal(b []byte) (*decision, error) {
-	d := &decision{}
-	u32 := func() (uint32, bool) {
-		if len(b) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if len(b) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		return v, true
-	}
-	n, ok := u32()
-	if !ok {
+	var p *proposal
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil || p == nil {
 		return nil, errBadProposal
 	}
-	for i := uint32(0); i < n; i++ {
-		k, ok := u32()
-		if !ok {
-			return nil, errBadProposal
-		}
-		d.cfg = append(d.cfg, types.ReplicaID(int32(k)))
-	}
-	wall, ok1 := u64()
-	node, ok2 := u32()
-	if !ok1 || !ok2 {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, errBadProposal
 	}
-	d.ts = types.Timestamp{Wall: int64(wall), Node: types.ReplicaID(int32(node))}
-	swall, ok1 := u64()
-	snode, ok2 := u32()
-	if !ok1 || !ok2 {
-		return nil, errBadProposal
-	}
-	d.snapTS = types.Timestamp{Wall: int64(swall), Node: types.ReplicaID(int32(snode))}
-	cn, ok := u32()
-	if !ok {
-		return nil, errBadProposal
-	}
-	for i := uint32(0); i < cn; i++ {
-		var tc msg.TimestampedCommand
-		w, ok1 := u64()
-		nd, ok2 := u32()
-		og, ok3 := u32()
-		sq, ok4 := u64()
-		pl, ok5 := u32()
-		if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || uint64(len(b)) < uint64(pl) {
-			return nil, errBadProposal
-		}
-		tc.TS = types.Timestamp{Wall: int64(w), Node: types.ReplicaID(int32(nd))}
-		tc.Cmd.ID = types.CommandID{Origin: types.ReplicaID(int32(og)), Seq: sq}
-		tc.Cmd.Payload = append([]byte(nil), b[:pl]...)
-		b = b[pl:]
-		d.cmds = append(d.cmds, tc)
-	}
-	if len(b) != 0 {
-		return nil, errBadProposal
-	}
-	return d, nil
+	return &decision{cfg: p.Cfg, ts: p.TS, snapTS: p.SnapTS, cmds: p.Cmds}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -187,13 +188,12 @@ func TestReplayDoesNotReplyToClients(t *testing.T) {
 func TestProposalEncodingRoundTrip(t *testing.T) {
 	cfg := []types.ReplicaID{0, 2, 4}
 	cts := types.Timestamp{Wall: 999, Node: 1}
-	cmds := []types.Command{
-		{ID: types.CommandID{Origin: 0, Seq: 1}, Payload: []byte("a")},
-		{ID: types.CommandID{Origin: 2, Seq: 2}, Payload: []byte{}},
-	}
+	// The codec keeps nil and empty payloads apart (JSON null vs ""),
+	// as the PREPARE path does, so DeepEqual needs no normalising.
 	m := map[types.Timestamp]types.Command{
-		{Wall: 1000, Node: 0}: cmds[0],
-		{Wall: 1001, Node: 2}: cmds[1],
+		{Wall: 1000, Node: 0}: {ID: types.CommandID{Origin: 0, Seq: 1}, Payload: []byte("a")},
+		{Wall: 1001, Node: 2}: {ID: types.CommandID{Origin: 2, Seq: 2}, Payload: []byte{}},
+		{Wall: 1002, Node: 4}: {ID: types.CommandID{Origin: 4, Seq: 3}},
 	}
 	snapTS := types.Timestamp{Wall: 1005, Node: 2}
 	val := encodeProposal(cfg, cts, snapTS, sortedCmds(m))
@@ -201,32 +201,39 @@ func TestProposalEncodingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.cfg) != 3 || d.cfg[2] != 4 {
-		t.Errorf("cfg = %v", d.cfg)
+	want := &decision{cfg: cfg, ts: cts, snapTS: snapTS, cmds: sortedCmds(m)}
+	if !reflect.DeepEqual(d, want) {
+		t.Fatalf("decoded %+v, want %+v", d, want)
 	}
-	if d.ts != cts {
-		t.Errorf("cts = %v", d.ts)
-	}
-	if d.snapTS != snapTS {
-		t.Errorf("snapTS = %v", d.snapTS)
-	}
-	if len(d.cmds) != 2 || d.cmds[0].TS.Wall != 1000 || d.cmds[1].TS.Wall != 1001 {
-		t.Errorf("cmds = %+v", d.cmds)
-	}
-	if string(d.cmds[0].Cmd.Payload) != "a" {
-		t.Errorf("payload = %q", d.cmds[0].Cmd.Payload)
-	}
-	// Truncations must error, not panic.
 	for cut := 0; cut < len(val); cut++ {
-		if _, err := decodeProposal(val[:cut]); err == nil && cut < len(val) {
-			// Some prefixes may parse as valid shorter proposals only if
-			// they end exactly at a boundary with zero counts; require the
-			// full-length decode to be the unique success for this value.
-			if cut != 0 {
-				continue
-			}
+		if _, err := decodeProposal(val[:cut]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte proposal decoded", cut, len(val))
 		}
 	}
+	for _, bad := range []string{`null `, string(val) + `{}`, `{"Cfg":[0],"Epoch":1}`, `{"Cmds":[{"TS":{},"Cmd":{"Payload":"!"}}]}`} {
+		if _, err := decodeProposal([]byte(bad)); err != errBadProposal {
+			t.Errorf("decodeProposal(%q) = %v, want errBadProposal", bad, err)
+		}
+	}
+}
+
+// FuzzProposal feeds arbitrary bytes to decodeProposal — decision
+// values arrive from peers — which must never panic, and anything it
+// accepts must re-encode to an equal decision.
+func FuzzProposal(f *testing.F) {
+	f.Add(encodeProposal([]types.ReplicaID{0, 1, 2}, types.Timestamp{Wall: 5, Node: 1}, types.Timestamp{},
+		[]msg.TimestampedCommand{{TS: types.Timestamp{Wall: 6}, Cmd: types.Command{ID: types.CommandID{Seq: 1}, Payload: []byte("p")}}}))
+	f.Add([]byte(`{"Cfg":[],"Cmds":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := decodeProposal(data)
+		if err != nil {
+			return
+		}
+		re, err := decodeProposal(encodeProposal(d.cfg, d.ts, d.snapTS, d.cmds))
+		if err != nil || !reflect.DeepEqual(re, d) {
+			t.Fatalf("accepted proposal did not round-trip: %+v vs %+v (%v)", re, d, err)
+		}
+	})
 }
 
 // TestConfigListenerReportsInstallAndDrops drives a genuine Algorithm-3

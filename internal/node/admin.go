@@ -74,29 +74,18 @@ const latRingSize = 512
 // the data hot path.
 const latSampleMask = 15
 
-// heldReporter is implemented by protocols that buffer future-epoch
-// messages with a drop-on-overflow backstop (core.Replica): a non-zero
-// count means a straggler may carry a history gap only a state
-// transfer can close, which operators must be able to see. The method
-// must be safe to call from any goroutine.
-type heldReporter interface {
+// recoveryReporter is implemented by protocols that report their
+// recovery counters (core.Replica), all safe from any goroutine:
+//   - HeldDropped: future-epoch messages dropped by the hold buffer's
+//     overflow backstop — a straggler may carry a history gap only a
+//     state transfer can close;
+//   - SnapRestores: catch-ups that went through a peer's shipped
+//     checkpoint + tail rather than full-log replay;
+//   - LinkGaps: proven holes in a peer's PREPARE stream (cumulative
+//     send counters) that forced a reconfiguration to repair.
+type recoveryReporter interface {
 	HeldDropped() uint64
-}
-
-// snapReporter is implemented by protocols that can catch up from a
-// peer's shipped snapshot (core.Replica): the count tells operators —
-// and the crash-churn harness — that a recovery went through checkpoint
-// + tail transfer rather than full-log replay. Safe from any goroutine.
-type snapReporter interface {
 	SnapRestores() uint64
-}
-
-// gapReporter is implemented by protocols that prove channel integrity
-// from cumulative send counters (core.Replica.LinkGaps): a non-zero
-// count means a peer's PREPARE stream lost a message in flight and the
-// replica forced itself through a reconfiguration to repair the hole.
-// Safe from any goroutine.
-type gapReporter interface {
 	LinkGaps() uint64
 }
 
@@ -220,14 +209,10 @@ func (n *Node) Status() GroupStatus {
 		st.ReadWatermark = w
 		st.ReadAge = time.Duration(n.clk.Now() - w)
 	}
-	if n.heldRep != nil {
-		st.HeldDropped = n.heldRep.HeldDropped()
-	}
-	if n.snapRep != nil {
-		st.SnapRestores = n.snapRep.SnapRestores()
-	}
-	if n.gapRep != nil {
-		st.LinkGaps = n.gapRep.LinkGaps()
+	if r := n.recovery; r != nil {
+		st.HeldDropped = r.HeldDropped()
+		st.SnapRestores = r.SnapRestores()
+		st.LinkGaps = r.LinkGaps()
 	}
 	if sr, ok := n.log.(storage.StatsReporter); ok {
 		st.FsyncMode = sr.Mode().String()

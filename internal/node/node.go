@@ -109,15 +109,9 @@ type Node struct {
 	// nudger is the protocol's idle-read clock nudge (see clockNudger);
 	// nil when unsupported. Loop-owned, invoked only from execRead.
 	nudger clockNudger
-	// heldRep reports the protocol's future-epoch hold-buffer drops
-	// (core.Replica.HeldDropped) for Status; nil when unsupported.
-	heldRep heldReporter
-	// snapRep reports the protocol's snapshot catch-ups
-	// (core.Replica.SnapRestores) for Status; nil when unsupported.
-	snapRep snapReporter
-	// gapRep reports the protocol's proven-channel-break count
-	// (core.Replica.LinkGaps) for Status; nil when unsupported.
-	gapRep gapReporter
+	// recovery reports the protocol's recovery counters for Status; nil
+	// when unsupported.
+	recovery recoveryReporter
 
 	// Control-plane state (see admin.go). recon is the protocol's
 	// reconfiguration interface (nil for fixed-membership protocols);
@@ -211,9 +205,7 @@ func (n *Node) SetProtocol(p rsm.Protocol) {
 	n.proto = p
 	n.sr, _ = p.(rsm.StateReader)
 	n.nudger, _ = p.(clockNudger)
-	n.heldRep, _ = p.(heldReporter)
-	n.snapRep, _ = p.(snapReporter)
-	n.gapRep, _ = p.(gapReporter)
+	n.recovery, _ = p.(recoveryReporter)
 }
 
 // Protocol returns the bound protocol.

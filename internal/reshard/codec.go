@@ -1,9 +1,11 @@
 package reshard
 
 import (
-	"encoding/binary"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -29,63 +31,59 @@ func IsControl(payload []byte) bool {
 	return len(payload) > 0 && payload[0] >= OpFence
 }
 
-// tableMagic brands the routing-table encoding ("CRT1": Clock-RSM
-// routing table v1).
-var tableMagic = []byte{'C', 'R', 'T', '1'}
-
 // ErrBadTable reports a malformed routing-table encoding.
 var ErrBadTable = errors.New("reshard: bad routing table encoding")
 
 // ErrBadControl reports a malformed control command payload.
 var ErrBadControl = errors.New("reshard: bad control command")
 
-// EncodeTable renders t in the wire/persist format: magic, version,
-// slot count, then one fixed-width claim per slot.
+// The routing table, the control commands' bodies and the snapshot
+// header are plain JSON (json.Marshal of Table, Fence, Install), so a
+// <log>.routes file reads with any JSON tool. None of it is on the
+// per-operation path.
+
+// EncodeTable renders t in the wire/persist format.
 func EncodeTable(t *Table) []byte {
-	buf := make([]byte, 0, len(tableMagic)+12+13*len(t.Slots))
-	buf = append(buf, tableMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, t.Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Slots)))
-	for _, c := range t.Slots {
-		buf = binary.LittleEndian.AppendUint32(buf, c.Gen)
-		buf = append(buf, byte(c.Phase))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Owner))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.To))
-	}
-	return buf
+	b, _ := json.Marshal(t)
+	return b
 }
 
 // DecodeTable parses an EncodeTable blob.
 func DecodeTable(buf []byte) (*Table, error) {
-	if len(buf) < len(tableMagic)+12 || string(buf[:4]) != string(tableMagic) {
+	t := new(Table)
+	if err := strictJSON(buf, t); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadTable, err)
+	}
+	return t.checked()
+}
+
+// checked rejects a decoded table with no slots, more than 1<<20
+// slots, an unknown phase or a negative group, and indexes the rest
+// for sharing.
+func (t *Table) checked() (*Table, error) {
+	if t == nil || len(t.Slots) == 0 || len(t.Slots) > 1<<20 {
 		return nil, ErrBadTable
 	}
-	version := binary.LittleEndian.Uint64(buf[4:])
-	n := binary.LittleEndian.Uint32(buf[12:])
-	rest := buf[16:]
-	if n == 0 || n > 1<<20 || len(rest) != int(n)*13 {
-		return nil, ErrBadTable
-	}
-	t := &Table{Version: version, Slots: make([]Claim, n)}
-	for s := range t.Slots {
-		rec := rest[s*13:]
-		ph := Phase(rec[4])
-		if ph != Owned && ph != Migrating {
+	for _, c := range t.Slots {
+		if (c.Phase != Owned && c.Phase != Migrating) || c.Owner < 0 || c.To < 0 {
 			return nil, ErrBadTable
-		}
-		owner := types.GroupID(binary.LittleEndian.Uint32(rec[5:]))
-		to := types.GroupID(binary.LittleEndian.Uint32(rec[9:]))
-		if owner < 0 || to < 0 {
-			return nil, ErrBadTable
-		}
-		t.Slots[s] = Claim{
-			Gen:   binary.LittleEndian.Uint32(rec),
-			Phase: ph,
-			Owner: owner,
-			To:    to,
 		}
 	}
 	return t.reindex(), nil
+}
+
+// strictJSON decodes b into v, rejecting unknown fields and trailing
+// data.
+func strictJSON(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data")
+	}
+	return nil
 }
 
 // Save atomically persists t at path (write temp, fsync, rename), so a
@@ -152,47 +150,32 @@ type Fence struct {
 	Slots []uint32
 }
 
-// EncodeFence renders f as a control payload.
+// EncodeFence renders f as a control payload: OpFence, then f as
+// JSON.
 func EncodeFence(f Fence) []byte {
-	buf := make([]byte, 0, 17+4*len(f.Slots))
-	buf = append(buf, OpFence)
-	buf = binary.LittleEndian.AppendUint32(buf, f.Gen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.From))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.To))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Slots)))
-	for _, s := range f.Slots {
-		buf = binary.LittleEndian.AppendUint32(buf, s)
-	}
-	return buf
+	b, _ := json.Marshal(f)
+	return append([]byte{OpFence}, b...)
 }
 
 // DecodeFence parses an OpFence payload.
 func DecodeFence(buf []byte) (Fence, error) {
-	if len(buf) < 17 || buf[0] != OpFence {
+	var f Fence
+	if len(buf) == 0 || buf[0] != OpFence || strictJSON(buf[1:], &f) != nil || !validControl(f.Slots, f.From, f.To) {
 		return Fence{}, ErrBadControl
-	}
-	n := binary.LittleEndian.Uint32(buf[13:])
-	if n == 0 || n > 1<<20 || len(buf) != 17+4*int(n) {
-		return Fence{}, ErrBadControl
-	}
-	f := Fence{
-		Gen:   binary.LittleEndian.Uint32(buf[1:]),
-		From:  types.GroupID(binary.LittleEndian.Uint32(buf[5:])),
-		To:    types.GroupID(binary.LittleEndian.Uint32(buf[9:])),
-		Slots: make([]uint32, n),
-	}
-	if f.From < 0 || f.To < 0 {
-		return Fence{}, ErrBadControl
-	}
-	for i := range f.Slots {
-		f.Slots[i] = binary.LittleEndian.Uint32(buf[17+4*i:])
 	}
 	return f, nil
 }
 
-// Pair is one key/value to seed into the target group.
+// validControl reports whether a decoded control command names at
+// least one and at most 1<<20 slots and two non-negative groups.
+func validControl(slots []uint32, from, to types.GroupID) bool {
+	return len(slots) > 0 && len(slots) <= 1<<20 && from >= 0 && to >= 0
+}
+
+// Pair is one key/value to seed into the target group. The key is
+// bytes, not a string, so it survives JSON whatever its encoding.
 type Pair struct {
-	Key   string
+	Key   []byte
 	Value []byte
 }
 
@@ -215,86 +198,17 @@ type Install struct {
 	Pairs []Pair
 }
 
-// EncodeInstall renders in as a control payload.
+// EncodeInstall renders in as a control payload: OpInstall, then in
+// as JSON.
 func EncodeInstall(in Install) []byte {
-	size := 22 + 4*len(in.Slots)
-	for _, p := range in.Pairs {
-		size += 8 + len(p.Key) + len(p.Value)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, OpInstall)
-	buf = binary.LittleEndian.AppendUint32(buf, in.Gen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(in.From))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(in.To))
-	if in.Final {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(in.Slots)))
-	for _, s := range in.Slots {
-		buf = binary.LittleEndian.AppendUint32(buf, s)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(in.Pairs)))
-	for _, p := range in.Pairs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Key)))
-		buf = append(buf, p.Key...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Value)))
-		buf = append(buf, p.Value...)
-	}
-	return buf
+	b, _ := json.Marshal(in)
+	return append([]byte{OpInstall}, b...)
 }
 
 // DecodeInstall parses an OpInstall payload.
 func DecodeInstall(buf []byte) (Install, error) {
-	if len(buf) < 22 || buf[0] != OpInstall || buf[13] > 1 {
-		return Install{}, ErrBadControl
-	}
-	in := Install{
-		Gen:   binary.LittleEndian.Uint32(buf[1:]),
-		From:  types.GroupID(binary.LittleEndian.Uint32(buf[5:])),
-		To:    types.GroupID(binary.LittleEndian.Uint32(buf[9:])),
-		Final: buf[13] == 1,
-	}
-	if in.From < 0 || in.To < 0 {
-		return Install{}, ErrBadControl
-	}
-	ns := binary.LittleEndian.Uint32(buf[14:])
-	if ns == 0 || ns > 1<<20 || len(buf) < 18+4*int(ns)+4 {
-		return Install{}, ErrBadControl
-	}
-	in.Slots = make([]uint32, ns)
-	for i := range in.Slots {
-		in.Slots[i] = binary.LittleEndian.Uint32(buf[18+4*i:])
-	}
-	rest := buf[18+4*int(ns):]
-	np := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	if np > 1<<24 {
-		return Install{}, ErrBadControl
-	}
-	in.Pairs = make([]Pair, 0, np)
-	for i := uint32(0); i < np; i++ {
-		if len(rest) < 4 {
-			return Install{}, ErrBadControl
-		}
-		kl := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if int64(kl)+4 > int64(len(rest)) {
-			return Install{}, ErrBadControl
-		}
-		key := string(rest[:kl])
-		rest = rest[kl:]
-		vl := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if int64(vl) > int64(len(rest)) {
-			return Install{}, ErrBadControl
-		}
-		val := append([]byte(nil), rest[:vl]...)
-		rest = rest[vl:]
-		in.Pairs = append(in.Pairs, Pair{Key: key, Value: val})
-	}
-	if len(rest) != 0 {
+	var in Install
+	if len(buf) == 0 || buf[0] != OpInstall || strictJSON(buf[1:], &in) != nil || !validControl(in.Slots, in.From, in.To) {
 		return Install{}, ErrBadControl
 	}
 	return in, nil

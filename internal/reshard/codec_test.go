@@ -15,6 +15,9 @@ func sampleTable() *Table {
 	return t
 }
 
+// ctl prefixes a JSON body with a control op byte.
+func ctl(op byte, body string) []byte { return append([]byte{op}, body...) }
+
 func TestTableCodecRoundTrip(t *testing.T) {
 	want := sampleTable()
 	got, err := DecodeTable(EncodeTable(want))
@@ -27,17 +30,27 @@ func TestTableCodecRoundTrip(t *testing.T) {
 }
 
 func TestTableCodecRejectsGarbage(t *testing.T) {
+	const ok = `{"Version":1,"Slots":[{"Gen":0,"Phase":1,"Owner":0,"To":1}]}`
+	if _, err := DecodeTable([]byte(ok)); err != nil {
+		t.Fatalf("well-formed base case rejected: %v", err)
+	}
 	enc := EncodeTable(sampleTable())
-	cases := map[string][]byte{
-		"empty":     {},
-		"short":     enc[:10],
-		"bad magic": append([]byte("XXXX"), enc[4:]...),
-		"truncated": enc[:len(enc)-5],
-		"trailing":  append(append([]byte(nil), enc...), 0),
-		"bad phase": append(append([]byte(nil), enc[:16+4]...), append([]byte{9}, enc[16+5:]...)...),
+	cases := map[string]string{
+		"empty":          ``,
+		"null":           `null`,
+		"truncated":      string(enc[:len(enc)-1]),
+		"trailing":       ok + `{}`,
+		"unknown field":  `{"Version":1,"Slots":[{"Phase":0}],"Extra":1}`,
+		"unknown claim":  `{"Version":1,"Slots":[{"Phase":0,"Extra":1}]}`,
+		"bad phase":      `{"Version":1,"Slots":[{"Phase":2}]}`,
+		"negative owner": `{"Version":1,"Slots":[{"Owner":-1}]}`,
+		"negative to":    `{"Version":1,"Slots":[{"Phase":1,"To":-1}]}`,
+		"zero slots":     `{"Version":1,"Slots":[]}`,
+		"no slots":       `{"Version":1}`,
+		"binary":         "\x01\x00\x00\x00",
 	}
 	for name, buf := range cases {
-		if _, err := DecodeTable(buf); err == nil {
+		if _, err := DecodeTable([]byte(buf)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -76,9 +89,24 @@ func TestFenceCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fence round-trip: got %+v, want %+v", got, want)
 	}
-	for _, bad := range [][]byte{{}, enc[:5], append(append([]byte(nil), enc...), 1)} {
-		if _, err := DecodeFence(bad); err == nil {
-			t.Error("malformed fence decoded without error")
+	cases := map[string][]byte{
+		"empty":          {},
+		"op only":        {OpFence},
+		"truncated":      enc[:len(enc)-1],
+		"trailing":       append(append([]byte(nil), enc...), '1'),
+		"wrong op":       ctl(OpInstall, `{"Gen":1,"From":0,"To":1,"Slots":[1]}`),
+		"unknown field":  ctl(OpFence, `{"Gen":1,"From":0,"To":1,"Slots":[1],"Final":true}`),
+		"negative from":  ctl(OpFence, `{"Gen":1,"From":-1,"To":1,"Slots":[1]}`),
+		"negative to":    ctl(OpFence, `{"Gen":1,"From":0,"To":-1,"Slots":[1]}`),
+		"negative slot":  ctl(OpFence, `{"Gen":1,"From":0,"To":1,"Slots":[-1]}`),
+		"zero slots":     ctl(OpFence, `{"Gen":1,"From":0,"To":1,"Slots":[]}`),
+		"missing slots":  ctl(OpFence, `{"Gen":1,"From":0,"To":1}`),
+		"not an object":  ctl(OpFence, `[1]`),
+		"group overflow": ctl(OpFence, `{"Gen":1,"From":0,"To":4294967296,"Slots":[1]}`),
+	}
+	for name, buf := range cases {
+		if _, err := DecodeFence(buf); err == nil {
+			t.Errorf("%s: decoded without error", name)
 		}
 	}
 }
@@ -88,9 +116,9 @@ func TestInstallCodecRoundTrip(t *testing.T) {
 		Gen: 2, From: 0, To: 3, Final: true,
 		Slots: []uint32{10, 12},
 		Pairs: []Pair{
-			{Key: "a", Value: []byte("1")},
-			{Key: "empty", Value: []byte{}},
-			{Key: "blob", Value: bytes.Repeat([]byte{0xee}, 300)},
+			{Key: []byte("a"), Value: []byte("1")},
+			{Key: []byte("empty"), Value: []byte{}},
+			{Key: []byte{0xff, 0xfe}, Value: bytes.Repeat([]byte{0xee}, 300)},
 		},
 	}
 	enc := EncodeInstall(want)
@@ -101,20 +129,28 @@ func TestInstallCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Gen != want.Gen || got.From != want.From || got.To != want.To || got.Final != want.Final ||
-		!reflect.DeepEqual(got.Slots, want.Slots) || len(got.Pairs) != len(want.Pairs) {
+	// Keys and values are base64 in JSON, so non-UTF-8 keys and the
+	// nil/empty distinction both survive.
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("install round-trip: got %+v, want %+v", got, want)
 	}
-	for i, p := range got.Pairs {
-		// bytes.Equal, not DeepEqual: a zero-length value may decode
-		// as nil, which the store treats identically.
-		if p.Key != want.Pairs[i].Key || !bytes.Equal(p.Value, want.Pairs[i].Value) {
-			t.Fatalf("pair %d did not round-trip: %+v vs %+v", i, p, want.Pairs[i])
-		}
+	cases := map[string][]byte{
+		"empty":          {},
+		"op only":        {OpInstall},
+		"truncated":      enc[:len(enc)-1],
+		"trailing":       append(append([]byte(nil), enc...), ' ', '{', '}'),
+		"wrong op":       ctl(OpFence, `{"Gen":1,"From":0,"To":1,"Final":true,"Slots":[1]}`),
+		"unknown field":  ctl(OpInstall, `{"Gen":1,"From":0,"To":1,"Slots":[1],"Extra":0}`),
+		"unknown pair":   ctl(OpInstall, `{"Gen":1,"From":0,"To":1,"Slots":[1],"Pairs":[{"Key":"aw==","Val":""}]}`),
+		"negative from":  ctl(OpInstall, `{"Gen":1,"From":-1,"To":1,"Slots":[1]}`),
+		"negative to":    ctl(OpInstall, `{"Gen":1,"From":0,"To":-2,"Slots":[1]}`),
+		"zero slots":     ctl(OpInstall, `{"Gen":1,"From":0,"To":1,"Slots":[]}`),
+		"bad base64 key": ctl(OpInstall, `{"Gen":1,"From":0,"To":1,"Slots":[1],"Pairs":[{"Key":"!"}]}`),
+		"final not bool": ctl(OpInstall, `{"Gen":1,"From":0,"To":1,"Final":2,"Slots":[1]}`),
 	}
-	for _, bad := range [][]byte{{}, enc[:12], enc[:len(enc)-1], append(append([]byte(nil), enc...), 9)} {
-		if _, err := DecodeInstall(bad); err == nil {
-			t.Error("malformed install decoded without error")
+	for name, buf := range cases {
+		if _, err := DecodeInstall(buf); err == nil {
+			t.Errorf("%s: decoded without error", name)
 		}
 	}
 	// No pairs (a pure flip chunk) is legal.
@@ -131,7 +167,7 @@ func FuzzTableCodec(f *testing.F) {
 	f.Add(EncodeTable(Legacy(1)))
 	f.Add(EncodeTable(Legacy(4)))
 	f.Add(EncodeTable(sampleTable()))
-	f.Add([]byte("CRT1 garbage"))
+	f.Add([]byte(`{"Version":1,"Slots":[{"Phase":1,"To":2}]}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := DecodeTable(data)
@@ -157,7 +193,7 @@ func FuzzTableCodec(f *testing.F) {
 // which parse replicated log payloads.
 func FuzzControlCodec(f *testing.F) {
 	f.Add(EncodeFence(Fence{Gen: 1, From: 0, To: 1, Slots: []uint32{1}}))
-	f.Add(EncodeInstall(Install{Gen: 1, From: 0, To: 1, Final: true, Slots: []uint32{1}, Pairs: []Pair{{Key: "k", Value: []byte("v")}}}))
+	f.Add(EncodeInstall(Install{Gen: 1, From: 0, To: 1, Final: true, Slots: []uint32{1}, Pairs: []Pair{{Key: []byte("k"), Value: []byte("v")}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if fe, err := DecodeFence(data); err == nil {
 			if got, err := DecodeFence(EncodeFence(fe)); err != nil || !reflect.DeepEqual(got, fe) {
@@ -165,9 +201,7 @@ func FuzzControlCodec(f *testing.F) {
 			}
 		}
 		if in, err := DecodeInstall(data); err == nil {
-			re, err := DecodeInstall(EncodeInstall(in))
-			if err != nil || re.Gen != in.Gen || re.Final != in.Final ||
-				!reflect.DeepEqual(re.Slots, in.Slots) || len(re.Pairs) != len(in.Pairs) {
+			if got, err := DecodeInstall(EncodeInstall(in)); err != nil || !reflect.DeepEqual(got, in) {
 				t.Fatal("accepted install did not round-trip")
 			}
 		}

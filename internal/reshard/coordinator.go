@@ -65,9 +65,6 @@ type SplitReport struct {
 type Coordinator struct {
 	// Cluster is the host the coordinator operates through.
 	Cluster Cluster
-	// ChunkPairs bounds pairs per install chunk (default
-	// DefaultChunkPairs).
-	ChunkPairs int
 	// OnPhase, when set, is called as each phase starts (and with
 	// PhaseDone at the end). Returning an error aborts the split at
 	// that point — the crash-injection hook RunSplitChurn uses to kill
@@ -115,13 +112,9 @@ func (c *Coordinator) transfer(ctx context.Context, src, dst types.GroupID, gen 
 	if err := c.phase(PhaseInstall); err != nil {
 		return nil, err
 	}
-	chunk := c.ChunkPairs
-	if chunk <= 0 {
-		chunk = DefaultChunkPairs
-	}
 	rep := &SplitReport{From: src, To: dst, Gen: gen, Slots: len(slots), Pairs: len(pairs)}
-	for start := 0; ; start += chunk {
-		end := start + chunk
+	for start := 0; ; start += DefaultChunkPairs {
+		end := start + DefaultChunkPairs
 		final := end >= len(pairs)
 		if final {
 			end = len(pairs)

@@ -76,9 +76,10 @@ func (c *fakeCluster) seed(t *testing.T, g types.GroupID, n int) map[string][]by
 // chunking arithmetic hold.
 func TestCoordinatorSplit(t *testing.T) {
 	c := newFakeCluster(2, 3)
-	data := c.seed(t, 0, 40)
+	// Enough pairs that the moving half spans at least three chunks.
+	data := c.seed(t, 0, 700)
 
-	co := &Coordinator{Cluster: c, ChunkPairs: 7}
+	co := &Coordinator{Cluster: c}
 	rep, err := co.Split(context.Background(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +90,9 @@ func TestCoordinatorSplit(t *testing.T) {
 	if rep.Slots != SlotsPerGroup/2 {
 		t.Errorf("moved %d slots, want %d (half the source)", rep.Slots, SlotsPerGroup/2)
 	}
-	wantChunks := (rep.Pairs + 6) / 7
-	if wantChunks == 0 {
-		wantChunks = 1
-	}
-	if rep.Chunks != wantChunks {
-		t.Errorf("chunks = %d for %d pairs at 7/chunk, want %d", rep.Chunks, rep.Pairs, wantChunks)
+	wantChunks := (rep.Pairs + DefaultChunkPairs - 1) / DefaultChunkPairs
+	if rep.Chunks < 3 || rep.Chunks != wantChunks {
+		t.Errorf("chunks = %d for %d pairs at %d/chunk, want %d (at least 3)", rep.Chunks, rep.Pairs, DefaultChunkPairs, wantChunks)
 	}
 
 	tbl := c.Table()

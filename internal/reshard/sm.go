@@ -1,7 +1,8 @@
 package reshard
 
 import (
-	"encoding/binary"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -27,8 +28,8 @@ var _ Store = (*kvstore.Store)(nil)
 
 // fenceInfo is the source-side record of one fenced slot.
 type fenceInfo struct {
-	gen uint32
-	to  types.GroupID
+	Gen uint32
+	To  types.GroupID
 }
 
 // SM wraps a group's inner state machine with the resharding layer. It
@@ -90,7 +91,7 @@ func (s *SM) Apply(payload []byte) []byte {
 		if cmd, err := kvstore.Decode(payload); err == nil {
 			slot := shard.Hash(cmd.Key) % uint32(s.numSlots)
 			if fi, ok := s.fenced[slot]; ok {
-				s.redirect, s.hasRedirect = fi.to, true
+				s.redirect, s.hasRedirect = fi.To, true
 				return nil
 			}
 		}
@@ -110,10 +111,10 @@ func (s *SM) applyControl(payload []byte) []byte {
 			if int(sl) >= s.numSlots {
 				continue
 			}
-			if fi, ok := s.fenced[sl]; ok && fi.gen >= f.Gen {
+			if fi, ok := s.fenced[sl]; ok && fi.Gen >= f.Gen {
 				continue
 			}
-			s.fenced[sl] = fenceInfo{gen: f.Gen, to: f.To}
+			s.fenced[sl] = fenceInfo{Gen: f.Gen, To: f.To}
 			claims[sl] = Claim{Gen: f.Gen, Phase: Migrating, Owner: f.From, To: f.To}
 		}
 		s.holder.Merge(claims)
@@ -126,7 +127,11 @@ func (s *SM) applyControl(payload []byte) []byte {
 		if s.seeded[seedKey(in.From, in.Gen)] {
 			return []byte("DUP")
 		}
-		s.installPairs(in.Pairs)
+		// Re-seeding the same frozen pairs (after a coordinator retry) is
+		// an idempotent overwrite.
+		for _, p := range in.Pairs {
+			s.inner.InstallPair(string(p.Key), p.Value)
+		}
 		if in.Final {
 			s.seeded[seedKey(in.From, in.Gen)] = true
 			claims := make(map[uint32]Claim, len(in.Slots))
@@ -141,15 +146,6 @@ func (s *SM) applyControl(payload []byte) []byte {
 		return []byte("INSTALLED")
 	}
 	return nil
-}
-
-// installPairs seeds one chunk into the inner machine. Re-seeding the
-// same frozen pairs (after a coordinator retry) is an idempotent
-// overwrite.
-func (s *SM) installPairs(pairs []Pair) {
-	for _, p := range pairs {
-		s.inner.InstallPair(p.Key, p.Value)
-	}
 }
 
 // TakeRedirect implements rsm.Redirector: it reports whether the last
@@ -177,10 +173,10 @@ func (s *SM) SnapshotSlots(slots []uint32) ([]Pair, error) {
 	var pairs []Pair
 	for k, v := range m {
 		if want[shard.Hash(k)%uint32(s.numSlots)] {
-			pairs = append(pairs, Pair{Key: k, Value: v})
+			pairs = append(pairs, Pair{Key: []byte(k), Value: v})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
+	sort.Slice(pairs, func(i, j int) bool { return bytes.Compare(pairs[i].Key, pairs[j].Key) < 0 })
 	return pairs, nil
 }
 
@@ -190,40 +186,23 @@ func (s *SM) SnapshotSlots(slots []uint32) ([]Pair, error) {
 // the live table.
 func (s *SM) Query(q []byte) []byte { return s.inner.Query(q) }
 
-// Snapshot implements rsm.Snapshotter: it encodes the wrapper's routing
-// state followed by the inner machine's snapshot. The route blob rides
-// the existing checkpoint and state-transfer paths, so a rejoining
-// replica receives fence state and table claims along with the data
-// they protect.
-func (s *SM) Snapshot() []byte {
-	tbl := EncodeTable(s.holder.Load())
-	inner := s.inner.Snapshot()
-	fslots := make([]uint32, 0, len(s.fenced))
-	for sl := range s.fenced {
-		fslots = append(fslots, sl)
-	}
-	sort.Slice(fslots, func(i, j int) bool { return fslots[i] < fslots[j] })
-	seeds := make([]uint64, 0, len(s.seeded))
-	for k := range s.seeded {
-		seeds = append(seeds, k)
-	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+// snapHeader is the wrapper's routing state as it leads a snapshot.
+// encoding/json writes map keys sorted, so the header is deterministic.
+type snapHeader struct {
+	Table  *Table
+	Fenced map[uint32]fenceInfo
+	Seeded map[uint64]bool
+}
 
-	buf := make([]byte, 0, 12+len(tbl)+12*len(fslots)+8*len(seeds)+len(inner))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tbl)))
-	buf = append(buf, tbl...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fslots)))
-	for _, sl := range fslots {
-		fi := s.fenced[sl]
-		buf = binary.LittleEndian.AppendUint32(buf, sl)
-		buf = binary.LittleEndian.AppendUint32(buf, fi.gen)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(fi.to))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seeds)))
-	for _, k := range seeds {
-		buf = binary.LittleEndian.AppendUint64(buf, k)
-	}
-	return append(buf, inner...)
+// Snapshot implements rsm.Snapshotter: the wrapper's routing state as
+// one line of JSON (json.Marshal never writes a raw newline), then the
+// inner machine's snapshot as raw bytes. The route header rides the
+// existing checkpoint and state-transfer paths, so a rejoining replica
+// receives fence state and table claims along with the data they
+// protect.
+func (s *SM) Snapshot() []byte {
+	hdr, _ := json.Marshal(snapHeader{Table: s.holder.Load(), Fenced: s.fenced, Seeded: s.seeded})
+	return append(append(hdr, '\n'), s.inner.Snapshot()...)
 }
 
 // Restore implements rsm.Snapshotter, inverting Snapshot: it replaces
@@ -231,51 +210,26 @@ func (s *SM) Snapshot() []byte {
 // (monotone, so a stale snapshot cannot roll routing back), and
 // restores the inner machine from the remainder.
 func (s *SM) Restore(buf []byte) error {
-	if len(buf) < 4 {
+	n := bytes.IndexByte(buf, '\n')
+	if n < 0 {
 		return ErrBadTable
 	}
-	tl := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if int64(tl) > int64(len(buf)) {
-		return ErrBadTable
+	var h snapHeader
+	if err := strictJSON(buf[:n], &h); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadTable, err)
 	}
-	tbl, err := DecodeTable(buf[:tl])
+	tbl, err := h.Table.checked()
 	if err != nil {
 		return err
 	}
-	buf = buf[tl:]
-	if len(buf) < 4 {
+	if h.Fenced == nil || h.Seeded == nil {
 		return ErrBadTable
 	}
-	nf := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if int64(len(buf)) < 12*int64(nf)+4 {
-		return ErrBadTable
-	}
-	fenced := make(map[uint32]fenceInfo, nf)
-	for i := uint32(0); i < nf; i++ {
-		rec := buf[12*i:]
-		fenced[binary.LittleEndian.Uint32(rec)] = fenceInfo{
-			gen: binary.LittleEndian.Uint32(rec[4:]),
-			to:  types.GroupID(binary.LittleEndian.Uint32(rec[8:])),
-		}
-	}
-	buf = buf[12*nf:]
-	ns := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if int64(len(buf)) < 8*int64(ns) {
-		return ErrBadTable
-	}
-	seeded := make(map[uint64]bool, ns)
-	for i := uint32(0); i < ns; i++ {
-		seeded[binary.LittleEndian.Uint64(buf[8*i:])] = true
-	}
-	buf = buf[8*ns:]
-	if err := s.inner.Restore(buf); err != nil {
+	if err := s.inner.Restore(buf[n+1:]); err != nil {
 		return err
 	}
-	s.fenced = fenced
-	s.seeded = seeded
+	s.fenced = h.Fenced
+	s.seeded = h.Seeded
 	s.holder.MergeTable(tbl)
 	return nil
 }

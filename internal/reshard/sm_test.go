@@ -2,6 +2,7 @@ package reshard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestInstallDupSuppression(t *testing.T) {
 	sm := Wrap(1, store, holder)
 
 	in := Install{Gen: 1, From: 0, To: 1, Final: true, Slots: []uint32{4},
-		Pairs: []Pair{{Key: "mk", Value: []byte("old")}}}
+		Pairs: []Pair{{Key: []byte("mk"), Value: []byte("old")}}}
 	if out := sm.Apply(EncodeInstall(in)); string(out) != "INSTALLED" {
 		t.Fatalf("first install returned %q", out)
 	}
@@ -121,9 +122,13 @@ func TestSnapshotCarriesRouteState(t *testing.T) {
 	sm.Apply(kvstore.Put("keep", []byte("data")))
 	sm.Apply(EncodeFence(Fence{Gen: 2, From: 0, To: 2, Slots: []uint32{1, 5}}))
 	sm.Apply(EncodeInstall(Install{Gen: 1, From: 3, To: 0, Final: true, Slots: []uint32{8},
-		Pairs: []Pair{{Key: "seeded", Value: []byte("in")}}}))
+		Pairs: []Pair{{Key: []byte("seeded"), Value: []byte("in")}}}))
 
 	blob := sm.Snapshot()
+	// One line of JSON route state, then the inner snapshot verbatim.
+	if !bytes.HasSuffix(blob, append([]byte("\n"), store.Snapshot()...)) {
+		t.Fatal("snapshot does not end with the inner snapshot after the header line")
+	}
 
 	holder2 := NewHolder(Legacy(2), "")
 	store2 := kvstore.New()
@@ -149,6 +154,14 @@ func TestSnapshotCarriesRouteState(t *testing.T) {
 	}
 	if got := holder2.Load().Slots[5]; got.Phase != Migrating || got.Gen != 2 {
 		t.Fatalf("restored holder claim = %+v, want gen-2 migration", got)
+	}
+
+	// A header that is not strict JSON is refused before the inner
+	// machine is touched.
+	for _, bad := range [][]byte{blob[:10], append([]byte(`{"Table":null}`+"\n"), store.Snapshot()...)} {
+		if err := sm2.Restore(bad); !errors.Is(err, ErrBadTable) {
+			t.Fatalf("Restore(malformed) = %v, want ErrBadTable", err)
+		}
 	}
 
 	// A stale snapshot cannot roll a holder's routing back.
