@@ -250,7 +250,7 @@ func run(ctx context.Context, cfg serverConfig) error {
 		nd := host.Group(gid)
 		// Bind through the host so each group's state machine gets the
 		// resharding wrapper: replicated fence/install commands route and
-		// fence keys, and execution results resolve Propose futures.
+		// fence keys, and execution results resolve proposal futures.
 		if err := host.Bind(gid, app); err != nil {
 			return err
 		}

@@ -122,17 +122,16 @@
 // epoch plus the locally originated commands a reconfiguration
 // discarded. The runtime builds on that hook:
 //
-//   - node.Node gains Members/Epoch/InConfig/Status accessors (lock-free
-//     snapshots, off the data hot path; commit latency is subsampled
-//     into a fixed ring) and Reconfigure(ctx, members) — a membership
-//     change proposed through the same Future machinery as data
-//     commands, resolving when the targeted epoch's decision installs
-//     (ErrConfigConflict if a competing proposal won it).
-//   - node.Host gains ReconfigureAll(ctx, members), which drives every
+//   - Each group's node.Node has Reconfigure(ctx, members) — a
+//     membership change proposed through the same Future machinery as
+//     data commands, resolving when the targeted epoch's decision
+//     installs (ErrConfigConflict if a competing proposal won it).
+//   - node.Host has ReconfigureAll(ctx, members), which drives every
 //     hosted group to the new configuration with per-group epoch
 //     barriers, retrying conflicted groups until all of them hold
 //     exactly the requested member set, and Status(), a per-group
-//     epoch/config/in-flight/latency snapshot.
+//     epoch/config/in-flight/latency snapshot (lock-free, off the data
+//     hot path; commit latency is subsampled into a fixed ring).
 //   - Typed errors make resubmission decisions safe: ErrNotInConfig
 //     (replica outside the configuration; in-flight futures resolve
 //     with it on the removal transition instead of parking) and
@@ -190,7 +189,7 @@
 // timestamp below which everything has executed locally and nothing
 // can commit anymore (rsm.StateReader, implemented by core.Replica
 // from LatestTV, the pending head and the local clock; the same
-// stability rule that commits writes). node.Node.Read(ctx, query,
+// stability rule that commits writes). Host.ReadKey(ctx, key, query,
 // level) serves read-only queries from local state against it
 // (rsm.StateQuerier, bypassing Apply and OnReply) at three levels:
 // node.Linearizable captures the local clock and parks on a
@@ -200,7 +199,7 @@
 // serves the current watermark immediately, monotonic across replicas
 // through a node.Session token; node.Stale serves from the caller's
 // goroutine against a lock-free watermark cache, bounded by a maximum
-// age (ErrTooStale beyond it). Host.ReadKey routes a read through the
+// age (ErrTooStale beyond it). ReadKey routes each read through the
 // routing table to the key's group, kvserver exposes GETL/GETS/GETA
 // next to the replicated GET, and protocols without a watermark
 // (paxos, mencius) fall back to replicating reads as commands. Reads

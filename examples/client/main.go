@@ -1,9 +1,9 @@
 // Client API: futures, cancellation and tiered reads.
 //
 // A three-replica Clock-RSM cluster runs in one process over the
-// in-process transport. All commands enter through the first-class
-// client API — Propose returns a *node.Future — and the example walks
-// through each of its behaviors:
+// in-process transport. All commands enter through the host's client
+// API — ProposeKey returns a *node.Future, ReadKey serves reads — and
+// the example walks through each of its behaviors:
 //
 //  1. a single proposal awaited with Future.Result;
 //
@@ -53,7 +53,7 @@ func run() error {
 	})
 	defer hub.Close()
 	spec := []types.ReplicaID{0, 1, 2}
-	nodes := make([]*node.Node, n)
+	hosts := make([]*node.Host, n)
 	for i := 0; i < n; i++ {
 		h, err := node.NewHost(types.ReplicaID(i), spec, hub.Endpoint(types.ReplicaID(i)), node.HostOptions{})
 		if err != nil {
@@ -61,11 +61,11 @@ func run() error {
 		}
 		nd := h.Group(0)
 		app := &rsm.App{SM: kvstore.New()}
-		if err := h.Bind(0, app); err != nil { // execution results resolve Propose futures
+		if err := h.Bind(0, app); err != nil { // execution results resolve ProposeKey futures
 			return err
 		}
 		nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond}))
-		nodes[i] = nd
+		hosts[i] = h
 		if err := h.Start(); err != nil {
 			return err
 		}
@@ -76,7 +76,7 @@ func run() error {
 
 	// 1. One proposal, awaited.
 	start := time.Now()
-	fut, err := nodes[0].Propose(ctx, kvstore.Put("city", []byte("Lausanne")))
+	fut, err := hosts[0].ProposeKey(ctx, "city", kvstore.Put("city", []byte("Lausanne")))
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func run() error {
 	// dropped; the future resolves node.ErrCanceled.
 	cctx, cancel := context.WithTimeout(ctx, time.Nanosecond)
 	defer cancel()
-	fut, err = nodes[1].Propose(ctx, kvstore.Put("city", []byte("Lugano")))
+	fut, err = hosts[1].ProposeKey(ctx, "city", kvstore.Put("city", []byte("Lugano")))
 	if err != nil {
 		return err
 	}
@@ -108,7 +108,7 @@ func run() error {
 	// Linearizable: observes every write that completed before the read
 	// began — the PUT above included — at any replica.
 	start = time.Now()
-	rres, err := nodes[2].Read(ctx, kvstore.Get("city"), node.Linearizable)
+	rres, err := hosts[2].ReadKey(ctx, "city", kvstore.Get("city"), node.Linearizable)
 	if err != nil {
 		return err
 	}
@@ -119,12 +119,12 @@ func run() error {
 	// session — the second read (at another replica) waits, if needed,
 	// until that replica has caught up to what the first read saw.
 	var sess node.Session
-	rres, err = nodes[0].Read(ctx, kvstore.Get("city"), node.Sequential(&sess))
+	rres, err = hosts[0].ReadKey(ctx, "city", kvstore.Get("city"), node.Sequential(&sess))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("sequential read at r0      -> city=%s (session token %d)\n", rres.Value, sess.Watermark())
-	rres, err = nodes[1].Read(ctx, kvstore.Get("city"), node.Sequential(&sess))
+	rres, err = hosts[1].ReadKey(ctx, "city", kvstore.Get("city"), node.Sequential(&sess))
 	if err != nil {
 		return err
 	}
@@ -133,7 +133,7 @@ func run() error {
 	// Stale: served from the caller's goroutine without touching the
 	// event loop; the result reports how stale it may be, and a bound
 	// turns excessive staleness into node.ErrTooStale.
-	rres, err = nodes[1].Read(ctx, kvstore.Get("city"), node.Stale(time.Minute))
+	rres, err = hosts[1].ReadKey(ctx, "city", kvstore.Get("city"), node.Stale(time.Minute))
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func run() error {
 
 	spec := []types.ReplicaID{0, 1, 2}
 	stores := make([]*kvstore.Store, n)
-	nodes := make([]*node.Node, n)
+	hosts := make([]*node.Host, n)
 
 	for i := 0; i < n; i++ {
 		// One host per replica, running a single replication group.
@@ -50,13 +50,13 @@ func run() error {
 		stores[i] = kvstore.New()
 		nd := h.Group(0)
 		app := &rsm.App{SM: stores[i]}
-		if err := h.Bind(0, app); err != nil { // execution results resolve Propose futures
+		if err := h.Bind(0, app); err != nil { // execution results resolve ProposeKey futures
 			return err
 		}
 		nd.SetProtocol(core.New(nd, app, core.Options{
 			ClockTimeInterval: 5 * time.Millisecond,
 		}))
-		nodes[i] = nd
+		hosts[i] = h
 		if err := h.Start(); err != nil {
 			return err
 		}
@@ -67,19 +67,20 @@ func run() error {
 	// multi-leader, so no forwarding happens.
 	ops := []struct {
 		at      types.ReplicaID
+		key     string
 		payload []byte
 		desc    string
 	}{
-		{0, kvstore.Put("city", []byte("Lausanne")), `PUT city=Lausanne at r0`},
-		{1, kvstore.Put("lake", []byte("Léman")), `PUT lake=Léman at r1`},
-		{2, kvstore.Get("city"), `GET city at r2`},
-		{1, kvstore.Put("city", []byte("Lugano")), `PUT city=Lugano at r1`},
-		{0, kvstore.Get("city"), `GET city at r0`},
+		{0, "city", kvstore.Put("city", []byte("Lausanne")), `PUT city=Lausanne at r0`},
+		{1, "lake", kvstore.Put("lake", []byte("Léman")), `PUT lake=Léman at r1`},
+		{2, "city", kvstore.Get("city"), `GET city at r2`},
+		{1, "city", kvstore.Put("city", []byte("Lugano")), `PUT city=Lugano at r1`},
+		{0, "city", kvstore.Get("city"), `GET city at r0`},
 	}
 	ctx := context.Background()
 	for _, op := range ops {
 		start := time.Now()
-		fut, err := nodes[op.at].Propose(ctx, op.payload)
+		fut, err := hosts[op.at].ProposeKey(ctx, op.key, op.payload)
 		if err != nil {
 			return err
 		}

@@ -156,46 +156,17 @@ type GroupStatus struct {
 	Log       storage.LogStats
 	// Slots is the number of routing-table slots this group owns and
 	// MigratingOut how many of them it is currently fencing away to
-	// another group. Filled by Host.Status from the host's routing
-	// table; Node.Status leaves them zero.
+	// another group, both from the host's routing table.
 	Slots        int
 	MigratingOut int
 }
 
-// Epoch returns the configuration epoch this node has installed. It is
-// safe to call from any goroutine and never blocks on the event loop.
-func (n *Node) Epoch() types.Epoch {
-	if v := n.view.Load(); v != nil {
-		return v.Epoch
-	}
-	return 0
-}
-
-// Members returns the member set of the configuration this node has
-// installed (a copy). Before Start it returns the full Spec.
-func (n *Node) Members() []types.ReplicaID {
-	if v := n.view.Load(); v != nil {
-		return append([]types.ReplicaID(nil), v.Members...)
-	}
-	return append([]types.ReplicaID(nil), n.spec...)
-}
-
-// InConfig reports whether this replica is part of the configuration it
-// has installed. A replica outside the configuration fails proposals
-// with ErrNotInConfig instead of parking them.
-func (n *Node) InConfig() bool {
-	if v := n.view.Load(); v != nil {
-		return v.InConfig
-	}
-	return true
-}
-
-// Status snapshots this group's control-plane state. Lock-free reads of
-// the config view and counters; the latency summary copies the sampled
-// ring under a mutex nothing on the hot path holds. Epoch, Members and
-// InConfig come from one view load, so the triple is never torn across
-// a concurrent reconfiguration.
-func (n *Node) Status() GroupStatus {
+// status snapshots this group's control-plane state for Host.Status.
+// Lock-free reads of the config view and counters; the latency summary
+// copies the sampled ring under a mutex nothing on the hot path holds.
+// Epoch, Members and InConfig come from one view load, so the triple is
+// never torn across a concurrent reconfiguration.
+func (n *Node) status() GroupStatus {
 	st := GroupStatus{
 		Group:         n.group,
 		InFlight:      len(n.window),
@@ -218,14 +189,9 @@ func (n *Node) Status() GroupStatus {
 		st.FsyncMode = sr.Mode().String()
 		st.Log = sr.Stats()
 	}
-	if v := n.view.Load(); v != nil {
-		st.Epoch = v.Epoch
-		st.Members = append([]types.ReplicaID(nil), v.Members...)
-		st.InConfig = v.InConfig
-	} else {
-		st.Members = append([]types.ReplicaID(nil), n.spec...)
-		st.InConfig = true
-	}
+	v := n.view.Load()
+	st.Epoch, st.InConfig = v.Epoch, v.InConfig
+	st.Members = append([]types.ReplicaID(nil), v.Members...)
 	return st
 }
 
@@ -238,10 +204,12 @@ func (n *Node) Status() GroupStatus {
 // to the configuration already in force succeeds immediately without
 // consuming an epoch.
 //
-// Reconfiguration bypasses the in-flight window deliberately: a
-// stalled group fills the window with proposals that only a
-// reconfiguration can unblock, and the repair operation must not queue
-// behind the work it is meant to unstick. Stop still sweeps the future.
+// Reconfiguration bypasses the in-flight window, the Proposed counter
+// and the latency sampling deliberately: a stalled group fills the
+// window with proposals that only a reconfiguration can unblock, the
+// repair operation must not queue behind the work it is meant to
+// unstick, and its barrier duration is not a data commit latency.
+// Host.Stop still sweeps the future.
 //
 // members must be non-empty IDs from Spec, without duplicates, and at
 // least a majority of Spec (the commit quorum); otherwise ErrBadConfig.
@@ -253,8 +221,11 @@ func (n *Node) Reconfigure(ctx context.Context, members []types.ReplicaID) (*Fut
 	if _, ok := n.proto.(rsm.Reconfigurable); !ok {
 		return nil, ErrNotReconfigurable
 	}
-	f, err := n.admitControl(ctx)
-	if err != nil {
+	if ctx.Err() != nil {
+		return nil, ErrCanceled
+	}
+	f := newFuture(n, nil, true)
+	if err := n.reg.add(&f.pending); err != nil {
 		return nil, err
 	}
 	if !n.enqueue(event{fn: func() { n.execReconfigure(f, target) }}) {
@@ -268,9 +239,9 @@ func (n *Node) Reconfigure(ctx context.Context, members []types.ReplicaID) (*Fut
 // back into the configuration: the protocol proposes a reconfiguration
 // to a strictly newer epoch including itself, learning missed epochs
 // and fetching missed history (checkpoint + tail) along the way. The
-// call is asynchronous and self-retrying; observe progress via Status
-// (Epoch advancing, InConfig true). Harmless when the replica is
-// already current.
+// call is asynchronous and self-retrying; observe progress via
+// Host.Status (Epoch advancing, InConfig true). Harmless when the
+// replica is already current.
 func (n *Node) Rejoin() error {
 	rj, ok := n.proto.(rsm.Rejoiner)
 	if !ok {

@@ -3,11 +3,13 @@ package node
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"clockrsm/internal/core"
 	"clockrsm/internal/kvstore"
+	"clockrsm/internal/rsm"
 	"clockrsm/internal/transport"
 	"clockrsm/internal/types"
 	"clockrsm/internal/wan"
@@ -47,18 +49,18 @@ func TestNodeReconfigureShrinkGrow(t *testing.T) {
 	if string(res.Value) != "r0,r1" {
 		t.Errorf("reconfigure result = %q, want %q", res.Value, "r0,r1")
 	}
-	if got := c.nodes[0].Epoch(); got != 1 {
+	if got := c.nodes[0].status().Epoch; got != 1 {
 		t.Errorf("node 0 epoch = %d, want 1", got)
 	}
-	if got := MemberString(c.nodes[0].Members()); got != "r0,r1" {
+	if got := MemberString(c.nodes[0].status().Members); got != "r0,r1" {
 		t.Errorf("node 0 members = %q", got)
 	}
 	// The removed replica learns the decision and flips out of config.
 	waitFor(t, 10*time.Second, "node 2 to leave the configuration", func() bool {
-		return !c.nodes[2].InConfig() && c.nodes[2].Epoch() == 1
+		return !c.nodes[2].status().InConfig && c.nodes[2].status().Epoch == 1
 	})
 	// Proposals at the removed replica fail fast via their future.
-	pf, err := c.nodes[2].Propose(ctx, kvstore.Put("k", []byte("v")))
+	pf, err := c.nodes[2].propose(ctx, kvstore.Put("k", []byte("v")))
 	if err != nil {
 		t.Fatalf("Propose admission at removed replica: %v", err)
 	}
@@ -79,7 +81,7 @@ func TestNodeReconfigureShrinkGrow(t *testing.T) {
 		t.Fatalf("grow future: %v", err)
 	}
 	waitFor(t, 10*time.Second, "node 2 to rejoin the configuration", func() bool {
-		return c.nodes[2].InConfig() && c.nodes[2].Epoch() == 2
+		return c.nodes[2].status().InConfig && c.nodes[2].status().Epoch == 2
 	})
 	if v := c.call(t, 2, kvstore.Get("k")); string(v) != "v1" {
 		t.Errorf("GET at rejoined replica = %q, want v1", v)
@@ -100,8 +102,8 @@ func TestReconfigureProposeFutureFailsOnLoop(t *testing.T) {
 	if _, err := fut.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "node 2 removal", func() bool { return !c.nodes[2].InConfig() })
-	pf, err := c.nodes[2].Propose(ctx, kvstore.Put("k", []byte("v")))
+	waitFor(t, 10*time.Second, "node 2 removal", func() bool { return !c.nodes[2].status().InConfig })
+	pf, err := c.nodes[2].propose(ctx, kvstore.Put("k", []byte("v")))
 	if err != nil {
 		t.Fatalf("Propose admission: %v", err)
 	}
@@ -130,9 +132,8 @@ func TestReconfigureValidation(t *testing.T) {
 	if _, err := p.nodes[0].Reconfigure(ctx, []types.ReplicaID{0, 1}); !errors.Is(err, ErrNotReconfigurable) {
 		t.Errorf("paxos Reconfigure: err = %v, want ErrNotReconfigurable", err)
 	}
-	if !p.nodes[0].InConfig() || p.nodes[0].Epoch() != 0 || MemberString(p.nodes[0].Members()) != "r0,r1,r2" {
-		t.Errorf("fixed-membership status view: epoch=%d members=%v in=%v",
-			p.nodes[0].Epoch(), p.nodes[0].Members(), p.nodes[0].InConfig())
+	if st := p.hosts[0].Status().Groups[0]; !st.InConfig || st.Epoch != 0 || MemberString(st.Members) != "r0,r1,r2" {
+		t.Errorf("fixed-membership status view: epoch=%d members=%v in=%v", st.Epoch, st.Members, st.InConfig)
 	}
 }
 
@@ -154,7 +155,7 @@ func TestReconfigureToCurrentConfigIsImmediate(t *testing.T) {
 	if string(res.Value) != "r0,r1,r2" {
 		t.Errorf("result = %q", res.Value)
 	}
-	if got := c.nodes[0].Epoch(); got != 0 {
+	if got := c.nodes[0].status().Epoch; got != 0 {
 		t.Errorf("epoch advanced to %d for a no-op reconfiguration", got)
 	}
 }
@@ -193,10 +194,10 @@ func TestConcurrentReconfigureResolvesEveryFuture(t *testing.T) {
 	}
 	// All replicas converge on the same final configuration.
 	waitFor(t, 10*time.Second, "config convergence", func() bool {
-		m0 := MemberString(c.nodes[0].Members())
-		return m0 == MemberString(c.nodes[1].Members()) &&
-			m0 == MemberString(c.nodes[2].Members()) &&
-			c.nodes[0].Epoch() >= 1
+		m0 := MemberString(c.nodes[0].status().Members)
+		return m0 == MemberString(c.nodes[1].status().Members) &&
+			m0 == MemberString(c.nodes[2].status().Members) &&
+			c.nodes[0].status().Epoch >= 1
 	})
 }
 
@@ -224,7 +225,7 @@ func TestInFlightFutureFailsOnRemoval(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	pf, err := c.nodes[2].Propose(ctx, kvstore.Put("doomed", []byte("v")))
+	pf, err := c.nodes[2].propose(ctx, kvstore.Put("doomed", []byte("v")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestStatusCountersAndLatency(t *testing.T) {
 	for k := 0; k < 64; k++ {
 		c.call(t, 0, kvstore.Put("k", []byte{byte(k)}))
 	}
-	st := c.nodes[0].Status()
+	st := c.hosts[0].Status().Groups[0]
 	if st.Proposed < 64 || st.Resolved < 64 {
 		t.Errorf("counters: proposed=%d resolved=%d, want >= 64", st.Proposed, st.Resolved)
 	}
@@ -343,16 +344,17 @@ func TestStatusCountersAndLatency(t *testing.T) {
 // TestReconfigureBypassesFullWindow checks the repair path stays open
 // under backpressure: with the in-flight window full of proposals that
 // cannot commit, Reconfigure must still be admitted (it is the
-// operation that would unstick them), and Stop must sweep its future.
+// operation that would unstick them), and Host.Stop must sweep its
+// future.
 func TestReconfigureBypassesFullWindow(t *testing.T) {
 	c := blockedCluster(t, 1)
-	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
+	if _, err := c.nodes[0].propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
 		t.Fatalf("window-filling Propose: %v", err)
 	}
 	// Window is now full: a data proposal blocks until its context ends…
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := c.nodes[0].Propose(ctx, kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrCanceled) {
+	if _, err := c.nodes[0].propose(ctx, kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("data Propose with full window: err = %v, want ErrCanceled", err)
 	}
 	// …but the control plane is still admitted at once.
@@ -362,7 +364,7 @@ func TestReconfigureBypassesFullWindow(t *testing.T) {
 	}
 	// The blocked cluster can never decide the epoch; Stop must sweep
 	// the control future like any other.
-	c.nodes[0].Stop()
+	c.hosts[0].Stop()
 	select {
 	case <-fut.Done():
 	case <-time.After(5 * time.Second):
@@ -373,32 +375,49 @@ func TestReconfigureBypassesFullWindow(t *testing.T) {
 	}
 }
 
-// TestStopCancelsPendingTimers checks the shutdown path cancels every
-// tracked timer — including a Rejoin retry chain, which used to keep
-// firing after Stop.
-func TestStopCancelsPendingTimers(t *testing.T) {
-	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
-	// Force a Rejoin: it schedules a long retry timer (2× the consensus
-	// retry timeout) that outlives the node unless Stop cancels it.
-	c.nodes[2].Do(func() {
-		c.nodes[2].Protocol().(*core.Replica).Rejoin()
+// countedAfter is a Node whose After counts the callbacks that ran.
+type countedAfter struct {
+	*Node
+	ran *atomic.Int64
+}
+
+func (e countedAfter) After(d time.Duration, fn func()) {
+	e.Node.After(d, func() {
+		e.ran.Add(1)
+		fn()
 	})
-	c.nodes[2].Stop()
-	c.nodes[2].timerMu.Lock()
-	left, stopped := len(c.nodes[2].timers), c.nodes[2].timersStopped
-	c.nodes[2].timerMu.Unlock()
-	if !stopped {
-		t.Error("timersStopped not set after Stop")
+}
+
+// TestStopCancelsPendingTimers checks the timer contract of Host.Stop:
+// a callback armed through After before Stop never runs, neither does
+// the rest of core's Rejoin retry chain (which used to keep firing after
+// Stop), and After on a stopped host runs nothing.
+func TestStopCancelsPendingTimers(t *testing.T) {
+	var ran atomic.Int64
+	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), func(env rsm.Env, app *rsm.App) rsm.Protocol {
+		if env.ID() == 2 {
+			env = countedAfter{env.(*Node), &ran}
+		}
+		return core.New(env, app, core.Options{ClockTimeInterval: 5 * time.Millisecond, ConsensusRetry: 20 * time.Millisecond})
+	})
+	nd := c.nodes[2]
+	waitFor(t, 5*time.Second, "replica 2's CLOCKTIME timer to run", func() bool { return ran.Load() > 0 })
+	// Force a Rejoin: it arms a retry (2x ConsensusRetry = 40 ms) that
+	// is still pending at the Stop below, as is the plain callback.
+	nd.Do(nd.proto.(*core.Replica).Rejoin)
+	var early, late atomic.Bool
+	nd.After(20*time.Millisecond, func() { early.Store(true) })
+	c.hosts[2].Stop()
+	before := ran.Load()
+	nd.After(time.Millisecond, func() { late.Store(true) })
+	time.Sleep(200 * time.Millisecond)
+	if early.Load() {
+		t.Error("a callback armed before Stop ran after it")
 	}
-	if left != 0 {
-		t.Errorf("%d timers still tracked after Stop", left)
+	if late.Load() {
+		t.Error("After on a stopped host ran its callback")
 	}
-	// After on a stopped node must not schedule anything.
-	c.nodes[2].After(time.Millisecond, func() {})
-	c.nodes[2].timerMu.Lock()
-	left = len(c.nodes[2].timers)
-	c.nodes[2].timerMu.Unlock()
-	if left != 0 {
-		t.Errorf("After on a stopped node tracked %d timers", left)
+	if n := ran.Load() - before; n != 0 {
+		t.Errorf("%d protocol timer callbacks (CLOCKTIME, Rejoin retry) ran after Stop", n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"time"
 
 	"clockrsm/internal/clock"
 	"clockrsm/internal/msg"
@@ -56,11 +55,15 @@ type HostOptions struct {
 // hardware, parallel commit cascades — without adding sockets.
 //
 // Wire a Host group by group: Bind each group's application, attach a
-// protocol with Group(g).SetProtocol, then Start the host once.
+// protocol with Group(g).SetProtocol, then Start the host once. The
+// Host is the client surface (Execute, ProposeKey, ReadKey, Status) and
+// owns the lifecycle: Stop ends every group at once.
 type Host struct {
 	id    types.ReplicaID
 	tr    transport.GroupTransport
 	nodes []*Node
+	// sched owns every group's event loop and timer (see Stop).
+	sched *sched
 	// faultStats reports injected-fault counters for Status; nil
 	// outside chaos runs (see HostOptions.FaultStats).
 	faultStats func() map[string]uint64
@@ -100,6 +103,7 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 	h := &Host{
 		id:         id,
 		tr:         gt,
+		sched:      newSched(),
 		holder:     reshard.NewHolder(tbl, opts.RoutesPath),
 		faultStats: opts.FaultStats,
 	}
@@ -120,14 +124,12 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 			group:   gid,
 			gt:      gt,
 			gbcast:  gb,
+			sched:   h.sched,
 			window:  make(chan struct{}, maxInFlight),
 			waiters: make(map[uint64]*Future),
-			readReg: make(map[*readOp]struct{}),
-			timers:  make(map[*time.Timer]struct{}),
 			events:  make(chan event, queueLen),
-			quit:    make(chan struct{}),
-			done:    make(chan struct{}),
 		}
+		n.view.Store(&rsm.ConfigView{Members: n.spec, InConfig: true})
 		gt.SetGroupHandler(gid, func(from types.ReplicaID, m msg.Message) {
 			if !n.enqueue(event{m: m, from: from}) {
 				msg.Recycle(m) // group stopped: reclaim pooled storage
@@ -144,16 +146,38 @@ func (h *Host) ID() types.ReplicaID { return h.id }
 // Groups returns the number of groups hosted.
 func (h *Host) Groups() int { return len(h.nodes) }
 
-// Group returns group g's node — an rsm.Env for protocol construction
-// and the handle for Propose/Do against that group.
+// Group returns group g's node — the rsm.Env to construct its protocol
+// with, and the handle for SetProtocol, Do, Reconfigure and Rejoin on
+// that group.
 func (h *Host) Group(g types.GroupID) *Node { return h.nodes[g] }
 
-// ProposeKey proposes an opaque payload on the replication group the
-// routing table assigns key to. The future fails with ErrWrongGroup if
-// the key's slot migrates before the command executes; Execute wraps
-// this with the retry loop front ends want.
+// ProposeKey proposes an opaque state-machine payload on the
+// replication group the routing table assigns key to, and returns a
+// Future for its execution result. It is the client entry point of the
+// replication stack: the group's event loop allocates the command ID,
+// registers the completion, and hands the command to the protocol, so
+// no caller ever touches protocol state across goroutines. The future
+// fails with ErrWrongGroup if the key's slot migrates before the
+// command executes; Execute wraps this with the retry loop front ends
+// want.
+//
+// Backpressure: a group admits a proposal only while fewer than
+// maxInFlight of its proposals are unresolved. When the window is full,
+// ProposeKey blocks until a slot frees, ctx is done (ErrCanceled) or
+// the host stops (ErrStopped).
+//
+// Batching: every proposal the event loop drains in one batch turn
+// runs inside that turn's BeginBatch/EndBatch bracket, so one coalesced
+// PREPARE broadcast (one encode, one frame per link) covers all of
+// them — the paper's batching (Section VI-D), with no knob: the deeper
+// the queue under load, the wider the batch.
+//
+// ctx governs admission and can later cancel the wait through
+// Future.Wait; it does not cancel a command already replicating. The
+// result's CommandID is unique within the key's group; sibling groups
+// mint their own sequences, so cross-group consumers key by (group, ID).
 func (h *Host) ProposeKey(ctx context.Context, key string, payload []byte) (*Future, error) {
-	return h.nodes[h.holder.Load().Group(key)].Propose(ctx, payload)
+	return h.nodes[h.holder.Load().Group(key)].propose(ctx, payload)
 }
 
 // Bind connects group g's application to that group's proposal futures
@@ -207,27 +231,19 @@ func missingMethods(sm rsm.StateMachine) []string {
 
 // Start launches every group's event loop, then the shared transport,
 // then starts every protocol on its loop. Every group must have a
-// protocol attached.
+// protocol attached. A transport that fails to start stops the host.
 func (h *Host) Start() error {
 	for _, n := range h.nodes {
 		if n.proto == nil {
 			return fmt.Errorf("host %v: group %v has no protocol", h.id, n.group)
 		}
 	}
-	started := 0
 	for _, n := range h.nodes {
-		if err := n.startLoop(); err != nil {
-			for _, m := range h.nodes[:started] {
-				m.Stop()
-			}
-			return err
-		}
-		started++
+		n.wire()
+		h.sched.spawn(n.run)
 	}
 	if err := h.tr.Start(); err != nil {
-		for _, n := range h.nodes {
-			n.Stop()
-		}
+		h.Stop()
 		return err
 	}
 	for _, n := range h.nodes {
@@ -236,11 +252,17 @@ func (h *Host) Start() error {
 	return nil
 }
 
-// Stop terminates every group's event loop and closes the shared
-// transport. It is idempotent.
+// Stop ends the host: every group refuses new operations, every event
+// loop returns and every armed timer is cancelled, every group's
+// unresolved futures and reads fail with ErrStopped, and the shared
+// transport closes. Idempotent.
 func (h *Host) Stop() {
 	for _, n := range h.nodes {
-		n.Stop()
+		n.reg.refuse()
+	}
+	h.sched.stop()
+	for _, n := range h.nodes {
+		n.reg.sweep()
 	}
 	h.tr.Close()
 }

@@ -17,13 +17,18 @@ import (
 
 // hostCluster wires n multi-group hosts over a shared-transport
 // factory, one kvstore per (replica, group). Commands enter through
-// the Propose client API of each group's node.
+// each group's node directly, so a test can pick the group.
 type hostCluster struct {
 	hosts  []*Host
 	stores [][]*kvstore.Store // [replica][group]
 }
 
 func newHostCluster(t *testing.T, n, groups int, mkTransport func(id types.ReplicaID) transport.Transport) *hostCluster {
+	return newHostClusterWith(t, n, groups, mkTransport, core.Options{ClockTimeInterval: 5 * time.Millisecond})
+}
+
+// newHostClusterWith is newHostCluster running Clock-RSM with opts.
+func newHostClusterWith(t *testing.T, n, groups int, mkTransport func(id types.ReplicaID) transport.Transport, opts core.Options) *hostCluster {
 	t.Helper()
 	c := &hostCluster{}
 	spec := make([]types.ReplicaID, n)
@@ -44,7 +49,7 @@ func newHostCluster(t *testing.T, n, groups int, mkTransport func(id types.Repli
 			if err := h.Bind(types.GroupID(g), app); err != nil {
 				t.Fatal(err)
 			}
-			nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 5 * time.Millisecond}))
+			nd.SetProtocol(core.New(nd, app, opts))
 		}
 		c.hosts = append(c.hosts, h)
 		c.stores = append(c.stores, stores)
@@ -72,7 +77,7 @@ func (c *hostCluster) call(t *testing.T, at types.ReplicaID, g types.GroupID, pa
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	fut, err := c.hosts[at].Group(g).Propose(ctx, payload)
+	fut, err := c.hosts[at].Group(g).propose(ctx, payload)
 	if err != nil {
 		t.Fatalf("Propose on group %v: %v", g, err)
 	}
@@ -81,6 +86,15 @@ func (c *hostCluster) call(t *testing.T, at types.ReplicaID, g types.GroupID, pa
 		t.Fatalf("proposal on group %v: %v", g, err)
 	}
 	return res.Value
+}
+
+// keyIn returns a key h's routing table places in group g.
+func keyIn(h *Host, g types.GroupID) string {
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("key-%d", i); h.Table().Group(k) == g {
+			return k
+		}
+	}
 }
 
 func testHostGroupsIsolatedAndReplicated(t *testing.T, c *hostCluster, groups int) {

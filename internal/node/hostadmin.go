@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"clockrsm/internal/reshard"
 	"clockrsm/internal/rsm"
@@ -50,7 +49,7 @@ func (h *Host) Status() HostStatus {
 		}
 	}
 	for i, n := range h.nodes {
-		gs := n.Status()
+		gs := n.status()
 		gs.Slots = owned[i]
 		gs.MigratingOut = fencing[i]
 		st.Groups = append(st.Groups, gs)
@@ -87,16 +86,27 @@ func (h *Host) ReconfigureAll(ctx context.Context, members []types.ReplicaID) er
 			return fmt.Errorf("host %v: group %v: %w", h.id, n.group, ErrNotReconfigurable)
 		}
 	}
+	futs := make([]*Future, len(h.nodes))
 	errs := make([]error, len(h.nodes))
-	var wg sync.WaitGroup
 	for i, n := range h.nodes {
-		wg.Add(1)
-		go func(i int, n *Node) {
-			defer wg.Done()
-			errs[i] = n.reconfigureUntil(ctx, members)
-		}(i, n)
+		futs[i], errs[i] = n.Reconfigure(ctx, members)
 	}
-	wg.Wait()
+	// Every group's proposal is in flight; wait out each barrier. A
+	// group whose epoch a competing proposal won (ErrConfigConflict)
+	// re-proposes at the new epoch.
+	for i, n := range h.nodes {
+		for futs[i] != nil {
+			_, errs[i] = futs[i].Wait(ctx)
+			futs[i] = nil
+			if errors.Is(errs[i], ErrConfigConflict) {
+				if ctx.Err() != nil {
+					errs[i] = ErrCanceled
+					break
+				}
+				futs[i], errs[i] = n.Reconfigure(ctx, members)
+			}
+		}
+	}
 	var failed []error
 	for i, err := range errs {
 		if err != nil {
@@ -108,29 +118,4 @@ func (h *Host) ReconfigureAll(ctx context.Context, members []types.ReplicaID) er
 			h.id, len(failed), len(h.nodes), errors.Join(failed...))
 	}
 	return nil
-}
-
-// reconfigureUntil proposes members at successive epochs until the
-// group installs exactly that set or ctx expires. Each lost epoch
-// (ErrConfigConflict) re-proposes at the new epoch — the per-group
-// epoch barrier ReconfigureAll builds on.
-func (n *Node) reconfigureUntil(ctx context.Context, members []types.ReplicaID) error {
-	for {
-		fut, err := n.Reconfigure(ctx, members)
-		if err != nil {
-			return err
-		}
-		_, err = fut.Wait(ctx)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, ErrConfigConflict):
-			if ctx.Err() != nil {
-				return ErrCanceled
-			}
-			continue
-		default:
-			return err
-		}
-	}
 }

@@ -24,17 +24,6 @@ const (
 	redirectBackoffMax = 20 * time.Millisecond
 )
 
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ErrCanceled
-	case <-t.C:
-		return nil
-	}
-}
-
 // stableOwner blocks until key's slot has a stable (Owned) claim and
 // returns its slot and owner. During a migration window it polls with
 // backoff: the window closes when the install flips the claim, or ctx
@@ -48,7 +37,7 @@ func (h *Host) stableOwner(ctx context.Context, key string) (slot int, owner typ
 		if c.Phase == reshard.Owned {
 			return slot, c.Owner, nil
 		}
-		if err := sleepCtx(ctx, backoff); err != nil {
+		if err := h.sched.sleep(ctx, backoff); err != nil {
 			return 0, 0, &WrongGroupError{To: c.To}
 		}
 		if backoff *= 2; backoff > redirectBackoffMax {
@@ -70,7 +59,7 @@ func (h *Host) Execute(ctx context.Context, key string, payload []byte) (types.R
 		if err != nil {
 			return types.Result{}, err
 		}
-		fut, err := h.nodes[owner].Propose(ctx, payload)
+		fut, err := h.nodes[owner].propose(ctx, payload)
 		if err != nil {
 			return types.Result{}, err
 		}
@@ -110,7 +99,7 @@ func (h *Host) ReadKey(ctx context.Context, key string, query []byte, lvl Level)
 			}
 			return nil
 		}
-		res, err := h.nodes[owner].readGated(ctx, query, lvl, gate)
+		res, err := h.nodes[owner].read(ctx, query, lvl, gate)
 		if err == nil || !errors.Is(err, ErrWrongGroup) {
 			return res, err
 		}
@@ -129,7 +118,7 @@ func (c splitCluster) Propose(ctx context.Context, g types.GroupID, payload []by
 	if int(g) >= len(c.h.nodes) {
 		return nil, fmt.Errorf("host %v: no group %v (hosting %d)", c.h.id, g, len(c.h.nodes))
 	}
-	fut, err := c.h.nodes[g].Propose(ctx, payload)
+	fut, err := c.h.nodes[g].propose(ctx, payload)
 	if err != nil {
 		return nil, err
 	}

@@ -1,16 +1,19 @@
-// Package node is the real runtime for replicas: it wraps a protocol
-// instance in a single-goroutine event loop, so the protocol code (which
-// is written lock-free against rsm.Env) runs identically to the
-// simulator but over real transports and the real clock.
+// Package node is the real runtime for replicas. A Host (NewHost) runs
+// G independent replication groups over one shared transport, clock
+// and connection set (see internal/reshard for the key→group routing
+// table), and is the only client surface: writes enter through
+// Host.Execute and Host.ProposeKey, reads through Host.ReadKey, and
+// status comes from Host.Status. The Host also owns the runtime
+// lifecycle: one sched holds every group's event loop and timer, and
+// Host.Stop ends them all and sweeps every outstanding operation.
 //
-// A Host (NewHost) runs G independent replication groups, each a Node
-// with its own event loop, log and protocol, multiplexed over one
-// shared transport, clock and connection set (see internal/reshard for
-// the key→group routing table).
+// Each group is a Node: the protocol's environment (rsm.Env), with a
+// single-goroutine event loop, so the protocol code (which is written
+// lock-free against rsm.Env) runs identically to the simulator but
+// over real transports and the real clock.
 package node
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +36,7 @@ const (
 	// outgoing-message coalescing further but delay the flush.
 	batchLimit = 256
 	// maxInFlight is the backpressure window: the maximum number of
-	// proposals admitted by Propose but not yet resolved.
+	// proposals admitted but not yet resolved.
 	maxInFlight = 1024
 )
 
@@ -51,7 +54,9 @@ type event struct {
 // Node hosts one replication group of a Host: transport in, protocol
 // logic on the loop goroutine, transport out. It shares the Host's
 // transport with its sibling groups and tags its traffic with its
-// group ID.
+// group ID. Its exported methods are the protocol's environment
+// (rsm.Env, rsm.Multicaster) plus the wiring and per-group operator
+// calls; clients go through the Host.
 type Node struct {
 	id    types.ReplicaID
 	spec  []types.ReplicaID
@@ -64,20 +69,15 @@ type Node struct {
 	group  types.GroupID
 	gt     transport.GroupTransport
 	gbcast transport.GroupBroadcaster
-	// loopStarted records that run() was launched, so stopping a node
-	// whose Host never started (or failed early) does not wait on a
-	// done channel nothing will close.
-	loopStarted bool
+	// sched is the Host's runtime: quit signal, loops and timers.
+	sched *sched
 
 	// Client API state (see propose.go). window holds one token per
 	// admitted, unresolved proposal — the backpressure window of
-	// maxInFlight slots. inflight heads the intrusive registry list Stop
-	// sweeps.
+	// maxInFlight slots. reg holds every outstanding future and local
+	// read; Host.Stop sweeps it.
 	window chan struct{}
-
-	propMu      sync.Mutex
-	inflight    *Future
-	propStopped bool
+	reg    registry
 
 	// waiters routes completions back to futures, keyed by the minted
 	// Seq alone: every ID the protocol mints here carries Origin == n.id,
@@ -91,17 +91,12 @@ type Node struct {
 	// installs, which local reads query (nil until bound);
 	// watermark is the lock-free cache of the executed watermark,
 	// refreshed by the stable listener (Stale reads and Status read
-	// it); readQ is the loop-owned timestamp-ordered waiter queue;
-	// readReg is the registry Stop sweeps.
+	// it); readQ is the loop-owned timestamp-ordered waiter queue.
 	sr        rsm.StateReader
 	sm        *reshard.SM
 	watermark atomic.Int64
 	readQ     readQueue
-
-	readMu      sync.Mutex
-	readReg     map[*readOp]struct{}
-	readStopped bool
-	readPurge   atomic.Bool // an abandoned-read purge event is queued
+	readPurge atomic.Bool // an abandoned-read purge event is queued
 
 	readsLocal  atomic.Uint64
 	readsParked atomic.Uint64
@@ -115,7 +110,8 @@ type Node struct {
 
 	// Control-plane state (see admin.go). recon is the protocol's
 	// reconfiguration interface (nil for fixed-membership protocols);
-	// view is the lock-free status snapshot refreshed by config events;
+	// view is the lock-free status snapshot refreshed by config events
+	// (the whole Spec until a reconfigurable protocol is wired);
 	// inConfigLoop is the loop-owned fast-path copy of view.InConfig the
 	// submission path checks; confWaiters are pending Reconfigure
 	// futures, resolved when their epoch barrier passes.
@@ -131,17 +127,7 @@ type Node struct {
 	lat      []time.Duration
 	latPos   int
 
-	// timers tracks outstanding After timers so Stop can cancel them:
-	// without this, self-rescheduling protocol timers (CLOCKTIME, failure
-	// detection, Rejoin retries) keep firing into a stopped node.
-	timerMu       sync.Mutex
-	timers        map[*time.Timer]struct{}
-	timersStopped bool
-
-	events   chan event
-	quit     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	events chan event
 }
 
 var (
@@ -154,9 +140,6 @@ func (n *Node) ID() types.ReplicaID { return n.id }
 
 // Spec implements rsm.Env.
 func (n *Node) Spec() []types.ReplicaID { return n.spec }
-
-// Group returns the replication group this node serves.
-func (n *Node) Group() types.GroupID { return n.group }
 
 // Clock implements rsm.Env.
 func (n *Node) Clock() int64 { return n.clk.Now() }
@@ -171,28 +154,10 @@ func (n *Node) SendAll(dst []types.ReplicaID, m msg.Message) {
 	n.gbcast.BroadcastGroup(dst, n.group, m)
 }
 
-// After implements rsm.Env: the callback runs on the event loop. The
-// timer is tracked so Stop cancels it; a stopped node schedules nothing.
+// After implements rsm.Env: the callback runs on the event loop.
+// Host.Stop cancels it; a stopped host schedules nothing.
 func (n *Node) After(d time.Duration, fn func()) {
-	n.timerMu.Lock()
-	if n.timersStopped {
-		n.timerMu.Unlock()
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		// The lock orders this callback after t landed in the map, and
-		// after a concurrent Stop's cancellation sweep.
-		n.timerMu.Lock()
-		delete(n.timers, t)
-		stopped := n.timersStopped
-		n.timerMu.Unlock()
-		if !stopped {
-			n.enqueue(event{fn: fn})
-		}
-	})
-	n.timers[t] = struct{}{}
-	n.timerMu.Unlock()
+	n.sched.after(d, n, fn)
 }
 
 // Log implements rsm.Env.
@@ -208,25 +173,19 @@ func (n *Node) SetProtocol(p rsm.Protocol) {
 	n.recovery, _ = p.(recoveryReporter)
 }
 
-// Protocol returns the bound protocol.
-func (n *Node) Protocol() rsm.Protocol { return n.proto }
-
 // enqueue schedules ev on the loop; it reports false (dropping ev) if
-// the node stopped.
+// the host stopped.
 func (n *Node) enqueue(ev event) bool {
 	select {
 	case n.events <- ev:
 		return true
-	case <-n.quit:
+	case <-n.sched.quit:
 		return false
 	}
 }
 
-// startLoop launches the event loop goroutine.
-func (n *Node) startLoop() error {
-	if n.proto == nil {
-		return fmt.Errorf("node %v has no protocol", n.id)
-	}
+// wire connects the protocol's listeners before the loop starts.
+func (n *Node) wire() {
 	// Wire the read path: the protocol's watermark listener releases
 	// parked reads and refreshes the lock-free watermark cache. The
 	// loop has not started yet, so priming the cache is safe.
@@ -244,38 +203,7 @@ func (n *Node) startLoop() error {
 		v := rc.ConfigView()
 		n.view.Store(&v)
 		n.inConfigLoop = v.InConfig
-	} else {
-		v := rsm.ConfigView{Members: append([]types.ReplicaID(nil), n.spec...), InConfig: true}
-		n.view.Store(&v)
-		n.inConfigLoop = true
 	}
-	n.loopStarted = true
-	go n.run()
-	return nil
-}
-
-// Stop terminates the event loop, cancels every outstanding timer, then
-// fails every unresolved proposal and read with ErrStopped. The shared
-// transport stays up for the sibling groups; Host.Stop closes it.
-// Idempotent; concurrent callers block until the sweep completed.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.quit)
-		if n.loopStarted {
-			<-n.done
-		}
-		// Cancel pending timers (CLOCKTIME / failure-detector / Rejoin
-		// retry chains) so they stop firing into the dead loop.
-		n.timerMu.Lock()
-		n.timersStopped = true
-		for t := range n.timers {
-			t.Stop()
-		}
-		clear(n.timers)
-		n.timerMu.Unlock()
-		n.sweepProposals()
-		n.sweepReads()
-	})
 }
 
 // exec dispatches one event to the protocol.
@@ -302,11 +230,10 @@ func (n *Node) exec(ev event) {
 // BeginBatch/EndBatch bracket so it triggers a single commit cascade
 // and one coalesced outgoing flush instead of per-message wakeups.
 func (n *Node) run() {
-	defer close(n.done)
 	bd, _ := n.proto.(rsm.BatchDeliverer)
 	for {
 		select {
-		case <-n.quit:
+		case <-n.sched.quit:
 			return
 		case ev := <-n.events:
 			if bd != nil {
@@ -330,7 +257,7 @@ func (n *Node) run() {
 }
 
 // Do runs fn on the event loop and waits for it — the safe way to read
-// protocol state from outside. Commands enter through Propose.
+// protocol state from outside. Commands enter through the Host.
 func (n *Node) Do(fn func()) {
 	done := make(chan struct{})
 	if !n.enqueue(event{fn: func() {
@@ -341,6 +268,6 @@ func (n *Node) Do(fn func()) {
 	}
 	select {
 	case <-done:
-	case <-n.quit:
+	case <-n.sched.quit:
 	}
 }

@@ -2,6 +2,8 @@ package node
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -17,8 +19,9 @@ import (
 )
 
 // cluster wires n single-group hosts over an in-process hub running the
-// given protocol constructor. Commands enter through the public Propose
-// API of each host's group-0 node.
+// given protocol constructor. Commands enter through each host's group-0
+// node (nodes[i]), which is what Host.ProposeKey and Host.ReadKey route
+// every key to on a single-group host.
 type cluster struct {
 	hub    *transport.Hub
 	hosts  []*Host
@@ -92,7 +95,7 @@ func (c *cluster) call(t *testing.T, at types.ReplicaID, payload []byte) []byte 
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	fut, err := c.nodes[at].Propose(ctx, payload)
+	fut, err := c.nodes[at].propose(ctx, payload)
 	if err != nil {
 		t.Fatalf("Propose at %v: %v", at, err)
 	}
@@ -217,7 +220,7 @@ func TestNodeOverTCP(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	fut, err := hosts[0].Group(0).Propose(ctx, kvstore.Put("greeting", []byte("hello")))
+	fut, err := hosts[0].ProposeKey(ctx, "greeting", kvstore.Put("greeting", []byte("hello")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +248,47 @@ func TestNodeDoAndStopIdempotent(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
 	var epoch types.Epoch
 	c.nodes[0].Do(func() {
-		epoch = c.nodes[0].Protocol().(*core.Replica).Epoch()
+		epoch = c.nodes[0].proto.(*core.Replica).Epoch()
 	})
 	if epoch != 0 {
 		t.Errorf("epoch = %d", epoch)
 	}
-	c.nodes[0].Stop()
-	c.nodes[0].Stop() // second Stop must not panic or hang
+	c.hosts[0].Stop()
+	c.hosts[0].Stop() // second Stop must not panic or hang
+}
+
+// TestNodeSurface pins the exported method set of *Node. Clients go
+// through the Host; a Node exports only what protocol construction and
+// the wiring code need. Adding a method here means arguing for it.
+func TestNodeSurface(t *testing.T) {
+	why := map[string]string{
+		"ID":          "rsm.Env, for core.New",
+		"Spec":        "rsm.Env, for core.New",
+		"Clock":       "rsm.Env, for core.New",
+		"Send":        "rsm.Env, for core.New",
+		"After":       "rsm.Env, for core.New",
+		"Log":         "rsm.Env, for core.New",
+		"SendAll":     "rsm.Multicaster, core's one-encode fan-out",
+		"SetProtocol": "wiring: bench and kvserver attach each group's protocol",
+		"Rejoin":      "wiring: bench and kvserver rejoin a replica restarted from its log",
+		"Do":          "loop-owned protocol reads (counters, debug state)",
+		"Reconfigure": "the per-group operator primitive ReconfigureAll is built on",
+	}
+	typ := reflect.TypeOf((*Node)(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		got = append(got, name)
+		if _, ok := why[name]; !ok {
+			t.Errorf("*Node exports %s: client calls belong on Host", name)
+		}
+	}
+	if len(got) != len(why) {
+		var want []string
+		for name := range why {
+			want = append(want, name)
+		}
+		sort.Strings(want)
+		t.Errorf("*Node exports %v, want %v", got, want)
+	}
 }

@@ -10,11 +10,12 @@ import (
 	"clockrsm/internal/types"
 )
 
-// Errors returned by Propose and resolved into Futures. They are
+// Errors returned by the client API and resolved into Futures. They are
 // sentinel values: match with errors.Is.
 var (
-	// ErrStopped reports that the node stopped before the proposal could
-	// complete. Stop resolves every unresolved Future with it.
+	// ErrStopped reports that the host stopped before the operation could
+	// complete. Host.Stop resolves every unresolved Future and read with
+	// it.
 	ErrStopped = errors.New("node: stopped")
 	// ErrCanceled reports that the proposal's wait was abandoned — the
 	// context expired or Cancel was called. The command itself may still
@@ -23,17 +24,105 @@ var (
 	ErrCanceled = errors.New("node: proposal canceled")
 )
 
-// Future is the pending result of one Propose or Reconfigure call. It
-// resolves exactly once: with the operation's result, or with an error
-// (ErrCanceled, ErrStopped, or one of the admin.go membership errors).
-// All methods are safe for concurrent use.
+// pending is what every outstanding client operation — a propose or
+// reconfigure Future, a local read — shares: its link in the group's
+// registry, the channel closed when it resolves, and the resolution
+// error.
+type pending struct {
+	prev, next *pending
+	linked     bool
+	// self is the Future or readOp embedding this; the sweep fails it.
+	self interface{ fail(error) }
+	done chan struct{}
+	err  error
+}
+
+// resolved reports whether the operation already resolved.
+func (o *pending) resolved() bool {
+	select {
+	case <-o.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// registry is a group's one record of outstanding client operations:
+// an intrusive list (O(1), no hashing on the hot path) that Host.Stop
+// sweeps. Leaving it is how an operation claims its one resolution.
+type registry struct {
+	mu      sync.Mutex
+	head    *pending
+	stopped bool
+}
+
+// add links o in, unless the registry was already swept.
+func (r *registry) add(o *pending) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.stopped {
+		return ErrStopped
+	}
+	o.next = r.head
+	if r.head != nil {
+		r.head.prev = o
+	}
+	r.head, o.linked = o, true
+	return nil
+}
+
+// remove unlinks o and reports whether it was still linked: of all the
+// racing resolutions of one operation, exactly one gets true.
+func (r *registry) remove(o *pending) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !o.linked {
+		return false
+	}
+	if o.prev != nil {
+		o.prev.next = o.next
+	} else {
+		r.head = o.next
+	}
+	if o.next != nil {
+		o.next.prev = o.prev
+	}
+	o.prev, o.next, o.linked = nil, nil, false
+	return true
+}
+
+// refuse makes every later add fail with ErrStopped.
+func (r *registry) refuse() {
+	r.mu.Lock()
+	r.stopped = true
+	r.mu.Unlock()
+}
+
+// sweep fails every linked operation with ErrStopped. Host.Stop runs it
+// after the loops exited, so queued, parked and submitted operations all
+// resolve. Each failure unlinks the head, so popping until empty visits
+// every operation once (racing resolutions just pop it for us).
+func (r *registry) sweep() {
+	for {
+		r.mu.Lock()
+		o := r.head
+		r.mu.Unlock()
+		if o == nil {
+			return
+		}
+		o.self.fail(ErrStopped)
+	}
+}
+
+// Future is the pending result of one proposal (Host.ProposeKey) or
+// Reconfigure call. It resolves exactly once: with the operation's
+// result, or with an error (ErrCanceled, ErrStopped, or one of the
+// admin.go membership errors). All methods are safe for concurrent use.
 type Future struct {
+	pending
 	n       *Node
 	payload []byte
 
-	// prev/next link the future into its node's in-flight registry (an
-	// intrusive list under propMu — O(1), no hashing on the hot path).
-	prev, next *Future
 	// seq is the minted command sequence, published by the event loop at
 	// submission; Cancel reads it to unregister the completion waiter.
 	seq atomic.Uint64
@@ -44,10 +133,13 @@ type Future struct {
 	// (Reconfigure): resolve must not release a slot it never took.
 	control bool
 
-	once sync.Once
-	done chan struct{}
-	res  types.Result
-	err  error
+	res types.Result
+}
+
+func newFuture(n *Node, payload []byte, control bool) *Future {
+	f := &Future{n: n, payload: payload, control: control}
+	f.self, f.done = f, make(chan struct{})
+	return f
 }
 
 // Done returns a channel closed when the future resolves.
@@ -85,8 +177,8 @@ func (f *Future) Cancel() {
 	// from the majority, timeout-retry churn) must not pin its Future
 	// and payload in the waiters map forever. Best-effort and
 	// non-blocking — Cancel may run on the event loop itself (a user
-	// callback), and a full queue or a stopping node just means the
-	// entry lingers until the commit or the final sweep.
+	// callback), and a full queue just means the entry lingers until the
+	// commit; a stopped host's waiters go with its loop.
 	seq := f.seq.Load()
 	if seq == 0 {
 		return
@@ -98,95 +190,39 @@ func (f *Future) Cancel() {
 			delete(n.waiters, seq)
 		}
 	}}:
-	case <-n.quit:
 	default:
 	}
 }
 
-// resolve fulfils the future exactly once: it leaves the node's
-// in-flight registry, publishes the outcome, and releases the window
-// slot the proposal was admitted under.
+// resolve fulfils the future exactly once: it leaves the registry,
+// publishes the outcome, and releases the window slot the proposal was
+// admitted under.
 func (f *Future) resolve(res types.Result, err error) {
-	f.once.Do(func() {
-		f.res, f.err = res, err
-		n := f.n
-		n.propMu.Lock()
-		if f.prev != nil {
-			f.prev.next = f.next
-		} else {
-			n.inflight = f.next
-		}
-		if f.next != nil {
-			f.next.prev = f.prev
-		}
-		f.prev, f.next = nil, nil
-		n.propMu.Unlock()
-		n.resolved.Add(1)
-		if err == nil && !f.t0.IsZero() {
-			n.recordLatency(time.Since(f.t0))
-		}
-		// Release the window slot before publishing the resolution, so a
-		// caller that observes the future done can immediately re-propose
-		// without waiting on a slot still held here.
-		// Control-plane futures never took one.
-		if !f.control {
-			<-n.window
-		}
-		close(f.done)
-	})
+	n := f.n
+	if !n.reg.remove(&f.pending) {
+		return
+	}
+	f.res, f.err = res, err
+	n.resolved.Add(1)
+	if err == nil && !f.t0.IsZero() {
+		n.recordLatency(n.sched.since(f.t0))
+	}
+	// Release the window slot before publishing the resolution, so a
+	// caller that observes the future done can immediately re-propose
+	// without waiting on a slot still held here. Control futures took none.
+	if !f.control {
+		<-n.window
+	}
+	close(f.done)
 }
 
-// resolved reports whether the future already resolved.
-func (f *Future) resolved() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
+func (f *Future) fail(err error) { f.resolve(types.Result{}, err) }
 
-// Propose submits an opaque state-machine payload at this replica and
-// returns a Future for its execution result. It is the client entry
-// point of the replication stack: the event loop allocates the command
-// ID, registers the completion, and hands the command to the protocol,
-// so no caller ever touches protocol state across goroutines.
-//
-// Backpressure: a proposal is admitted only while fewer than
-// maxInFlight proposals are unresolved. When the window is full,
-// Propose blocks until a slot frees, ctx is done (ErrCanceled) or the
-// node stops (ErrStopped).
-//
-// Batching: every proposal the event loop drains in one batch turn
-// runs inside that turn's BeginBatch/EndBatch bracket, so one coalesced
-// PREPARE broadcast (one encode, one frame per link) covers all of
-// them — the paper's batching (Section VI-D), with no knob: the deeper
-// the queue under load, the wider the batch.
-//
-// ctx governs admission and can later cancel the wait through
-// Future.Wait; it does not cancel a command already replicating.
-//
-// The result's CommandID is minted on the event loop by the protocol's
-// NextCommandID and is unique within this node's replication group;
-// sibling groups of a Host mint their own sequences, so cross-group
-// consumers key by (group, ID).
-func (n *Node) Propose(ctx context.Context, payload []byte) (*Future, error) {
-	f, err := n.admit(ctx, payload)
-	if err != nil {
-		return nil, err
-	}
-	if !n.enqueue(event{fut: f}) {
-		f.resolve(types.Result{}, ErrStopped)
-		return nil, ErrStopped
-	}
-	return f, nil
-}
-
-// admit performs the shared admission path of Propose and Reconfigure:
-// it takes a window slot (blocking until one frees, the context ends or
-// the node stops), allocates the future and links it into the
-// in-flight registry so Stop sweeps it.
-func (n *Node) admit(ctx context.Context, payload []byte) (*Future, error) {
+// propose is Host.ProposeKey on this group: it takes a window slot
+// (blocking until one frees, ctx ends or the host stops), registers a
+// future so Host.Stop sweeps it, and queues it for the event loop. Only
+// a registered proposal counts as admitted.
+func (n *Node) propose(ctx context.Context, payload []byte) (*Future, error) {
 	if ctx.Err() != nil {
 		return nil, ErrCanceled // the caller is already gone; admit nothing
 	}
@@ -194,54 +230,26 @@ func (n *Node) admit(ctx context.Context, payload []byte) (*Future, error) {
 	case n.window <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ErrCanceled
-	case <-n.quit:
+	case <-n.sched.quit:
 		return nil, ErrStopped
 	}
-	f := &Future{n: n, payload: payload, done: make(chan struct{})}
-	// Subsample commit latency for Status: one timed proposal per
-	// (latSampleMask+1) admissions keeps the clock reads off the hot
-	// path.
-	if n.proposed.Add(1)&latSampleMask == 0 {
-		f.t0 = time.Now()
-	}
-	if err := n.register(f); err != nil {
+	f := newFuture(n, payload, false)
+	if err := n.reg.add(&f.pending); err != nil {
 		<-n.window
 		return nil, err
 	}
-	return f, nil
-}
-
-// admitControl admits a control-plane future (Reconfigure): it joins
-// the in-flight registry so Stop sweeps it, but bypasses the data
-// window, the Proposed counter and the latency sampling — a
-// reconfiguration must stay proposable when the window is full of
-// proposals that only the reconfiguration itself can unblock, and its
-// barrier duration is not a data commit latency.
-func (n *Node) admitControl(ctx context.Context) (*Future, error) {
-	if ctx.Err() != nil {
-		return nil, ErrCanceled
+	// Subsample commit latency for Status: one timed proposal per
+	// (latSampleMask+1) admissions keeps the clock reads off the hot
+	// path. Stamping after add is safe: until propose returns, only the
+	// sweep can resolve f, and a failed future never reads t0.
+	if n.proposed.Add(1)&latSampleMask == 0 {
+		f.t0 = n.sched.now()
 	}
-	f := &Future{n: n, control: true, done: make(chan struct{})}
-	if err := n.register(f); err != nil {
-		return nil, err
+	if !n.enqueue(event{fut: f}) {
+		f.resolve(types.Result{}, ErrStopped)
+		return nil, ErrStopped
 	}
 	return f, nil
-}
-
-// register links a future into the in-flight registry unless the node
-// already stopped.
-func (n *Node) register(f *Future) error {
-	n.propMu.Lock()
-	defer n.propMu.Unlock()
-	if n.propStopped {
-		return ErrStopped
-	}
-	f.next = n.inflight
-	if n.inflight != nil {
-		n.inflight.prev = f
-	}
-	n.inflight = f
-	return nil
 }
 
 // execPropose runs on the event loop: it mints the command ID, registers
@@ -288,25 +296,4 @@ func (n *Node) completeProposal(res types.Result) {
 		return
 	}
 	f.resolve(res, nil)
-}
-
-// sweepProposals fails every unresolved proposal with ErrStopped. It
-// runs once, after the event loop has exited, so Stop never strands a
-// waiter: queued and submitted-but-uncommitted proposals all resolve
-// deterministically. Each resolve unlinks the head of the registry, so
-// popping the head until empty visits every in-flight future exactly
-// once (racing Cancels just pop it for us).
-func (n *Node) sweepProposals() {
-	n.propMu.Lock()
-	n.propStopped = true
-	n.propMu.Unlock()
-	for {
-		n.propMu.Lock()
-		f := n.inflight
-		n.propMu.Unlock()
-		if f == nil {
-			return
-		}
-		f.resolve(types.Result{}, ErrStopped)
-	}
 }

@@ -23,7 +23,7 @@ import (
 func TestProposeFutureResult(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
 	ctx := context.Background()
-	fut, err := c.nodes[0].Propose(ctx, kvstore.Put("k", []byte("v1")))
+	fut, err := c.nodes[0].propose(ctx, kvstore.Put("k", []byte("v1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestProposeClientBatching(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("batch-%d", cl)
 			for k := 0; k < per; k++ {
-				fut, err := c.nodes[0].Propose(context.Background(), kvstore.Put(key, []byte{byte(k)}))
+				fut, err := c.nodes[0].propose(context.Background(), kvstore.Put(key, []byte{byte(k)}))
 				if err != nil {
 					t.Errorf("Propose: %v", err)
 					return
@@ -91,8 +91,8 @@ func TestProposeClientBatching(t *testing.T) {
 func blockedCluster(t *testing.T, window int) *cluster {
 	t.Helper()
 	c := newClusterWindow(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], window)
-	c.nodes[1].Stop()
-	c.nodes[2].Stop()
+	c.hosts[1].Stop()
+	c.hosts[2].Stop()
 	return c
 }
 
@@ -101,13 +101,13 @@ func blockedCluster(t *testing.T, window int) *cluster {
 // the wait with ErrCanceled.
 func TestProposeBackpressureBlocks(t *testing.T) {
 	c := blockedCluster(t, 1)
-	if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
+	if _, err := c.nodes[0].propose(context.Background(), kvstore.Put("k", []byte("v"))); err != nil {
 		t.Fatalf("first Propose: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.nodes[0].Propose(ctx, kvstore.Put("k", []byte("v")))
+	_, err := c.nodes[0].propose(ctx, kvstore.Put("k", []byte("v")))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("blocked Propose: err = %v, want ErrCanceled", err)
 	}
@@ -123,7 +123,7 @@ func TestProposeBackpressureBlocks(t *testing.T) {
 func TestProposeSlotReleasedBeforeDone(t *testing.T) {
 	c := newClusterWindow(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"], 1)
 	for k := 0; k < 20; k++ {
-		fut, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte{byte(k)}))
+		fut, err := c.nodes[0].propose(context.Background(), kvstore.Put("k", []byte{byte(k)}))
 		if err != nil {
 			t.Fatalf("proposal %d: %v", k, err)
 		}
@@ -143,7 +143,7 @@ func TestProposeRejectsDeadContext(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.nodes[0].Propose(ctx, kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrCanceled) {
+	if _, err := c.nodes[0].propose(ctx, kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Propose with dead context: err = %v, want ErrCanceled", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestProposeCancelAtMostOnce(t *testing.T) {
 	const n = 60
 	for k := 0; k < n; k++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		fut, err := c.nodes[0].Propose(ctx, kvstore.Put("k", []byte{byte(k)}))
+		fut, err := c.nodes[0].propose(ctx, kvstore.Put("k", []byte{byte(k)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,13 +201,13 @@ func TestStopFailsInFlightProposals(t *testing.T) {
 		c := blockedCluster(t, 0)
 		var futs []*Future
 		for k := 0; k < 20; k++ {
-			fut, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v")))
+			fut, err := c.nodes[0].propose(context.Background(), kvstore.Put("k", []byte("v")))
 			if err != nil {
 				t.Fatal(err)
 			}
 			futs = append(futs, fut)
 		}
-		c.nodes[0].Stop()
+		c.hosts[0].Stop()
 		for i, fut := range futs {
 			select {
 			case <-fut.Done():
@@ -219,19 +219,133 @@ func TestStopFailsInFlightProposals(t *testing.T) {
 			}
 		}
 		// A proposal after Stop must fail immediately, not hang.
-		if _, err := c.nodes[0].Propose(context.Background(), kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrStopped) {
+		if _, err := c.nodes[0].propose(context.Background(), kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrStopped) {
 			t.Fatalf("Propose after Stop: err = %v, want ErrStopped", err)
 		}
 	})
 }
 
+// TestProposeAfterStopNotCounted: every proposal after Host.Stop fails
+// ErrStopped, and none counts as admitted. Admission used to bump
+// Proposed before the registry refused it, whenever the window slot won
+// the race against the quit signal.
+func TestProposeAfterStopNotCounted(t *testing.T) {
+	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
+	c.call(t, 0, kvstore.Put("k", []byte("v")))
+	h := c.hosts[0]
+	h.Stop()
+	before := h.Status().Groups[0].Proposed
+	for i := 0; i < 100; i++ {
+		if _, err := h.ProposeKey(context.Background(), "k", kvstore.Put("k", []byte("v"))); !errors.Is(err, ErrStopped) {
+			t.Fatalf("proposal %d after Stop: err = %v, want ErrStopped", i, err)
+		}
+	}
+	if got := h.Status().Groups[0].Proposed; got != before {
+		t.Fatalf("Proposed moved %d -> %d across 100 refused proposals", before, got)
+	}
+}
+
+// TestHostStopSweepsEveryGroup: on a 2-group host whose peers are down,
+// each group holds a proposal that cannot commit, a parked linearizable
+// read and a pending Reconfigure. One Host.Stop resolves all six with
+// ErrStopped, a second Stop returns at once, and no goroutine outlives
+// the host.
+func TestHostStopSweepsEveryGroup(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const groups = 2
+	hub := transport.NewHub(3, transport.HubOptions{Codec: true, Groups: groups})
+	c := newHostClusterWith(t, 3, groups, func(id types.ReplicaID) transport.Transport {
+		return hub.Endpoint(id)
+	}, core.Options{}) // no CLOCKTIME: nothing advances the watermark
+	c.start(t)
+	c.hosts[1].Stop()
+	c.hosts[2].Stop()
+	h := c.hosts[0]
+
+	ctx := context.Background()
+	var futs []*Future
+	reads := make(chan error, groups)
+	for g := types.GroupID(0); g < groups; g++ {
+		key := keyIn(h, g)
+		fut, err := h.ProposeKey(ctx, key, kvstore.Put(key, []byte("v")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+		go func() {
+			_, err := h.ReadKey(ctx, key, kvstore.Get(key), Linearizable)
+			reads <- err
+		}()
+		rf, err := h.Group(g).Reconfigure(ctx, []types.ReplicaID{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, rf)
+	}
+	waitFor(t, 5*time.Second, "a parked read in every group", func() bool {
+		for _, gs := range h.Status().Groups {
+			if gs.ReadsParked == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	for i, f := range futs {
+		if f.resolved() {
+			t.Fatalf("future %d resolved before Stop", i)
+		}
+	}
+
+	h.Stop()
+	for i, f := range futs {
+		select {
+		case <-f.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("future %d unresolved after Stop", i)
+		}
+		if _, err := f.Result(); !errors.Is(err, ErrStopped) {
+			t.Errorf("future %d: err = %v, want ErrStopped", i, err)
+		}
+	}
+	for g := 0; g < groups; g++ {
+		select {
+		case err := <-reads:
+			if !errors.Is(err, ErrStopped) {
+				t.Errorf("parked read: err = %v, want ErrStopped", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("parked read unresolved after Stop")
+		}
+	}
+	start := time.Now()
+	h.Stop()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("second Stop took %v", d)
+	}
+
+	hub.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the host, %d after Stop", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestHostStopUnderLoad hammers a 2-group host cluster with concurrent
 // proposers, stops every host mid-flight, and checks that (1) every
 // proposer unblocks — futures resolve with a result or ErrStopped, and
-// Propose itself returns an error once stopped — and (2) no goroutines
-// leak: the shutdown-under-load guarantee of the client API.
+// Propose itself returns an error once stopped — (2) no timer callback
+// of any group, the pending Rejoin retry included, runs after Stop, and
+// (3) no goroutines leak: the shutdown-under-load guarantee of the
+// client API.
 func TestHostStopUnderLoad(t *testing.T) {
 	baseline := runtime.NumGoroutine()
+	// ConsensusRetry is short so the Rejoin retry (2x it) re-arms well
+	// inside the post-Stop wait below.
+	const retry = 25 * time.Millisecond
+	var ran atomic.Int64
 	const replicas, groups, proposers = 3, 2, 8
 	hub := transport.NewHub(replicas, transport.HubOptions{Codec: true, Groups: groups})
 	spec := []types.ReplicaID{0, 1, 2}
@@ -247,7 +361,8 @@ func TestHostStopUnderLoad(t *testing.T) {
 			if err := h.Bind(types.GroupID(g), app); err != nil {
 				t.Fatal(err)
 			}
-			nd.SetProtocol(core.New(nd, app, core.Options{ClockTimeInterval: 2 * time.Millisecond}))
+			env := countedAfter{nd, &ran}
+			nd.SetProtocol(core.New(env, app, core.Options{ClockTimeInterval: 2 * time.Millisecond, ConsensusRetry: retry}))
 		}
 		hosts[i] = h
 	}
@@ -292,25 +407,20 @@ func TestHostStopUnderLoad(t *testing.T) {
 	// retry timer (2× the consensus retry timeout) must not survive the
 	// Stop below.
 	time.Sleep(100 * time.Millisecond)
-	hosts[2].Group(0).Do(func() {
-		hosts[2].Group(0).Protocol().(*core.Replica).Rejoin()
-	})
+	hosts[2].Group(0).Do(hosts[2].Group(0).proto.(*core.Replica).Rejoin)
 	time.Sleep(50 * time.Millisecond)
+	if ran.Load() == 0 {
+		t.Fatal("no timer callback ran before Stop; the counting env is not wired")
+	}
 	for _, h := range hosts {
 		h.Stop()
 	}
-	// Every group's tracked timers — including the Rejoin retry — are
-	// cancelled by Stop.
-	for _, h := range hosts {
-		for g := 0; g < groups; g++ {
-			nd := h.Group(types.GroupID(g))
-			nd.timerMu.Lock()
-			left := len(nd.timers)
-			nd.timerMu.Unlock()
-			if left != 0 {
-				t.Errorf("host %v group %d: %d timers still pending after Stop", h.ID(), g, left)
-			}
-		}
+	// Every group's timers — CLOCKTIME and the Rejoin retry — are
+	// cancelled by Stop: callbacks run on the loops, which have exited.
+	before := ran.Load()
+	time.Sleep(8 * retry)
+	if n := ran.Load() - before; n != 0 {
+		t.Errorf("%d timer callbacks ran after Stop", n)
 	}
 
 	loadDone := make(chan struct{})

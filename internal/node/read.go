@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -96,8 +95,8 @@ type Session struct {
 func (s *Session) Watermark() int64 { return s.w.Load() }
 
 // Advance folds a served read's watermark into the session token,
-// keeping it monotonic. Local reads advance their session automatically
-// (Read calls it); Advance exists for remote front ends — a client
+// keeping it monotonic. Local reads advance their session
+// automatically; Advance exists for remote front ends — a client
 // library carrying the token across connections feeds the watermark
 // each GETS response reports back into its session, so sequential reads
 // stay monotonic across replica failover.
@@ -113,7 +112,7 @@ func (s *Session) observe(w int64) {
 	}
 }
 
-// ReadResult is the outcome of one Read.
+// ReadResult is the outcome of one read.
 type ReadResult struct {
 	// Value is the state machine's answer to the query.
 	Value []byte
@@ -143,6 +142,7 @@ type clockNudger interface {
 // It resolves exactly once; abandoning callers (context expiry) resolve
 // it themselves and the loop's later serve becomes a no-op.
 type readOp struct {
+	pending
 	n *Node
 	// ts is the watermark the read waits for: the captured local clock
 	// for Linearizable, the session token for Sequential.
@@ -153,44 +153,29 @@ type readOp struct {
 	// bounded by the clock rather than by this replica's catch-up, and
 	// therefore the only one worth a nudge.
 	lin bool
-	// gate, when set, re-validates the read at serve time (after the
-	// watermark wait, before the query). The routing layer uses it to
-	// refuse reads whose key's slot migrated away — or is mid-migration
-	// — between submit and serve, with a typed wrong-group error the
+	// gate re-validates the read at serve time (after the watermark
+	// wait, before the query): Host.ReadKey's routing check refuses a
+	// read whose key's slot migrated away — or is mid-migration —
+	// between submit and serve, with a typed wrong-group error the
 	// caller retries against the refreshed table.
 	gate func() error
 
-	once sync.Once
-	res  ReadResult
-	err  error
-	done chan struct{}
+	res ReadResult
 }
 
 // resolve fulfils the read exactly once and leaves the registry. It
 // reports whether this call won — false means the read had already
 // resolved (e.g. abandoned by its caller).
-func (op *readOp) resolve(res ReadResult, err error) bool {
-	won := false
-	op.once.Do(func() {
-		won = true
-		op.res, op.err = res, err
-		op.n.readMu.Lock()
-		delete(op.n.readReg, op)
-		op.n.readMu.Unlock()
-		close(op.done)
-	})
-	return won
-}
-
-// resolved reports whether the read already resolved.
-func (op *readOp) resolved() bool {
-	select {
-	case <-op.done:
-		return true
-	default:
+func (r *readOp) resolve(res ReadResult, err error) bool {
+	if !r.n.reg.remove(&r.pending) {
 		return false
 	}
+	r.res, r.err = res, err
+	close(r.done)
+	return true
 }
+
+func (r *readOp) fail(err error) { r.resolve(ReadResult{}, err) }
 
 // readQueue is the timestamp-ordered waiter queue: a min-heap on the
 // watermark each parked read waits for. Loop-owned.
@@ -209,12 +194,13 @@ func (q *readQueue) Pop() interface{} {
 	return op
 }
 
-// Read answers a read-only query against the replicated state machine
+// read answers a read-only query against the replicated state machine
 // at the requested consistency level, serving from the locally executed
 // stable prefix whenever the protocol supports it (rsm.StateReader) —
-// no PREPARE broadcast, no log traffic. query uses the state machine's
-// own encoding (kvstore.Get for the key-value store) and must be
-// read-only: when the protocol exposes no watermark (paxos, mencius),
+// no PREPARE broadcast, no log traffic. Host.ReadKey is its one caller,
+// with a serve-time gate (see readOp.gate). query uses the state
+// machine's own encoding (kvstore.Get for the key-value store) and must
+// be read-only: when the protocol exposes no watermark (paxos, mencius),
 // the read falls back to replicating query through the log as a
 // command, and executes it there.
 //
@@ -226,12 +212,7 @@ func (q *readQueue) Pop() interface{} {
 // configuration stalls reads until it recovers. ctx bounds the wait. At
 // a replica removed from the configuration, parked reads resolve
 // ErrNotInConfig — the same sweep contract as write futures.
-func (n *Node) Read(ctx context.Context, query []byte, lvl Level) (ReadResult, error) {
-	return n.readGated(ctx, query, lvl, nil)
-}
-
-// readGated is Read with an optional serve-time gate (see readOp.gate).
-func (n *Node) readGated(ctx context.Context, query []byte, lvl Level, gate func() error) (ReadResult, error) {
+func (n *Node) read(ctx context.Context, query []byte, lvl Level, gate func() error) (ReadResult, error) {
 	if ctx.Err() != nil {
 		return ReadResult{}, ErrCanceled
 	}
@@ -241,7 +222,8 @@ func (n *Node) readGated(ctx context.Context, query []byte, lvl Level, gate func
 	if lvl.tier == TierStale {
 		return n.readStale(query, lvl, gate)
 	}
-	op := &readOp{n: n, query: query, sess: lvl.sess, gate: gate, done: make(chan struct{})}
+	op := &readOp{n: n, query: query, sess: lvl.sess, gate: gate}
+	op.self, op.done = op, make(chan struct{})
 	switch lvl.tier {
 	case TierLinearizable:
 		// Capture t before enqueueing: every write that completed before
@@ -254,7 +236,7 @@ func (n *Node) readGated(ctx context.Context, query []byte, lvl Level, gate func
 			op.ts = lvl.sess.Watermark()
 		}
 	}
-	if err := n.registerRead(op); err != nil {
+	if err := n.reg.add(&op.pending); err != nil {
 		return ReadResult{}, err
 	}
 	if !n.enqueue(event{read: op}) {
@@ -264,12 +246,12 @@ func (n *Node) readGated(ctx context.Context, query []byte, lvl Level, gate func
 	select {
 	case <-op.done:
 	case <-ctx.Done():
-		// Abandon the wait: if the loop serves the read first, the
-		// result wins the once and is returned below. The op may be
-		// parked on the waiter queue; schedule a purge so abandoned
-		// reads don't pin memory at a replica whose watermark is
-		// stalled (retry loops against a partitioned replica would
-		// otherwise grow the heap without bound).
+		// Abandon the wait: if the loop serves the read first, its
+		// result wins and is returned below. The op may be parked on the
+		// waiter queue; schedule a purge so abandoned reads don't pin
+		// memory at a replica whose watermark is stalled (retry loops
+		// against a partitioned replica would otherwise grow the heap
+		// without bound).
 		op.resolve(ReadResult{}, ErrCanceled)
 		n.purgeAbandonedReads()
 	}
@@ -290,16 +272,14 @@ func (n *Node) readGated(ctx context.Context, query []byte, lvl Level, gate func
 // the cached watermark, never older — Age is an upper bound.
 func (n *Node) readStale(query []byte, lvl Level, gate func() error) (ReadResult, error) {
 	select {
-	case <-n.quit:
+	case <-n.sched.quit:
 		// Keep the shutdown contract uniform across tiers: a stopped
-		// node fails reads instead of serving its frozen state forever.
+		// host fails reads instead of serving its frozen state forever.
 		return ReadResult{}, ErrStopped
 	default:
 	}
-	if gate != nil {
-		if err := gate(); err != nil {
-			return ReadResult{}, err
-		}
+	if err := gate(); err != nil {
+		return ReadResult{}, err
 	}
 	w := n.watermark.Load()
 	age := time.Duration(n.clk.Now() - w)
@@ -315,7 +295,7 @@ func (n *Node) readStale(query []byte, lvl Level, gate func() error) (ReadResult
 // state machines without a local query): the read replicates through
 // the log as a command and executes in the total order, at every level.
 func (n *Node) readReplicated(ctx context.Context, query []byte) (ReadResult, error) {
-	fut, err := n.Propose(ctx, query)
+	fut, err := n.propose(ctx, query)
 	if err != nil {
 		return ReadResult{}, err
 	}
@@ -324,18 +304,6 @@ func (n *Node) readReplicated(ctx context.Context, query []byte) (ReadResult, er
 		return ReadResult{}, err
 	}
 	return ReadResult{Value: res.Value, Replicated: true}, nil
-}
-
-// registerRead links a read into the registry Stop sweeps, unless the
-// node already stopped.
-func (n *Node) registerRead(op *readOp) error {
-	n.readMu.Lock()
-	defer n.readMu.Unlock()
-	if n.readStopped {
-		return ErrStopped
-	}
-	n.readReg[op] = struct{}{}
-	return nil
 }
 
 // execRead runs on the event loop: serve the read if the watermark
@@ -370,11 +338,9 @@ func (n *Node) execRead(op *readOp) {
 // serveRead answers one read from local state at watermark w. Runs on
 // the event loop, where local state is exactly the executed prefix.
 func (n *Node) serveRead(op *readOp, w int64) {
-	if op.gate != nil {
-		if err := op.gate(); err != nil {
-			op.resolve(ReadResult{}, err)
-			return
-		}
+	if err := op.gate(); err != nil {
+		op.resolve(ReadResult{}, err)
+		return
 	}
 	val := n.sm.Query(op.query)
 	// Count only reads whose result was actually delivered: a caller's
@@ -406,8 +372,8 @@ func (n *Node) onStableAdvance() {
 // purgeAbandonedReads schedules a compaction of the waiter queue,
 // dropping entries whose reads already resolved (abandoned by their
 // callers). Best-effort and non-blocking, coalesced across concurrent
-// cancellations — a full queue or a stopping node just means the
-// entries linger until the next purge, drain, or sweep.
+// cancellations — a full queue just means the entries linger until the
+// next purge or drain; a stopped host's are dropped with its loop.
 func (n *Node) purgeAbandonedReads() {
 	if !n.readPurge.CompareAndSwap(false, true) {
 		return // a purge is already queued; it will cover this op
@@ -427,8 +393,6 @@ func (n *Node) purgeAbandonedReads() {
 		n.readQ = kept
 		heap.Init(&n.readQ) // compaction broke the heap order
 	}}:
-	case <-n.quit:
-		n.readPurge.Store(false)
 	default:
 		n.readPurge.Store(false)
 	}
@@ -440,22 +404,5 @@ func (n *Node) failParkedReads(err error) {
 	for len(n.readQ) > 0 {
 		op := heap.Pop(&n.readQ).(*readOp)
 		op.resolve(ReadResult{}, err)
-	}
-}
-
-// sweepReads fails every unresolved read with ErrStopped. It runs
-// once, after the event loop has exited (see Stop), so Stop never
-// strands a read waiter: queued, parked, and in-admission reads all
-// resolve deterministically.
-func (n *Node) sweepReads() {
-	n.readMu.Lock()
-	n.readStopped = true
-	ops := make([]*readOp, 0, len(n.readReg))
-	for op := range n.readReg {
-		ops = append(ops, op)
-	}
-	n.readMu.Unlock()
-	for _, op := range ops {
-		op.resolve(ReadResult{}, ErrStopped)
 	}
 }

@@ -14,12 +14,17 @@ import (
 	"clockrsm/internal/wan"
 )
 
-// readAt issues one read and fails the test on error.
-func (c *cluster) readAt(t *testing.T, at types.ReplicaID, query []byte, lvl Level) ReadResult {
+// readKey reads key through host at's routed read path.
+func (c *cluster) readKey(ctx context.Context, at types.ReplicaID, key string, lvl Level) (ReadResult, error) {
+	return c.hosts[at].ReadKey(ctx, key, kvstore.Get(key), lvl)
+}
+
+// readAt reads key at host at and fails the test on error.
+func (c *cluster) readAt(t *testing.T, at types.ReplicaID, key string, lvl Level) ReadResult {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	res, err := c.nodes[at].Read(ctx, query, lvl)
+	res, err := c.readKey(ctx, at, key, lvl)
 	if err != nil {
 		t.Fatalf("Read at %v (%v): %v", at, lvl.Tier(), err)
 	}
@@ -32,7 +37,7 @@ func (c *cluster) assertProposed(t *testing.T, want uint64) {
 	t.Helper()
 	var proposed uint64
 	for _, nd := range c.nodes {
-		proposed += nd.Status().Proposed
+		proposed += nd.status().Proposed
 	}
 	if proposed != want {
 		t.Fatalf("local reads proposed commands: %d total proposals, want %d", proposed, want)
@@ -46,7 +51,7 @@ func TestReadLinearizableObservesCompletedWrite(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
 	c.call(t, 0, kvstore.Put("k", []byte("v1")))
 	for at := types.ReplicaID(0); at < 3; at++ {
-		res := c.readAt(t, at, kvstore.Get("k"), Linearizable)
+		res := c.readAt(t, at, "k", Linearizable)
 		if string(res.Value) != "v1" {
 			t.Fatalf("replica %v: linearizable read = %q, want v1", at, res.Value)
 		}
@@ -69,7 +74,7 @@ func TestReadSequentialSession(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
 	c.call(t, 0, kvstore.Put("s", []byte("sv1")))
 	var sess Session
-	res := c.readAt(t, 0, kvstore.Get("s"), Sequential(&sess))
+	res := c.readAt(t, 0, "s", Sequential(&sess))
 	if string(res.Value) != "sv1" {
 		t.Fatalf("sequential read at origin = %q, want sv1", res.Value)
 	}
@@ -79,7 +84,7 @@ func TestReadSequentialSession(t *testing.T) {
 	// Fail over: the other replicas must wait until their watermark
 	// covers the session before serving, so the value can't be older.
 	for at := types.ReplicaID(1); at < 3; at++ {
-		res := c.readAt(t, at, kvstore.Get("s"), Sequential(&sess))
+		res := c.readAt(t, at, "s", Sequential(&sess))
 		if string(res.Value) != "sv1" {
 			t.Fatalf("replica %v: session read = %q, want sv1", at, res.Value)
 		}
@@ -97,17 +102,17 @@ func TestReadStale(t *testing.T) {
 	ctx := context.Background()
 	// Before any commit the watermark is primordial: a bounded read is
 	// too stale, an unbounded one serves the empty state.
-	if _, err := c.nodes[0].Read(ctx, kvstore.Get("z"), Stale(time.Minute)); !errors.Is(err, ErrTooStale) {
+	if _, err := c.readKey(ctx, 0, "z", Stale(time.Minute)); !errors.Is(err, ErrTooStale) {
 		t.Fatalf("bounded stale read before any commit: %v, want ErrTooStale", err)
 	}
-	res, err := c.nodes[0].Read(ctx, kvstore.Get("z"), Stale(0))
+	res, err := c.readKey(ctx, 0, "z", Stale(0))
 	if err != nil || res.Value != nil {
 		t.Fatalf("unbounded stale read = %q, %v", res.Value, err)
 	}
 	// After a commit the watermark is fresh: a generous bound passes
 	// and the committed value is visible at the origin.
 	c.call(t, 0, kvstore.Put("z", []byte("zv")))
-	res, err = c.nodes[0].Read(ctx, kvstore.Get("z"), Stale(time.Hour))
+	res, err = c.readKey(ctx, 0, "z", Stale(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestReadFallbackReplicated(t *testing.T) {
 			c.call(t, 0, kvstore.Put("f", []byte("fv")))
 			var sess Session
 			for _, lvl := range []Level{Linearizable, Sequential(&sess), Stale(time.Hour)} {
-				res := c.readAt(t, 0, kvstore.Get("f"), lvl)
+				res := c.readAt(t, 0, "f", lvl)
 				if !res.Replicated {
 					t.Fatalf("%v read under %s not replicated", lvl.Tier(), name)
 				}
@@ -162,13 +167,13 @@ func TestRemovedReplicaFailsParkedReads(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.nodes[2].Read(ctx, kvstore.Get("k"), Linearizable)
+		_, err := c.readKey(ctx, 2, "k", Linearizable)
 		errCh <- err
 	}()
 	// Let the read reach the loop and park (the watermark is stuck at
 	// zero: no traffic, no CLOCKTIME).
 	deadline := time.Now().Add(5 * time.Second)
-	for c.nodes[2].Status().ReadsParked == 0 {
+	for c.nodes[2].status().ReadsParked == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("read never parked")
 		}
@@ -195,7 +200,7 @@ func TestRemovedReplicaFailsParkedReads(t *testing.T) {
 	// New reads at the removed replica fail fast, at every loop-served
 	// level.
 	for _, lvl := range []Level{Linearizable, Sequential(nil)} {
-		if _, err := c.nodes[2].Read(ctx, kvstore.Get("k"), lvl); !errors.Is(err, ErrNotInConfig) {
+		if _, err := c.readKey(ctx, 2, "k", lvl); !errors.Is(err, ErrNotInConfig) {
 			t.Fatalf("%v read at removed replica: %v, want ErrNotInConfig", lvl.Tier(), err)
 		}
 	}
@@ -208,17 +213,17 @@ func TestStopSweepsParkedReads(t *testing.T) {
 	ctx := context.Background()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.nodes[0].Read(ctx, kvstore.Get("k"), Linearizable)
+		_, err := c.readKey(ctx, 0, "k", Linearizable)
 		errCh <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.nodes[0].Status().ReadsParked == 0 {
+	for c.nodes[0].status().ReadsParked == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("read never parked")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	c.nodes[0].Stop()
+	c.hosts[0].Stop()
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, ErrStopped) {
@@ -235,8 +240,8 @@ func TestStopSweepsParkedReads(t *testing.T) {
 func TestStaleReadAfterStop(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
 	c.call(t, 0, kvstore.Put("k", []byte("v")))
-	c.nodes[0].Stop()
-	if _, err := c.nodes[0].Read(context.Background(), kvstore.Get("k"), Stale(0)); !errors.Is(err, ErrStopped) {
+	c.hosts[0].Stop()
+	if _, err := c.readKey(context.Background(), 0, "k", Stale(0)); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stale read after Stop: %v, want ErrStopped", err)
 	}
 }
@@ -247,7 +252,7 @@ func TestReadCanceledWhileParked(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), quietClockRSM)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := c.nodes[0].Read(ctx, kvstore.Get("k"), Linearizable); !errors.Is(err, ErrCanceled) {
+	if _, err := c.readKey(ctx, 0, "k", Linearizable); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("abandoned read resolved %v, want ErrCanceled", err)
 	}
 }
@@ -259,7 +264,7 @@ func TestAbandonedParkedReadsPurged(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), quietClockRSM)
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		if _, err := c.nodes[0].Read(ctx, kvstore.Get("k"), Linearizable); !errors.Is(err, ErrCanceled) {
+		if _, err := c.readKey(ctx, 0, "k", Linearizable); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("read %d: %v, want ErrCanceled", i, err)
 		}
 		cancel()
@@ -340,8 +345,8 @@ func TestHostReadRouting(t *testing.T) {
 func TestStatusReadFields(t *testing.T) {
 	c := newCluster(t, 3, wan.Uniform(3, time.Millisecond), protoMakers()["clockrsm"])
 	c.call(t, 0, kvstore.Put("k", []byte("v")))
-	c.readAt(t, 0, kvstore.Get("k"), Linearizable)
-	st := c.nodes[0].Status()
+	c.readAt(t, 0, "k", Linearizable)
+	st := c.hosts[0].Status().Groups[0]
 	if st.ReadsLocal == 0 {
 		t.Error("Status.ReadsLocal = 0 after a local read")
 	}

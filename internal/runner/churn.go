@@ -202,13 +202,13 @@ func RunMembershipChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	for cli := 0; cli < cfg.Clients; cli++ {
 		seq := 0
 		key, g := clientKey(tbl, cli)
-		target := c.rep(memberBase[cli%len(memberBase)]).host.Group(g)
+		host := c.rep(memberBase[cli%len(memberBase)]).host
 		load.client(nil, func() error {
 			payload := kvstore.Put(key, append([]byte(fmt.Sprintf("c%d-%d-", cli, seq)), make([]byte, memberPayload)...))
 			seq++
 			for {
 				ctx, cancel := context.WithTimeout(context.Background(), memberStep)
-				fut, err := target.Propose(ctx, payload)
+				fut, err := host.ProposeKey(ctx, key, payload)
 				var r types.Result
 				if err == nil {
 					r, err = fut.Wait(ctx)
@@ -293,7 +293,7 @@ func RunMembershipChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	removed := all[len(memberBase)]
 	ctx, cancel := context.WithTimeout(context.Background(), memberStep)
 	defer cancel()
-	fut, err := c.rep(removed).host.Group(0).Propose(ctx, kvstore.Put("probe", []byte("x")))
+	fut, err := c.rep(removed).host.ProposeKey(ctx, "probe", kvstore.Put("probe", []byte("x")))
 	if err == nil {
 		_, err = fut.Wait(ctx)
 	}

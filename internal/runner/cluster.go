@@ -95,6 +95,9 @@ type replica struct {
 	host   *node.Host
 	stores []*kvstore.Store
 	dups   []*dupTracker
+	// cores[g] is group g's Clock-RSM instance, for the counters a
+	// scenario reads on the group's loop (nil under a baseline protocol).
+	cores []*core.Replica
 	// replay: some group's log had history, so this is a restart.
 	replay bool
 }
@@ -136,13 +139,6 @@ func (r *replica) atMostOnce() error {
 		}
 	}
 	return nil
-}
-
-// coreReplica returns group g's Clock-RSM instance, for the counters a
-// scenario reads on the group's loop (nil under a baseline protocol).
-func (r *replica) coreReplica(g types.GroupID) *core.Replica {
-	rep, _ := r.host.Group(g).Protocol().(*core.Replica)
-	return rep
 }
 
 // cluster is the one way this package stands up node.Hosts: every
@@ -351,6 +347,7 @@ func (c *cluster) build(id types.ReplicaID) (*replica, error) {
 			return nil, err
 		}
 		nd := host.Group(gid)
+		r.cores = append(r.cores, nil)
 		if s.protocol != "" && s.protocol != ClockRSM {
 			proto, err := newProtocol(s.protocol, nd, app, throughputLeader, 0)
 			if err != nil {
@@ -362,7 +359,8 @@ func (c *cluster) build(id types.ReplicaID) (*replica, error) {
 		}
 		co := s.core
 		co.Replay = replay[g]
-		nd.SetProtocol(core.New(nd, app, co))
+		r.cores[g] = core.New(nd, app, co)
+		nd.SetProtocol(r.cores[g])
 	}
 	return r, nil
 }
@@ -560,11 +558,15 @@ func (c *cluster) converged(timeout time.Duration) error {
 // agreement waits for it.
 func (c *cluster) diverged() string {
 	live := c.live()
+	sts := make([]node.HostStatus, len(live))
+	for i, r := range live {
+		sts[i] = r.host.Status()
+	}
 	for g := 0; g < c.spec.hosted(); g++ {
 		var ref *replica
 		var refSnap []byte
-		for _, r := range live {
-			if !r.host.Group(types.GroupID(g)).InConfig() {
+		for i, r := range live {
+			if !sts[i].Groups[g].InConfig {
 				if c.healStop != nil {
 					return fmt.Sprintf("replica %v not in group %d config", r.host.ID(), g)
 				}
@@ -588,7 +590,7 @@ func (c *cluster) dump() string {
 	for _, r := range c.live() {
 		for _, gs := range r.host.Status().Groups {
 			var proto string
-			if rep := r.coreReplica(gs.Group); rep != nil {
+			if rep := r.cores[gs.Group]; rep != nil {
 				r.host.Group(gs.Group).Do(func() {
 					proto = fmt.Sprintf(" committed=%d pending=%d earlyAcks=%d %s",
 						rep.Committed(), rep.PendingLen(), rep.EarlyAckLen(), rep.DebugReconfig())

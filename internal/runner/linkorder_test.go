@@ -54,18 +54,18 @@ func nudgedReadsUnderLoad(t *testing.T, groups int) {
 	load := newClosedLoop()
 	for _, r := range c.live() {
 		for cli := 0; cli < clientsPerGroup*groups; cli++ {
-			key, g := clientKey(tbl, cli)
-			target := r.host.Group(g)
+			key, _ := clientKey(tbl, cli)
+			host := r.host
 			put, get := kvstore.Put(key, make([]byte, 100)), kvstore.Get(key)
 			load.client(&writes, func() error {
-				fut, err := target.Propose(ctx, put)
+				fut, err := host.ProposeKey(ctx, key, put)
 				if err == nil {
 					_, err = fut.Result()
 				}
 				return counted(err)
 			})
 			load.client(&reads, func() error {
-				_, err := target.Read(ctx, get, node.Linearizable)
+				_, err := host.ReadKey(ctx, key, get, node.Linearizable)
 				return counted(err)
 			})
 		}
@@ -86,7 +86,7 @@ func nudgedReadsUnderLoad(t *testing.T, groups int) {
 			if gs.Epoch != 0 {
 				t.Errorf("replica %v group %v: epoch %d, want 0", r.host.ID(), gs.Group, gs.Epoch)
 			}
-			rep := r.coreReplica(gs.Group)
+			rep := r.cores[gs.Group]
 			r.host.Group(gs.Group).Do(func() { nudgeReplies += rep.NudgeReplies() })
 		}
 	}

@@ -224,7 +224,7 @@ func (w *ackedWriters) readAt(r *replica, key string, timeout time.Duration) err
 		return fmt.Errorf("linearizable read of %q at %v: %w", key, r.host.ID(), err)
 	}
 	if got, perr := parseSeq(res.Value); perr != nil || got < floor {
-		gs := r.host.Group(r.host.Table().Group(key)).Status()
+		gs := r.host.Status().Groups[r.host.Table().Group(key)]
 		return fmt.Errorf("linearizable read of %q at %v returned seq %d (%v), but seq %d was acked before the read (served at watermark=%d age=%v replicated=%t; server epoch=%d inConfig=%t members=%v watermark=%d)",
 			key, r.host.ID(), got, perr, floor, res.Watermark, res.Age, res.Replicated, gs.Epoch, gs.InConfig, gs.Members, gs.ReadWatermark)
 	}

@@ -328,7 +328,7 @@ func (h *mgHarness) reconfigure(at types.ReplicaID, g types.GroupID, members []t
 
 // TestMultiGroupLinearizability hammers a sharded 3-replica × 3-group
 // cluster with concurrent clients over a small contended key space —
-// every command entering through the public Propose API, a slice of
+// every command entering through Host.ProposeKey, a slice of
 // them canceled mid-flight — and checks per-key (= per-group)
 // linearizability plus at-most-once execution from the recorded
 // histories.
@@ -417,11 +417,11 @@ func TestMultiGroupDivergentReconfiguration(t *testing.T) {
 
 	// The groups' control planes really diverged.
 	for g, want := range map[types.GroupID]string{0: "r0,r1,r2", 1: "r0,r1,r3"} {
-		nd := h.hosts[0].Group(g)
-		if got := nd.Epoch(); got != 1 {
+		gs := h.hosts[0].Status().Groups[g]
+		if got := gs.Epoch; got != 1 {
 			t.Errorf("group %v epoch = %d, want 1", g, got)
 		}
-		if got := node.MemberString(nd.Members()); got != want {
+		if got := node.MemberString(gs.Members); got != want {
 			t.Errorf("group %v members = %q, want %q", g, got, want)
 		}
 	}
@@ -467,10 +467,11 @@ func TestMultiGroupDivergentReconfiguration(t *testing.T) {
 	// Divergence persisted through the workload: per-group epochs and
 	// configs on the serving replicas are still the reconfigured ones.
 	for _, rep := range []types.ReplicaID{0, 1} {
-		if got := node.MemberString(h.hosts[rep].Group(0).Members()); got != "r0,r1,r2" {
+		st := h.hosts[rep].Status()
+		if got := node.MemberString(st.Groups[0].Members); got != "r0,r1,r2" {
 			t.Errorf("replica %v group 0 members = %q", rep, got)
 		}
-		if got := node.MemberString(h.hosts[rep].Group(1).Members()); got != "r0,r1,r3" {
+		if got := node.MemberString(st.Groups[1].Members); got != "r0,r1,r3" {
 			t.Errorf("replica %v group 1 members = %q", rep, got)
 		}
 	}

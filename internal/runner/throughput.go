@@ -76,19 +76,19 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 
 	// Closed-loop clients with zero think time: "clients send frequent
 	// enough commands to all replicas to saturate them". Each client
-	// pipelines through the Propose future API; a future always resolves
-	// — with the result, or ErrStopped when the host stops — so no client
-	// can hang.
+	// pipelines through the ProposeKey future API; a future always
+	// resolves — with the result, or ErrStopped when the host stops — so
+	// no client can hang.
 	var completed atomic.Uint64
 	load := newClosedLoop()
 	ctx, tbl := context.Background(), c.table()
 	for _, r := range c.live() {
 		for cli := 0; cli < cfg.ClientsPerReplica; cli++ {
-			key, g := clientKey(tbl, cli)
-			target := r.host.Group(g)
+			key, _ := clientKey(tbl, cli)
+			host := r.host
 			payload := kvstore.Put(key, make([]byte, cfg.PayloadSize))
 			load.client(&completed, func() error {
-				fut, err := target.Propose(ctx, payload)
+				fut, err := host.ProposeKey(ctx, key, payload)
 				if err == nil {
 					_, err = fut.Result()
 				}
