@@ -85,11 +85,6 @@ type serverConfig struct {
 	// checkpointEvery, when positive, snapshots the state machine every
 	// that many committed commands and compacts the log through it.
 	checkpointEvery int
-	// rejoin controls the recovery handshake after a restart: "auto"
-	// rejoins groups whose log replayed (the cluster may have
-	// reconfigured this replica out while it was down), "always" rejoins
-	// every group, "never" disables it.
-	rejoin string
 	// rpcBudget / rpcConnBudget are the front door's global and
 	// per-connection admission budgets (0 = the rpc package defaults).
 	rpcBudget     int
@@ -118,7 +113,6 @@ func main() {
 	flag.DurationVar(&cfg.clientTimeout, "client-timeout", 30*time.Second, "server-side wait bound per client request (0 = the rpc default, 10s)")
 	flag.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync mode with -log: always, batch (group commit), or off")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint", 0, "snapshot + compact the log every N committed commands (0 disables)")
-	flag.StringVar(&cfg.rejoin, "rejoin", "auto", "rejoin the configuration after restart: auto (replayed groups), always, or never")
 	flag.IntVar(&cfg.rpcBudget, "rpc-budget", 0, "front-door global in-flight admission budget (0 = default)")
 	flag.IntVar(&cfg.rpcConnBudget, "rpc-conn-budget", 0, "front-door per-connection in-flight admission budget (0 = default)")
 	flag.Int64Var(&cfg.chaosSeed, "chaos-seed", 0, "arm a deterministic random fault schedule from this seed (0 disables; test deployments only)")
@@ -184,11 +178,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 			LinkFaults:  2,
 			DiskFaults:  1,
 		}))
-	}
-	switch cfg.rejoin {
-	case "auto", "always", "never":
-	default:
-		return fmt.Errorf("bad -rejoin %q (want auto, always, or never)", cfg.rejoin)
 	}
 
 	// The routing table, when persisted from a previous run, is the
@@ -273,11 +262,12 @@ func run(ctx context.Context, cfg serverConfig) error {
 		return err
 	}
 	defer host.Stop()
-	// A restarted replica may have been reconfigured out while it was
-	// down; rejoin forces a reconfiguration that re-admits it and pulls
-	// any missed history via checkpoint + tail state transfer.
+	// A restarted replica (one whose log replayed) may have been
+	// reconfigured out while it was down; rejoin forces a reconfiguration
+	// that re-admits it and pulls any missed history via checkpoint + tail
+	// state transfer.
 	for g := 0; g < groups; g++ {
-		if cfg.rejoin == "always" || (cfg.rejoin == "auto" && replay[g]) {
+		if replay[g] {
 			if err := host.Group(types.GroupID(g)).Rejoin(); err != nil {
 				return fmt.Errorf("rejoin group %d: %w", g, err)
 			}

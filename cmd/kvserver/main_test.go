@@ -44,7 +44,7 @@ func freePorts(t *testing.T, n int) []string {
 func replica(groups int) serverConfig {
 	return serverConfig{
 		groups: groups, delta: 5 * time.Millisecond, clientTimeout: 30 * time.Second,
-		fsync: "always", rejoin: "auto",
+		fsync: "always",
 	}
 }
 

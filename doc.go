@@ -68,7 +68,9 @@
 //     msg.DecodeRecycled are valid until msg.Recycle(top) runs (the
 //     node event loop recycles after Deliver); components that retain
 //     data copy it, and rare message types stay heap-allocated so
-//     retaining them is always safe.
+//     retaining them is always safe. Each message's layout is one
+//     field list (its fields method) that a single walk both encodes
+//     and decodes, and TestWireGolden pins every type's bytes.
 //   - Inline ack tracking: the replication bitmask (RepCounter) lives
 //     inside each pending-set heap entry rather than in a parallel
 //     map, so recording an acknowledgement is one map lookup and a

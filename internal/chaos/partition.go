@@ -76,8 +76,6 @@ type ChaosTransport struct {
 
 	mu            sync.Mutex
 	drops, delays uint64
-	firedDrop     map[int]bool
-	firedDelay    map[int]bool
 }
 
 var (
@@ -123,7 +121,7 @@ func (t *ChaosTransport) SendGroup(to types.ReplicaID, g types.GroupID, m msg.Me
 	el, armed := t.eng.elapsed()
 	var extra time.Duration
 	if armed {
-		for i, f := range t.faults {
+		for _, f := range t.faults {
 			if f.To != to || el < f.At {
 				continue
 			}
@@ -134,14 +132,12 @@ func (t *ChaosTransport) SendGroup(to types.ReplicaID, g types.GroupID, m msg.Me
 			case LinkDrop:
 				t.mu.Lock()
 				t.drops++
-				t.fireLocked(&t.firedDrop, i)
 				t.mu.Unlock()
 				return
 			case LinkDelay:
 				extra += f.Delay
 				t.mu.Lock()
 				t.delays++
-				t.fireLocked(&t.firedDelay, i)
 				t.mu.Unlock()
 			}
 		}
@@ -170,16 +166,6 @@ func (t *ChaosTransport) BroadcastGroup(dst []types.ReplicaID, g types.GroupID, 
 			t.SendGroup(to, g, m)
 		}
 	}
-}
-
-// fireLocked marks fault window i as having fired (first activation);
-// callers hold t.mu. The per-window sets exist so tests can distinguish
-// "window never activated" from "window activated once, counted many".
-func (t *ChaosTransport) fireLocked(set *map[int]bool, i int) {
-	if *set == nil {
-		*set = make(map[int]bool)
-	}
-	(*set)[i] = true
 }
 
 func (t *ChaosTransport) addCounts(into map[string]uint64) {

@@ -20,68 +20,56 @@ type Batch struct {
 	rec *Record
 }
 
-var _ Message = (*Batch)(nil)
-
 // Type implements Message.
 func (*Batch) Type() Type { return TBatch }
 
 // Wire format: [count u32] then per message [len u32 | type byte | body].
-func (m *Batch) appendTo(b []byte) []byte {
-	b = putU32(b, uint32(len(m.Msgs)))
-	for _, sub := range m.Msgs {
-		// Reserve the length prefix, encode in place, then backfill it:
-		// this keeps encoding single-pass and allocation-free.
-		off := len(b)
-		b = append(b, 0, 0, 0, 0)
-		b = EncodeTo(b, sub)
-		binary.LittleEndian.PutUint32(b[off:off+4], uint32(len(b)-off-4))
-	}
-	return b
-}
-
-func (m *Batch) decode(b []byte, rec *Record) ([]byte, error) {
-	n, b, err := getU32(b)
-	if err != nil {
-		return nil, err
+// The entries are whole frames, so the two directions part ways after
+// the count: encoding nests EncodeTo, decoding nests decodeFrame.
+func (m *Batch) fields(w walk) walk {
+	n := uint32(len(m.Msgs))
+	if w = w.u32(&n); !w.decoding() {
+		for _, sub := range m.Msgs {
+			// Reserve the length prefix, encode in place, then backfill it:
+			// this keeps encoding single-pass and allocation-free.
+			off := len(w.b)
+			w.b = EncodeTo(append(w.b, 0, 0, 0, 0), sub)
+			binary.LittleEndian.PutUint32(w.b[off:], uint32(len(w.b)-off-4))
+		}
+		return w
 	}
 	var msgs []Message
-	if rec != nil {
+	if !w.rec.owned {
 		// Record-backed decode: the entry slice (and the hot entries
 		// themselves) come from the record's slabs, grow-only across
 		// reuses, so a warm record decodes the whole batch without
 		// allocating.
-		msgs = rec.msgs[:0]
+		msgs = w.rec.msgs[:0]
 	} else {
 		// Each entry occupies at least 5 bytes on the wire; bound the
-		// pre-allocation so a corrupt count cannot trigger a huge
-		// allocation.
-		capHint := int(n)
-		if maxEntries := len(b)/5 + 1; capHint > maxEntries {
-			capHint = maxEntries
-		}
-		msgs = make([]Message, 0, capHint)
+		// pre-allocation so a corrupt count cannot trigger a huge one.
+		msgs = make([]Message, 0, min(int(n), len(w.b)/5+1))
 	}
-	for i := uint32(0); i < n; i++ {
-		l, rest, err := getU32(b)
+	for i := uint32(0); i < n && !w.failed(); i++ {
+		var l uint32
+		if w = w.u32(&l); w.failed() {
+			break
+		}
+		if l == 0 || l > MaxFrame || uint64(len(w.b)) < uint64(l) {
+			return w.fail(ErrTruncated)
+		}
+		if Type(w.b[0]) == TBatch {
+			return w.fail(ErrNestedBatch)
+		}
+		sub, err := decodeFrame(w.b[:l], w.rec)
 		if err != nil {
-			return nil, err
+			return w.fail(err)
 		}
-		if l == 0 || l > MaxFrame || uint64(len(rest)) < uint64(l) {
-			return nil, ErrTruncated
-		}
-		if Type(rest[0]) == TBatch {
-			return nil, ErrNestedBatch
-		}
-		sub, err := decodeFrame(rest[:l], rec)
-		if err != nil {
-			return nil, err
-		}
-		msgs = append(msgs, sub)
-		b = rest[l:]
+		msgs, w.b = append(msgs, sub), w.b[l:]
 	}
 	m.Msgs = msgs
-	if rec != nil {
-		rec.msgs = msgs
+	if !w.rec.owned {
+		w.rec.msgs = msgs
 	}
-	return b, nil
+	return w
 }

@@ -78,13 +78,30 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestEncodeToPooledZeroAllocs checks that encoding any message type
+// into a warm pooled buffer allocates nothing.
+func TestEncodeToPooledZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; zero-alloc assertion only holds without -race")
+	}
+	for _, m := range append(sampleMessages(), sampleBatch()) {
+		encode := func() {
+			buf := GetBuf()
+			buf.B = EncodeTo(buf.B, m)
+			PutBuf(buf)
+		}
+		encode()
+		if avg := testing.AllocsPerRun(100, encode); avg != 0 {
+			t.Errorf("%v: EncodeTo into a pooled buffer allocates %.1f allocs/op, want 0", m.Type(), avg)
+		}
+	}
+}
+
 func TestGetBytesRejectsHugeLength(t *testing.T) {
 	// A P2a whose value length prefix claims more than MaxFrame: the
 	// decoder must reject it before allocating.
-	b := putU64(nil, 1)               // instance
-	b = putU64(b, 1)                  // ballot
-	b = putU32(b, uint32(MaxFrame+1)) // absurd value length
-	wire := append([]byte{byte(TP2a)}, b...)
+	wire := Encode(&P2a{Instance: 1, Ballot: 1})
+	binary.LittleEndian.PutUint32(wire[len(wire)-4:], MaxFrame+1) // absurd value length
 	if _, err := Decode(wire); err == nil {
 		t.Error("length prefix beyond MaxFrame decoded without error")
 	}

@@ -1,8 +1,15 @@
 // Package msg defines the wire messages of every replication protocol in
 // this repository (Clock-RSM, Multi-Paxos, Mencius, the reconfiguration
 // protocol and its consensus primitive) together with a compact binary
-// codec used by the TCP transport. The in-process transports pass Message
-// values directly and never serialize.
+// codec. The TCP transport sends every message through it; the
+// in-process hub does too in codec mode (what the benchmark and the
+// experiment runner use), and passes Message values directly only
+// without it.
+//
+// Each message lists its body fields once, in wire order, in its fields
+// method; one walk over that list encodes the message and the same walk
+// decodes it, so the two directions cannot disagree about a layout.
+// TestWireGolden pins the resulting bytes of every message type.
 package msg
 
 import (
@@ -11,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"clockrsm/internal/types"
 )
@@ -60,20 +68,39 @@ const (
 	maxType
 )
 
-var typeNames = map[Type]string{
-	TPrepare: "PREPARE", TPrepareOK: "PREPAREOK", TClockTime: "CLOCKTIME",
-	TForward: "FORWARD", TAccept: "ACCEPT", TAccepted: "ACCEPTED", TCommit: "COMMIT",
-	TMAccept: "MACCEPT", TMAccepted: "MACCEPTED", TMCommit: "MCOMMIT",
-	TSuspend: "SUSPEND", TSuspendOK: "SUSPENDOK",
-	TRetrieveCmds: "RETRIEVECMDS", TRetrieveReply: "RETRIEVEREPLY",
-	TP1a: "P1A", TP1b: "P1B", TP2a: "P2A", TP2b: "P2B", TLearn: "LEARN",
-	TBatch: "BATCH", TClockReq: "CLOCKREQ",
+// kinds holds, per wire type, the paper's message name and a
+// constructor for an empty heap-owned message of that type.
+var kinds = [maxType]struct {
+	name string
+	new  func() Message
+}{
+	TPrepare:       {"PREPARE", func() Message { return new(Prepare) }},
+	TPrepareOK:     {"PREPAREOK", func() Message { return new(PrepareOK) }},
+	TClockTime:     {"CLOCKTIME", func() Message { return new(ClockTime) }},
+	TForward:       {"FORWARD", func() Message { return new(Forward) }},
+	TAccept:        {"ACCEPT", func() Message { return new(Accept) }},
+	TAccepted:      {"ACCEPTED", func() Message { return new(Accepted) }},
+	TCommit:        {"COMMIT", func() Message { return new(Commit) }},
+	TMAccept:       {"MACCEPT", func() Message { return new(MAccept) }},
+	TMAccepted:     {"MACCEPTED", func() Message { return new(MAccepted) }},
+	TMCommit:       {"MCOMMIT", func() Message { return new(MCommit) }},
+	TSuspend:       {"SUSPEND", func() Message { return new(Suspend) }},
+	TSuspendOK:     {"SUSPENDOK", func() Message { return new(SuspendOK) }},
+	TRetrieveCmds:  {"RETRIEVECMDS", func() Message { return new(RetrieveCmds) }},
+	TRetrieveReply: {"RETRIEVEREPLY", func() Message { return new(RetrieveReply) }},
+	TP1a:           {"P1A", func() Message { return new(P1a) }},
+	TP1b:           {"P1B", func() Message { return new(P1b) }},
+	TP2a:           {"P2A", func() Message { return new(P2a) }},
+	TP2b:           {"P2B", func() Message { return new(P2b) }},
+	TLearn:         {"LEARN", func() Message { return new(Learn) }},
+	TBatch:         {"BATCH", func() Message { return new(Batch) }},
+	TClockReq:      {"CLOCKREQ", func() Message { return new(ClockReq) }},
 }
 
 // String returns the paper's message name.
 func (t Type) String() string {
-	if n, ok := typeNames[t]; ok {
-		return n
+	if t < maxType && kinds[t].name != "" {
+		return kinds[t].name
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
@@ -82,13 +109,9 @@ func (t Type) String() string {
 type Message interface {
 	// Type identifies the concrete message kind.
 	Type() Type
-	// appendTo serializes the message body (without the type byte).
-	appendTo(b []byte) []byte
-	// decode parses the message body, returning the remaining bytes.
-	// rec, when non-nil, is the pooled record backing this decode; only
-	// the steady-state hot types use it (their payloads then live in the
-	// record's arena), every other type ignores it and owns its memory.
-	decode(b []byte, rec *Record) ([]byte, error)
+	// fields walks the message body (without the type byte) through w,
+	// field by field in wire order, and returns the advanced walk.
+	fields(w walk) walk
 }
 
 // Errors surfaced by the codec.
@@ -97,6 +120,8 @@ var (
 	ErrUnknownType = errors.New("msg: unknown message type")
 	ErrTrailing    = errors.New("msg: trailing bytes after message")
 	ErrNestedBatch = errors.New("msg: batch nested inside batch")
+
+	errFlag = errors.New("msg: snapshot flag is neither 0 nor 1")
 )
 
 // Encode serializes m as [type byte | body] into a fresh buffer.
@@ -110,8 +135,7 @@ func Encode(m Message) []byte {
 // (e.g. one obtained from GetBuf and reused across calls) encoding
 // performs zero heap allocations.
 func EncodeTo(buf []byte, m Message) []byte {
-	buf = append(buf, byte(m.Type()))
-	return m.appendTo(buf)
+	return m.fields(walk{b: append(buf, byte(m.Type()))}).b
 }
 
 // Buf is a pooled, reusable encode buffer. Callers append into B
@@ -145,197 +169,190 @@ func PutBuf(b *Buf) {
 // DecodeRecycled, which backs the steady-state types with pooled
 // storage.
 func Decode(b []byte) (Message, error) {
-	return decodeFrame(b, nil)
+	// The pooled record only carries the walk's state: with heap set it
+	// hands out no slab or arena storage.
+	rec := getRecord()
+	rec.heap = true
+	m, err := decodeFrame(b, rec)
+	putRecord(rec)
+	return m, err
 }
 
-// decodeFrame parses one frame; rec, when non-nil, backs the hot
-// message types with pooled storage.
+// decodeFrame parses one frame, keeping the walk's state in rec. Unless
+// rec.heap is set, the hot message types and their payloads come from
+// rec's slabs and arena.
 func decodeFrame(b []byte, rec *Record) (Message, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated
 	}
-	m, err := newMessage(Type(b[0]), rec)
-	if err != nil {
-		return nil, err
+	t := Type(b[0])
+	m := rec.newMessage(t)
+	owned := m == nil
+	if owned {
+		if t >= maxType || kinds[t].new == nil {
+			return nil, fmt.Errorf("%w: %d", ErrUnknownType, uint8(t))
+		}
+		m = kinds[t].new()
 	}
-	rest, err := m.decode(b[1:], rec)
-	if err != nil {
-		return nil, err
+	outer := rec.owned // a Batch entry's walk nests inside the Batch's
+	rec.owned = owned
+	w := m.fields(walk{b: b[1:], rec: rec})
+	rec.owned = outer
+	if rec.err != nil {
+		return nil, rec.err
 	}
-	if len(rest) != 0 {
+	if len(w.b) != 0 {
 		return nil, ErrTrailing
 	}
 	return m, nil
 }
 
-// newMessage allocates an empty message of the given type — from rec's
-// typed slabs for the hot types when rec is non-nil, from the heap
-// otherwise.
-func newMessage(t Type, rec *Record) (Message, error) {
-	switch t {
-	case TPrepare:
-		if rec != nil {
-			return rec.newPrepare(), nil
-		}
-		return &Prepare{}, nil
-	case TPrepareOK:
-		if rec != nil {
-			return rec.newPrepareOK(), nil
-		}
-		return &PrepareOK{}, nil
-	case TClockTime:
-		if rec != nil {
-			return rec.newClockTime(), nil
-		}
-		return &ClockTime{}, nil
-	case TForward:
-		return &Forward{}, nil
-	case TAccept:
-		return &Accept{}, nil
-	case TAccepted:
-		return &Accepted{}, nil
-	case TCommit:
-		return &Commit{}, nil
-	case TMAccept:
-		return &MAccept{}, nil
-	case TMAccepted:
-		return &MAccepted{}, nil
-	case TMCommit:
-		return &MCommit{}, nil
-	case TSuspend:
-		return &Suspend{}, nil
-	case TSuspendOK:
-		return &SuspendOK{}, nil
-	case TRetrieveCmds:
-		return &RetrieveCmds{}, nil
-	case TRetrieveReply:
-		return &RetrieveReply{}, nil
-	case TP1a:
-		return &P1a{}, nil
-	case TP1b:
-		return &P1b{}, nil
-	case TP2a:
-		return &P2a{}, nil
-	case TP2b:
-		return &P2b{}, nil
-	case TLearn:
-		return &Learn{}, nil
-	case TClockReq:
-		return &ClockReq{}, nil
-	case TBatch:
-		if rec != nil {
-			// Batches cannot nest, so the record's single embedded Batch
-			// is always free here.
-			return &rec.batch, nil
-		}
-		return &Batch{}, nil
+// walk is one pass over a message body. Encoding (rec nil) appends each
+// field to b; decoding reads each field off the front of b into the
+// same field, copying byte fields into rec's arena, or onto the heap
+// when rec.owned is set. The first decode failure empties b and is kept
+// in rec.err, which turns every later step into a no-op (or a further
+// failure that does not replace it). A walk is just a slice and a
+// pointer, passed and returned by value, so it stays in registers
+// across the interface call and the chained steps.
+//
+// Fixed-width fields are little-endian; replica IDs travel as int32,
+// byte strings as [len u32 | bytes], lists as [count u32 | entries].
+type walk struct {
+	b   []byte
+	rec *Record
+}
+
+func (w walk) decoding() bool { return w.rec != nil }
+
+// failed reports whether decoding has failed; encoding never fails.
+func (w walk) failed() bool { return w.rec != nil && w.rec.err != nil }
+
+func (w walk) fail(err error) walk {
+	if w.rec.err == nil {
+		w.rec.err = err
+	}
+	w.b = nil
+	return w
+}
+
+func (w walk) u64(v *uint64) walk {
+	switch {
+	case !w.decoding():
+		w.b = binary.LittleEndian.AppendUint64(w.b, *v)
+	case len(w.b) < 8:
+		return w.fail(ErrTruncated)
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, uint8(t))
+		*v, w.b = binary.LittleEndian.Uint64(w.b), w.b[8:]
 	}
+	return w
 }
 
-// --- primitive encoding helpers (little-endian, fixed width) ---
-
-func putU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func putI64(b []byte, v int64) []byte {
-	return putU64(b, uint64(v))
-}
-
-func putU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func putBytes(b, p []byte) []byte {
-	if len(p) > math.MaxUint32 {
-		// Commands are client payloads capped far below 4 GiB in practice;
-		// truncating here would corrupt state, so refuse at encode time.
-		panic("msg: payload exceeds 4GiB")
+func (w walk) u32(v *uint32) walk {
+	switch {
+	case !w.decoding():
+		w.b = binary.LittleEndian.AppendUint32(w.b, *v)
+	case len(w.b) < 4:
+		return w.fail(ErrTruncated)
+	default:
+		*v, w.b = binary.LittleEndian.Uint32(w.b), w.b[4:]
 	}
-	b = putU32(b, uint32(len(p)))
-	return append(b, p...)
+	return w
 }
 
-func putTS(b []byte, ts types.Timestamp) []byte {
-	b = putI64(b, ts.Wall)
-	return putU32(b, uint32(int32(ts.Node)))
-}
+// i64 walks v as the uint64 with the same bits.
+func (w walk) i64(v *int64) walk { return w.u64((*uint64)(unsafe.Pointer(v))) }
 
-func putCmd(b []byte, c types.Command) []byte {
-	b = putU32(b, uint32(int32(c.ID.Origin)))
-	b = putU64(b, c.ID.Seq)
-	return putBytes(b, c.Payload)
-}
-
-func getU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, ErrTruncated
+func (w walk) id(v *types.ReplicaID) walk {
+	switch {
+	case !w.decoding():
+		w.b = binary.LittleEndian.AppendUint32(w.b, uint32(int32(*v)))
+	case len(w.b) < 4:
+		return w.fail(ErrTruncated)
+	default:
+		*v, w.b = types.ReplicaID(int32(binary.LittleEndian.Uint32(w.b))), w.b[4:]
 	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
+	return w
 }
 
-func getI64(b []byte) (int64, []byte, error) {
-	v, rest, err := getU64(b)
-	return int64(v), rest, err
+func (w walk) epoch(e *types.Epoch) walk { return w.u64((*uint64)(e)) }
+
+func (w walk) ts(t *types.Timestamp) walk { return w.i64(&t.Wall).id(&t.Node) }
+
+func (w walk) cmd(c *types.Command) walk {
+	return w.id(&c.ID.Origin).u64(&c.ID.Seq).bytes(&c.Payload)
 }
 
-func getU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, ErrTruncated
+// bytes walks a length-prefixed byte string. A decoded one is never
+// nil, even when empty.
+func (w walk) bytes(p *[]byte) walk {
+	if !w.decoding() {
+		if len(*p) > math.MaxUint32 {
+			// Commands are client payloads capped far below 4 GiB in
+			// practice; truncating here would corrupt state, so refuse.
+			panic("msg: payload exceeds 4GiB")
+		}
+		w.b = append(binary.LittleEndian.AppendUint32(w.b, uint32(len(*p))), *p...)
+		return w
 	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
-}
-
-func getBytes(b []byte, rec *Record) ([]byte, []byte, error) {
-	n, b, err := getU32(b)
-	if err != nil {
-		return nil, nil, err
+	var n uint32
+	if w = w.u32(&n); w.failed() {
+		return w
 	}
 	// Both checks must precede the allocation: the remaining-buffer check
 	// catches truncation, the absolute cap catches corrupt lengths on
 	// inputs that are not themselves frame-size-bounded.
-	if n > MaxFrame || uint64(len(b)) < uint64(n) {
-		return nil, nil, ErrTruncated
+	if n > MaxFrame || uint64(len(w.b)) < uint64(n) {
+		return w.fail(ErrTruncated)
 	}
-	if rec != nil {
+	if w.rec.owned {
+		*p = append(make([]byte, 0, n), w.b[:n]...)
+	} else {
 		// Hot-path decode: the copy lives in the record's arena and is
 		// reclaimed wholesale when the record is recycled.
-		return rec.bytes(b[:n]), b[n:], nil
+		*p = w.rec.bytes(w.b[:n])
 	}
-	p := make([]byte, n)
-	copy(p, b[:n])
-	return p, b[n:], nil
+	w.b = w.b[n:]
+	return w
 }
 
-func getTS(b []byte) (types.Timestamp, []byte, error) {
-	wall, b, err := getI64(b)
-	if err != nil {
-		return types.Timestamp{}, nil, err
+// tsCmds walks a command list. A decoded one is never nil, even when
+// empty.
+func (w walk) tsCmds(cs *[]TimestampedCommand) walk {
+	n := uint32(len(*cs))
+	if w = w.u32(&n); w.decoding() {
+		// Each entry occupies at least 24 bytes on the wire; bound the
+		// pre-allocation so a corrupt count cannot trigger a huge one.
+		*cs = make([]TimestampedCommand, 0, min(int(n), len(w.b)/24+1))
 	}
-	node, b, err := getU32(b)
-	if err != nil {
-		return types.Timestamp{}, nil, err
+	for i := 0; i < int(n) && !w.failed(); i++ {
+		if w.decoding() {
+			*cs = append(*cs, TimestampedCommand{})
+		}
+		c := &(*cs)[i]
+		w = w.ts(&c.TS).cmd(&c.Cmd)
 	}
-	return types.Timestamp{Wall: wall, Node: types.ReplicaID(int32(node))}, b, nil
+	return w
 }
 
-func getCmd(b []byte, rec *Record) (types.Command, []byte, error) {
-	origin, b, err := getU32(b)
-	if err != nil {
-		return types.Command{}, nil, err
+// snap walks the optional checkpoint a log transfer carries: a flag
+// byte (exactly 0 or 1, so every accepted frame re-encodes to itself),
+// then, when set, the snapshot's timestamp and bytes.
+func (w walk) snap(has *bool, ts *types.Timestamp, p *[]byte) walk {
+	switch {
+	case !w.decoding() && *has:
+		w.b = append(w.b, 1)
+	case !w.decoding():
+		w.b = append(w.b, 0)
+	case len(w.b) < 1:
+		return w.fail(ErrTruncated)
+	case w.b[0] > 1:
+		return w.fail(errFlag)
+	default:
+		*has, w.b = w.b[0] == 1, w.b[1:]
 	}
-	seq, b, err := getU64(b)
-	if err != nil {
-		return types.Command{}, nil, err
+	if *has {
+		w = w.ts(ts).bytes(p)
 	}
-	payload, b, err := getBytes(b, rec)
-	if err != nil {
-		return types.Command{}, nil, err
-	}
-	return types.Command{
-		ID:      types.CommandID{Origin: types.ReplicaID(int32(origin)), Seq: seq},
-		Payload: payload,
-	}, b, nil
+	return w
 }

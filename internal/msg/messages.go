@@ -1,50 +1,12 @@
 package msg
 
-import (
-	"clockrsm/internal/types"
-)
+import "clockrsm/internal/types"
 
 // TimestampedCommand pairs a command with its total-order timestamp; it
 // appears in log transfers during reconfiguration and recovery.
 type TimestampedCommand struct {
 	TS  types.Timestamp
 	Cmd types.Command
-}
-
-func putTSCmds(b []byte, cs []TimestampedCommand) []byte {
-	b = putU32(b, uint32(len(cs)))
-	for _, c := range cs {
-		b = putTS(b, c.TS)
-		b = putCmd(b, c.Cmd)
-	}
-	return b
-}
-
-func getTSCmds(b []byte) ([]TimestampedCommand, []byte, error) {
-	n, b, err := getU32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Each entry occupies at least 24 bytes on the wire; bound the
-	// pre-allocation so a corrupt length cannot trigger a huge allocation.
-	capHint := int(n)
-	if maxEntries := len(b)/24 + 1; capHint > maxEntries {
-		capHint = maxEntries
-	}
-	cs := make([]TimestampedCommand, 0, capHint)
-	for i := uint32(0); i < n; i++ {
-		var tc TimestampedCommand
-		tc.TS, b, err = getTS(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		tc.Cmd, b, err = getCmd(b, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		cs = append(cs, tc)
-	}
-	return cs, b, nil
 }
 
 // --- Clock-RSM (Algorithm 1, 2) ---
@@ -71,34 +33,11 @@ type Prepare struct {
 	rec *Record
 }
 
-var _ Message = (*Prepare)(nil)
-
 // Type implements Message.
 func (*Prepare) Type() Type { return TPrepare }
 
-func (m *Prepare) appendTo(b []byte) []byte {
-	b = putU64(b, uint64(m.Epoch))
-	b = putTS(b, m.TS)
-	b = putU64(b, m.Sent)
-	return putCmd(b, m.Cmd)
-}
-
-func (m *Prepare) decode(b []byte, rec *Record) ([]byte, error) {
-	e, b, err := getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Epoch = types.Epoch(e)
-	m.TS, b, err = getTS(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Sent, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Cmd, b, err = getCmd(b, rec)
-	return b, err
+func (m *Prepare) fields(w walk) walk {
+	return w.epoch(&m.Epoch).ts(&m.TS).u64(&m.Sent).cmd(&m.Cmd)
 }
 
 // PrepareOK acknowledges that the sender logged the command with
@@ -119,34 +58,11 @@ type PrepareOK struct {
 	rec *Record
 }
 
-var _ Message = (*PrepareOK)(nil)
-
 // Type implements Message.
 func (*PrepareOK) Type() Type { return TPrepareOK }
 
-func (m *PrepareOK) appendTo(b []byte) []byte {
-	b = putU64(b, uint64(m.Epoch))
-	b = putTS(b, m.TS)
-	b = putI64(b, m.ClockTS)
-	return putU64(b, m.Sent)
-}
-
-func (m *PrepareOK) decode(b []byte, rec *Record) ([]byte, error) {
-	e, b, err := getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Epoch = types.Epoch(e)
-	m.TS, b, err = getTS(b)
-	if err != nil {
-		return nil, err
-	}
-	m.ClockTS, b, err = getI64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Sent, b, err = getU64(b)
-	return b, err
+func (m *PrepareOK) fields(w walk) walk {
+	return w.epoch(&m.Epoch).ts(&m.TS).i64(&m.ClockTS).u64(&m.Sent)
 }
 
 // ClockTime is the periodic idle-time broadcast of Algorithm 2:
@@ -164,30 +80,10 @@ type ClockTime struct {
 	rec *Record
 }
 
-var _ Message = (*ClockTime)(nil)
-
 // Type implements Message.
 func (*ClockTime) Type() Type { return TClockTime }
 
-func (m *ClockTime) appendTo(b []byte) []byte {
-	b = putU64(b, uint64(m.Epoch))
-	b = putI64(b, m.TS)
-	return putU64(b, m.Sent)
-}
-
-func (m *ClockTime) decode(b []byte, rec *Record) ([]byte, error) {
-	e, b, err := getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Epoch = types.Epoch(e)
-	m.TS, b, err = getI64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Sent, b, err = getU64(b)
-	return b, err
-}
+func (m *ClockTime) fields(w walk) walk { return w.epoch(&m.Epoch).i64(&m.TS).u64(&m.Sent) }
 
 // ClockReq asks a peer for an immediate 〈CLOCKTIME〉 reply. A replica
 // holding a parked linearizable read broadcasts it so an otherwise idle
@@ -200,23 +96,10 @@ type ClockReq struct {
 	Epoch types.Epoch
 }
 
-var _ Message = (*ClockReq)(nil)
-
 // Type implements Message.
 func (*ClockReq) Type() Type { return TClockReq }
 
-func (m *ClockReq) appendTo(b []byte) []byte {
-	return putU64(b, uint64(m.Epoch))
-}
-
-func (m *ClockReq) decode(b []byte, rec *Record) ([]byte, error) {
-	e, b, err := getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Epoch = types.Epoch(e)
-	return b, nil
-}
+func (m *ClockReq) fields(w walk) walk { return w.epoch(&m.Epoch) }
 
 // --- Multi-Paxos / Paxos-bcast ---
 
@@ -226,18 +109,10 @@ type Forward struct {
 	Cmd types.Command
 }
 
-var _ Message = (*Forward)(nil)
-
 // Type implements Message.
 func (*Forward) Type() Type { return TForward }
 
-func (m *Forward) appendTo(b []byte) []byte { return putCmd(b, m.Cmd) }
-
-func (m *Forward) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Cmd, b, err = getCmd(b, nil)
-	return b, err
-}
+func (m *Forward) fields(w walk) walk { return w.cmd(&m.Cmd) }
 
 // Accept is the leader's phase 2a message assigning Cmd to log slot Slot
 // under Ballot. CommitIndex piggybacks the leader's highest contiguous
@@ -249,34 +124,11 @@ type Accept struct {
 	CommitIndex uint64
 }
 
-var _ Message = (*Accept)(nil)
-
 // Type implements Message.
 func (*Accept) Type() Type { return TAccept }
 
-func (m *Accept) appendTo(b []byte) []byte {
-	b = putU64(b, m.Ballot)
-	b = putU64(b, m.Slot)
-	b = putCmd(b, m.Cmd)
-	return putU64(b, m.CommitIndex)
-}
-
-func (m *Accept) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Ballot, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Slot, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Cmd, b, err = getCmd(b, nil)
-	if err != nil {
-		return nil, err
-	}
-	m.CommitIndex, b, err = getU64(b)
-	return b, err
+func (m *Accept) fields(w walk) walk {
+	return w.u64(&m.Ballot).u64(&m.Slot).cmd(&m.Cmd).u64(&m.CommitIndex)
 }
 
 // Accepted is the phase 2b acknowledgement for Slot under Ballot. In
@@ -287,25 +139,10 @@ type Accepted struct {
 	Slot   uint64
 }
 
-var _ Message = (*Accepted)(nil)
-
 // Type implements Message.
 func (*Accepted) Type() Type { return TAccepted }
 
-func (m *Accepted) appendTo(b []byte) []byte {
-	b = putU64(b, m.Ballot)
-	return putU64(b, m.Slot)
-}
-
-func (m *Accepted) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Ballot, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Slot, b, err = getU64(b)
-	return b, err
-}
+func (m *Accepted) fields(w walk) walk { return w.u64(&m.Ballot).u64(&m.Slot) }
 
 // Commit is the leader's commit notification for slots up to and
 // including Slot (plain Multi-Paxos only; Paxos-bcast learns commits from
@@ -314,18 +151,10 @@ type Commit struct {
 	Slot uint64
 }
 
-var _ Message = (*Commit)(nil)
-
 // Type implements Message.
 func (*Commit) Type() Type { return TCommit }
 
-func (m *Commit) appendTo(b []byte) []byte { return putU64(b, m.Slot) }
-
-func (m *Commit) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Slot, b, err = getU64(b)
-	return b, err
-}
+func (m *Commit) fields(w walk) walk { return w.u64(&m.Slot) }
 
 // --- Mencius / Mencius-bcast ---
 
@@ -339,30 +168,10 @@ type MAccept struct {
 	LowSlot uint64
 }
 
-var _ Message = (*MAccept)(nil)
-
 // Type implements Message.
 func (*MAccept) Type() Type { return TMAccept }
 
-func (m *MAccept) appendTo(b []byte) []byte {
-	b = putU64(b, m.Slot)
-	b = putCmd(b, m.Cmd)
-	return putU64(b, m.LowSlot)
-}
-
-func (m *MAccept) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Slot, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Cmd, b, err = getCmd(b, nil)
-	if err != nil {
-		return nil, err
-	}
-	m.LowSlot, b, err = getU64(b)
-	return b, err
-}
+func (m *MAccept) fields(w walk) walk { return w.u64(&m.Slot).cmd(&m.Cmd).u64(&m.LowSlot) }
 
 // MAccepted acknowledges logging of slot Slot and carries the sender's
 // LowSlot promise (skipping its owned slots below LowSlot). Broadcast in
@@ -372,25 +181,10 @@ type MAccepted struct {
 	LowSlot uint64
 }
 
-var _ Message = (*MAccepted)(nil)
-
 // Type implements Message.
 func (*MAccepted) Type() Type { return TMAccepted }
 
-func (m *MAccepted) appendTo(b []byte) []byte {
-	b = putU64(b, m.Slot)
-	return putU64(b, m.LowSlot)
-}
-
-func (m *MAccepted) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Slot, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.LowSlot, b, err = getU64(b)
-	return b, err
-}
+func (m *MAccepted) fields(w walk) walk { return w.u64(&m.Slot).u64(&m.LowSlot) }
 
 // MCommit is the owner's commit notification for slot Slot (plain
 // Mencius only).
@@ -398,18 +192,10 @@ type MCommit struct {
 	Slot uint64
 }
 
-var _ Message = (*MCommit)(nil)
-
 // Type implements Message.
 func (*MCommit) Type() Type { return TMCommit }
 
-func (m *MCommit) appendTo(b []byte) []byte { return putU64(b, m.Slot) }
-
-func (m *MCommit) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Slot, b, err = getU64(b)
-	return b, err
-}
+func (m *MCommit) fields(w walk) walk { return w.u64(&m.Slot) }
 
 // --- Reconfiguration (Algorithm 3) ---
 
@@ -421,25 +207,10 @@ type Suspend struct {
 	CTS   types.Timestamp
 }
 
-var _ Message = (*Suspend)(nil)
-
 // Type implements Message.
 func (*Suspend) Type() Type { return TSuspend }
 
-func (m *Suspend) appendTo(b []byte) []byte {
-	b = putU64(b, uint64(m.Epoch))
-	return putTS(b, m.CTS)
-}
-
-func (m *Suspend) decode(b []byte, rec *Record) ([]byte, error) {
-	e, b, err := getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Epoch = types.Epoch(e)
-	m.CTS, b, err = getTS(b)
-	return b, err
-}
+func (m *Suspend) fields(w walk) walk { return w.epoch(&m.Epoch).ts(&m.CTS) }
 
 // SuspendOK returns all logged commands with timestamps greater than the
 // SUSPEND's cts: 〈SUSPENDOK e, cmds〉 (Alg. 3 line 10). When the
@@ -455,50 +226,11 @@ type SuspendOK struct {
 	Snap    []byte
 }
 
-var _ Message = (*SuspendOK)(nil)
-
 // Type implements Message.
 func (*SuspendOK) Type() Type { return TSuspendOK }
 
-func (m *SuspendOK) appendTo(b []byte) []byte {
-	b = putU64(b, uint64(m.Epoch))
-	b = putTSCmds(b, m.Cmds)
-	if m.HasSnap {
-		b = append(b, 1)
-		b = putTS(b, m.SnapTS)
-		b = putBytes(b, m.Snap)
-	} else {
-		b = append(b, 0)
-	}
-	return b
-}
-
-func (m *SuspendOK) decode(b []byte, rec *Record) ([]byte, error) {
-	e, b, err := getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Epoch = types.Epoch(e)
-	m.Cmds, b, err = getTSCmds(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) < 1 {
-		return nil, ErrTruncated
-	}
-	m.HasSnap = b[0] == 1
-	b = b[1:]
-	if m.HasSnap {
-		m.SnapTS, b, err = getTS(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Snap, b, err = getBytes(b, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+func (m *SuspendOK) fields(w walk) walk {
+	return w.epoch(&m.Epoch).tsCmds(&m.Cmds).snap(&m.HasSnap, &m.SnapTS, &m.Snap)
 }
 
 // RetrieveCmds requests all logged commands with timestamps in
@@ -510,30 +242,10 @@ type RetrieveCmds struct {
 	Seq  uint64
 }
 
-var _ Message = (*RetrieveCmds)(nil)
-
 // Type implements Message.
 func (*RetrieveCmds) Type() Type { return TRetrieveCmds }
 
-func (m *RetrieveCmds) appendTo(b []byte) []byte {
-	b = putTS(b, m.From)
-	b = putTS(b, m.To)
-	return putU64(b, m.Seq)
-}
-
-func (m *RetrieveCmds) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.From, b, err = getTS(b)
-	if err != nil {
-		return nil, err
-	}
-	m.To, b, err = getTS(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Seq, b, err = getU64(b)
-	return b, err
-}
+func (m *RetrieveCmds) fields(w walk) walk { return w.ts(&m.From).ts(&m.To).u64(&m.Seq) }
 
 // RetrieveReply returns the requested command range:
 // 〈RETRIEVEREPLY cmds〉 (Alg. 3 line 31). Seq echoes the request's
@@ -550,50 +262,11 @@ type RetrieveReply struct {
 	Snap    []byte
 }
 
-var _ Message = (*RetrieveReply)(nil)
-
 // Type implements Message.
 func (*RetrieveReply) Type() Type { return TRetrieveReply }
 
-func (m *RetrieveReply) appendTo(b []byte) []byte {
-	b = putU64(b, m.Seq)
-	b = putTSCmds(b, m.Cmds)
-	if m.HasSnap {
-		b = append(b, 1)
-		b = putTS(b, m.SnapTS)
-		b = putBytes(b, m.Snap)
-	} else {
-		b = append(b, 0)
-	}
-	return b
-}
-
-func (m *RetrieveReply) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Seq, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Cmds, b, err = getTSCmds(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) < 1 {
-		return nil, ErrTruncated
-	}
-	m.HasSnap = b[0] == 1
-	b = b[1:]
-	if m.HasSnap {
-		m.SnapTS, b, err = getTS(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Snap, b, err = getBytes(b, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+func (m *RetrieveReply) fields(w walk) walk {
+	return w.u64(&m.Seq).tsCmds(&m.Cmds).snap(&m.HasSnap, &m.SnapTS, &m.Snap)
 }
 
 // --- Single-decree Paxos consensus primitive (used by reconfiguration) ---
@@ -604,25 +277,10 @@ type P1a struct {
 	Ballot   uint64
 }
 
-var _ Message = (*P1a)(nil)
-
 // Type implements Message.
 func (*P1a) Type() Type { return TP1a }
 
-func (m *P1a) appendTo(b []byte) []byte {
-	b = putU64(b, m.Instance)
-	return putU64(b, m.Ballot)
-}
-
-func (m *P1a) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Instance, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Ballot, b, err = getU64(b)
-	return b, err
-}
+func (m *P1a) fields(w walk) walk { return w.u64(&m.Instance).u64(&m.Ballot) }
 
 // P1b is the promise reply, reporting any previously accepted value.
 type P1b struct {
@@ -632,34 +290,11 @@ type P1b struct {
 	Value          []byte
 }
 
-var _ Message = (*P1b)(nil)
-
 // Type implements Message.
 func (*P1b) Type() Type { return TP1b }
 
-func (m *P1b) appendTo(b []byte) []byte {
-	b = putU64(b, m.Instance)
-	b = putU64(b, m.Ballot)
-	b = putU64(b, m.AcceptedBallot)
-	return putBytes(b, m.Value)
-}
-
-func (m *P1b) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Instance, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Ballot, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.AcceptedBallot, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Value, b, err = getBytes(b, nil)
-	return b, err
+func (m *P1b) fields(w walk) walk {
+	return w.u64(&m.Instance).u64(&m.Ballot).u64(&m.AcceptedBallot).bytes(&m.Value)
 }
 
 // P2a asks acceptors to accept Value for instance Instance under Ballot.
@@ -669,30 +304,10 @@ type P2a struct {
 	Value    []byte
 }
 
-var _ Message = (*P2a)(nil)
-
 // Type implements Message.
 func (*P2a) Type() Type { return TP2a }
 
-func (m *P2a) appendTo(b []byte) []byte {
-	b = putU64(b, m.Instance)
-	b = putU64(b, m.Ballot)
-	return putBytes(b, m.Value)
-}
-
-func (m *P2a) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Instance, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Ballot, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Value, b, err = getBytes(b, nil)
-	return b, err
-}
+func (m *P2a) fields(w walk) walk { return w.u64(&m.Instance).u64(&m.Ballot).bytes(&m.Value) }
 
 // P2b acknowledges acceptance of instance Instance under Ballot.
 type P2b struct {
@@ -700,25 +315,10 @@ type P2b struct {
 	Ballot   uint64
 }
 
-var _ Message = (*P2b)(nil)
-
 // Type implements Message.
 func (*P2b) Type() Type { return TP2b }
 
-func (m *P2b) appendTo(b []byte) []byte {
-	b = putU64(b, m.Instance)
-	return putU64(b, m.Ballot)
-}
-
-func (m *P2b) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Instance, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Ballot, b, err = getU64(b)
-	return b, err
-}
+func (m *P2b) fields(w walk) walk { return w.u64(&m.Instance).u64(&m.Ballot) }
 
 // Learn announces the decided value of instance Instance to all replicas.
 type Learn struct {
@@ -726,22 +326,7 @@ type Learn struct {
 	Value    []byte
 }
 
-var _ Message = (*Learn)(nil)
-
 // Type implements Message.
 func (*Learn) Type() Type { return TLearn }
 
-func (m *Learn) appendTo(b []byte) []byte {
-	b = putU64(b, m.Instance)
-	return putBytes(b, m.Value)
-}
-
-func (m *Learn) decode(b []byte, rec *Record) ([]byte, error) {
-	var err error
-	m.Instance, b, err = getU64(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Value, b, err = getBytes(b, nil)
-	return b, err
-}
+func (m *Learn) fields(w walk) walk { return w.u64(&m.Instance).bytes(&m.Value) }

@@ -9,7 +9,8 @@ import "sync"
 // payloads are copied into one shared byte arena — so once the pool and
 // the slabs are warm, DecodeRecycled performs zero heap allocations per
 // frame. This is the receive-side counterpart of the encode-side Buf
-// pool.
+// pool. A Record also holds the decode walk's state, so Decode checks
+// one out too, in a heap mode that uses none of its storage.
 //
 // Ownership contract: messages handed out by DecodeRecycled (and, for a
 // Batch, the messages packed inside it) live in pooled storage and are
@@ -34,6 +35,13 @@ type Record struct {
 	clockTimes []ClockTime
 	msgs       []Message // Batch.Msgs backing
 	batch      Batch     // batches cannot nest, so one per frame suffices
+
+	// The decode walk's state: its first failure, whether the whole
+	// frame owns its memory (Decode: no slab or arena storage at all),
+	// and whether the message being walked does (every type but the hot
+	// ones: its byte fields go to the heap).
+	err         error
+	heap, owned bool
 }
 
 // Retention caps: one pathological frame (a huge payload or an enormous
@@ -46,9 +54,16 @@ const (
 
 var recordPool = sync.Pool{New: func() any { return new(Record) }}
 
+// getRecord checks a record out of the pool, ready for a fresh decode.
+func getRecord() *Record {
+	r := recordPool.Get().(*Record)
+	r.reset()
+	return r
+}
+
 // reset prepares a pooled record for a fresh decode.
 func (r *Record) reset() {
-	r.top = nil
+	r.top, r.err, r.heap, r.owned = nil, nil, false, false
 	if r.arena == nil {
 		// A non-nil empty arena makes zero-length payload slices non-nil,
 		// matching what the copying decoder returns for them.
@@ -97,36 +112,34 @@ func (r *Record) bytes(p []byte) []byte {
 	return r.arena[off:len(r.arena):len(r.arena)]
 }
 
-// newPrepare hands out a zeroed slab entry (growing the slab when warm
-// capacity runs out; steady state allocates nothing).
-func (r *Record) newPrepare() *Prepare {
-	if len(r.prepares) == cap(r.prepares) {
-		r.prepares = append(r.prepares, Prepare{})
-	} else {
-		r.prepares = r.prepares[:len(r.prepares)+1]
-		r.prepares[len(r.prepares)-1] = Prepare{}
+// newMessage hands out an empty message of a hot type t from the
+// record's slabs, or nil for every other type and in heap mode.
+func (r *Record) newMessage(t Type) Message {
+	if r.heap {
+		return nil
 	}
-	return &r.prepares[len(r.prepares)-1]
+	switch t {
+	case TPrepare:
+		return slabEntry(&r.prepares)
+	case TPrepareOK:
+		return slabEntry(&r.prepareOKs)
+	case TClockTime:
+		return slabEntry(&r.clockTimes)
+	case TBatch:
+		// Batches cannot nest, so the record's single embedded Batch is
+		// always free here.
+		return &r.batch
+	}
+	return nil
 }
 
-func (r *Record) newPrepareOK() *PrepareOK {
-	if len(r.prepareOKs) == cap(r.prepareOKs) {
-		r.prepareOKs = append(r.prepareOKs, PrepareOK{})
-	} else {
-		r.prepareOKs = r.prepareOKs[:len(r.prepareOKs)+1]
-		r.prepareOKs[len(r.prepareOKs)-1] = PrepareOK{}
-	}
-	return &r.prepareOKs[len(r.prepareOKs)-1]
-}
-
-func (r *Record) newClockTime() *ClockTime {
-	if len(r.clockTimes) == cap(r.clockTimes) {
-		r.clockTimes = append(r.clockTimes, ClockTime{})
-	} else {
-		r.clockTimes = r.clockTimes[:len(r.clockTimes)+1]
-		r.clockTimes[len(r.clockTimes)-1] = ClockTime{}
-	}
-	return &r.clockTimes[len(r.clockTimes)-1]
+// slabEntry appends a zeroed entry to a slab and returns it; the slab
+// grows only when warm capacity runs out, so steady state allocates
+// nothing.
+func slabEntry[T any](slab *[]T) *T {
+	var zero T
+	*slab = append(*slab, zero)
+	return &(*slab)[len(*slab)-1]
 }
 
 // DecodeRecycled parses a message produced by Encode, like Decode, but
@@ -138,8 +151,7 @@ func (r *Record) newClockTime() *ClockTime {
 // a safe no-op for them. On a warm pool the whole decode performs zero
 // heap allocations for hot-type frames.
 func DecodeRecycled(b []byte) (Message, error) {
-	rec := recordPool.Get().(*Record)
-	rec.reset()
+	rec := getRecord()
 	m, err := decodeFrame(b, rec)
 	if err != nil || !recordBacked(m) {
 		putRecord(rec)

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -202,8 +203,8 @@ func TestPutRecordDropsOversizedBuffers(t *testing.T) {
 // close to the limit must round-trip through both decoders.
 func TestBatchEntryAtMaxFrame(t *testing.T) {
 	for _, l := range []uint32{MaxFrame, MaxFrame + 1} {
-		wire := putU32([]byte{byte(TBatch)}, 1) // one entry
-		wire = putU32(wire, l)                  // entry length prefix, no body
+		wire := binary.LittleEndian.AppendUint32([]byte{byte(TBatch)}, 1) // one entry
+		wire = binary.LittleEndian.AppendUint32(wire, l)                  // entry length prefix, no body
 		if _, err := Decode(wire); err == nil {
 			t.Errorf("batch entry claiming %d bytes decoded without error", l)
 		}
@@ -243,19 +244,20 @@ func TestBatchEntryAtMaxFrame(t *testing.T) {
 
 // FuzzDecodeRecycled checks pooled-decode equivalence under arbitrary
 // inputs: decoding into a deliberately dirtied, reused record must
-// accept exactly the same inputs as the heap decoder and produce a
-// message with identical wire serialization. (Struct comparison would
-// be confounded by the unexported record back-pointer, so equivalence
-// is over re-encoded bytes.)
+// accept exactly the same inputs as the heap decoder, and every input
+// either decoder accepts must be canonical — both decoded messages
+// re-encode to exactly the input bytes. (Struct comparison would be
+// confounded by the unexported record back-pointer, so equivalence is
+// over re-encoded bytes.)
 func FuzzDecodeRecycled(f *testing.F) {
 	for _, m := range append(sampleMessages(), sampleBatch()) {
 		f.Add(Encode(m))
 	}
 	// MaxFrame boundary inside a batch: claimed entry lengths at and just
 	// past the cap.
-	edge := putU32([]byte{byte(TBatch)}, 1)
-	f.Add(putU32(append([]byte(nil), edge...), MaxFrame))
-	f.Add(putU32(append([]byte(nil), edge...), MaxFrame+1))
+	edge := binary.LittleEndian.AppendUint32([]byte{byte(TBatch)}, 1)
+	f.Add(binary.LittleEndian.AppendUint32(append([]byte(nil), edge...), MaxFrame))
+	f.Add(binary.LittleEndian.AppendUint32(append([]byte(nil), edge...), MaxFrame+1))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Dirty the pooled record first so the fuzz exercises reuse, not
@@ -274,8 +276,8 @@ func FuzzDecodeRecycled(f *testing.F) {
 		if werr != nil {
 			return
 		}
-		if !bytes.Equal(Encode(want), Encode(got)) {
-			t.Fatalf("wire mismatch after recycled decode:\n heap %+v\n pooled %+v", want, got)
+		if heap, pooled := Encode(want), Encode(got); !bytes.Equal(heap, data) || !bytes.Equal(pooled, data) {
+			t.Fatalf("accepted frame is not canonical:\n input  %x\n heap   %x\n pooled %x", data, heap, pooled)
 		}
 		Recycle(got)
 	})
