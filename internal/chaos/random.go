@@ -24,14 +24,10 @@ type Profile struct {
 	MaxStall time.Duration
 	// MinDropWindow floors LinkDrop durations. Messages dropped by the
 	// chaos layer are gone for good — the protocol has no retransmission
-	// below reconfiguration — so a drop window must outlive the failure
-	// detector for the reconfiguration path to repair the gap. The
-	// detector samples silence only once per SuspectTimeout, so the
-	// window has to exceed TWICE the timeout (a full sampling period
-	// past the threshold) for detection to be guaranteed rather than
-	// phase-dependent. Leave zero only for schedules that never reach a
-	// live protocol. Default 800ms (2× the default 350ms SuspectTimeout
-	// with margin).
+	// below reconfiguration — so a drop window must outlast the
+	// SuspectTimeout after the last message gets through, for the
+	// reconfiguration path to repair the gap. Default 500ms (the
+	// scenario harness's 350ms SuspectTimeout with margin).
 	MinDropWindow time.Duration
 }
 
@@ -52,7 +48,7 @@ func (p Profile) withDefaults() Profile {
 		p.MaxStall = 5 * time.Millisecond
 	}
 	if p.MinDropWindow == 0 {
-		p.MinDropWindow = 800 * time.Millisecond
+		p.MinDropWindow = 500 * time.Millisecond
 	}
 	return p
 }

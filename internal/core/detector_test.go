@@ -9,7 +9,9 @@ import (
 	"clockrsm/internal/clock"
 	"clockrsm/internal/msg"
 	"clockrsm/internal/rsm"
+	"clockrsm/internal/sim"
 	"clockrsm/internal/types"
+	"clockrsm/internal/wan"
 )
 
 // These tests run the replica's own failure detector (detectTick,
@@ -17,23 +19,27 @@ import (
 // detector's contract is eventual completeness and accuracy, not
 // instant correctness, so the questions are which property each fault
 // erodes: silence the detector cannot see, suspicion that comes late,
-// and suspicion of a replica that is alive.
+// and suspicion of a replica that is alive. The last two check when the
+// detector fires: one SuspectTimeout after a peer's last message.
 
 const detectTimeout = 100 * time.Millisecond
 
 // clockEnv is recordEnv read through a clock the test sets, instead of
-// recordEnv's self-advancing counter.
+// recordEnv's self-advancing counter. Its timers never fire; armed is
+// the delay of the last one requested.
 type clockEnv struct {
 	*recordEnv
-	clk clock.Clock
+	clk   clock.Clock
+	armed time.Duration
 }
 
-func (e *clockEnv) Clock() int64 { return e.clk.Now() }
+func (e *clockEnv) Clock() int64                     { return e.clk.Now() }
+func (e *clockEnv) After(d time.Duration, fn func()) { e.armed = d }
 
 // newDetectReplica starts replica 0 of three with the detector on, its
 // clock reading src through eng's clock faults for replica 0. The
-// detector's timer does not fire by itself (recordEnv.After is a
-// no-op): each call to detectTick is one detector period.
+// detector's timer does not fire by itself: each call to detectTick is
+// one timer firing, and clockEnv.armed is the delay it re-armed with.
 func newDetectReplica(src clock.Clock, eng *chaos.Engine) *Replica {
 	env := &clockEnv{recordEnv: newRecordEnv(0, 3), clk: eng.Clock(0, src)}
 	r := New(env, &rsm.App{SM: rsm.NopSM{}}, Options{SuspectTimeout: detectTimeout})
@@ -78,9 +84,9 @@ func TestDetectorClockFreezeMasksSilence(t *testing.T) {
 }
 
 // When the freeze thaws, the backlog of silence becomes visible at
-// once: the first detector period after the thaw — at most one
-// SuspectTimeout later — proposes removing the silent replica and keeps
-// the one still talking.
+// once. While frozen no deadline draws nearer, so the timer sits at its
+// SuspectTimeout cap; its first firing after the thaw proposes removing
+// the silent replica and keeps the one still talking.
 func TestDetectorClockFreezeThawCycle(t *testing.T) {
 	src := clock.NewManual(int64(time.Hour))
 	eng := chaos.New(chaos.Schedule{Clock: []chaos.ClockFault{
@@ -149,4 +155,53 @@ func TestDetectorClockJumpFalseSuspicion(t *testing.T) {
 	if cfg := tick(r); !slices.Equal(cfg, []types.ReplicaID{0, 1}) {
 		t.Fatalf("after the jump the detector proposed %v, want the false positive [r0 r1]", cfg)
 	}
+}
+
+// The detector re-arms at the earliest peer deadline, one timeout after
+// the oldest last message, plus 1ms of slack. A last message stamped
+// ahead of the clock (here by a rollback) caps the wait at one timeout.
+func TestDetectorArmsAtEarliestDeadline(t *testing.T) {
+	src := clock.NewManual(int64(time.Hour))
+	eng := chaos.New(chaos.Schedule{Clock: []chaos.ClockFault{
+		{Replica: 0, Kind: chaos.ClockRollback, At: 0, Magnitude: 50 * time.Millisecond},
+	}})
+	r := newDetectReplica(src, eng)
+	env := r.env.(*clockEnv)
+	heard(r, 1) // t0
+	src.Advance(int64(30 * time.Millisecond))
+	heard(r, 2) // t0+30ms
+	src.Advance(int64(10 * time.Millisecond))
+	if cfg := tick(r); cfg != nil {
+		t.Fatalf("proposed %v with every peer inside its timeout", cfg)
+	}
+	if want := detectTimeout - 40*time.Millisecond + time.Millisecond; env.armed != want {
+		t.Fatalf("re-armed after %v, want T-40ms+1ms = %v", env.armed, want)
+	}
+	eng.Arm() // the clock reads t0-10ms: both last messages are ahead of it
+	if cfg := tick(r); cfg != nil {
+		t.Fatalf("proposed %v after a rollback", cfg)
+	}
+	if env.armed != detectTimeout {
+		t.Fatalf("re-armed after %v with lastHeard ahead of the clock, want the cap %v", env.armed, detectTimeout)
+	}
+}
+
+// On virtual time, a replica that crashes just after a sampling instant
+// of a fixed-period detector is still suspected one SuspectTimeout after
+// its last message, not up to two: a survivor suspends for the
+// reconfiguration within T + 10ms (one link delay of slack) of the crash.
+func TestDetectionWithinTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	h := newHarness(t, wan.Uniform(3, ms(10)),
+		Options{ClockTimeInterval: ms(5), SuspectTimeout: timeout}, sim.ClusterOptions{})
+	crash := 2*timeout + ms(7)
+	h.c.Eng.At(crash, func() { h.c.Crash(2) })
+	h.c.Eng.RunUntil(crash)
+	for !h.reps[0].suspended && !h.reps[1].suspended {
+		if took := h.c.Eng.Now() - crash; took > timeout+ms(10) {
+			t.Fatalf("no survivor suspended %v after the crash, want <= T+10ms = %v", took, timeout+ms(10))
+		}
+		h.c.Eng.RunUntil(h.c.Eng.Now() + ms(1))
+	}
+	t.Logf("suspended %v after the crash", h.c.Eng.Now()-crash)
 }

@@ -37,9 +37,10 @@ type Options struct {
 	// which a replica broadcasts its clock when idle. Zero disables the
 	// extension (the protocol stays quiescent).
 	ClockTimeInterval time.Duration
-	// SuspectTimeout enables the failure detector: a configured replica
-	// not heard from for this long is suspected and a reconfiguration
-	// removing it is triggered (Section V). Zero disables detection.
+	// SuspectTimeout enables the failure detector: a silent configured
+	// replica is suspected SuspectTimeout after its last message, and a
+	// reconfiguration removing it starts then (Section V). Zero disables
+	// detection.
 	SuspectTimeout time.Duration
 	// ConsensusRetry is the reproposal timeout of the reconfiguration
 	// consensus; zero uses the consensus package default.
@@ -1021,23 +1022,30 @@ func (r *Replica) maybeCheckpoint() {
 
 // detectTick is the timeout failure detector (Section II-A): replicas in
 // the configuration not heard from within SuspectTimeout are suspected,
-// triggering a reconfiguration that removes them.
+// triggering a reconfiguration that removes them. It is re-armed 1ms
+// past the earliest configured peer's deadline lastHeard[k] +
+// SuspectTimeout (the 1ms keeps a firing at a deadline from spinning),
+// at most SuspectTimeout ahead: suspended, unconfigured, clock stepped back.
 func (r *Replica) detectTick() {
 	timeout := int64(r.opts.SuspectTimeout)
 	now := r.env.Clock()
+	wait := timeout
 	if !r.suspended && r.inConfig[r.env.ID()] {
 		var next []types.ReplicaID
-		suspected := false
 		for _, k := range r.config {
-			if k != r.env.ID() && now-r.lastHeard[k] > timeout {
-				suspected = true
-				continue
+			left := r.lastHeard[k] + timeout - now
+			switch {
+			case k == r.env.ID():
+			case left < 0:
+				continue // suspected
+			default:
+				wait = min(wait, left+int64(time.Millisecond))
 			}
 			next = append(next, k)
 		}
-		if suspected && len(next) >= types.Majority(len(r.spec)) {
+		if len(next) < len(r.config) && len(next) >= types.Majority(len(r.spec)) {
 			r.Reconfigure(next)
 		}
 	}
-	r.env.After(r.opts.SuspectTimeout, r.detectTick)
+	r.env.After(time.Duration(wait), r.detectTick)
 }

@@ -32,12 +32,9 @@ type ChaosMatrixConfig struct {
 }
 
 // The matrix shares the crash churn's fault* protocol timings. Drop
-// windows must exceed TWICE faultSuspect: a dropped PREPARE is a
-// permanent history gap until a reconfiguration's command collection or
-// a rejoin's state transfer repairs it, both triggered by suspicion —
-// and the detector samples silence only once per timeout, so guaranteed
-// detection needs silence that outlives a full sampling period past the
-// threshold.
+// windows must outlast faultSuspect: a dropped PREPARE is a permanent
+// history gap until a reconfiguration or rejoin triggered by suspicion
+// repairs it, and suspicion comes one timeout after the last message.
 const (
 	chaosReplicas = 3
 	chaosGroups   = 2
@@ -69,14 +66,13 @@ type ChaosScenario struct {
 
 // DefaultScenarios builds the built-in fault matrix for a cluster of n
 // replicas with the given failure-detector timeout. Every drop window
-// exceeds 2×suspect — see the chaos* constants for why shorter drop
-// windows would be unsound — while delay and clock windows are free to
-// flap fast.
+// outlasts suspect (see the chaos* constants for why); delay and clock
+// windows are free to flap fast.
 func DefaultScenarios(n int, suspect time.Duration) []ChaosScenario {
 	if n < 3 {
 		panic("chaos matrix needs at least 3 replicas")
 	}
-	drop := 2*suspect + 150*time.Millisecond
+	drop := suspect + 150*time.Millisecond
 	r := func(i int) types.ReplicaID { return types.ReplicaID(i % n) }
 	at := 150 * time.Millisecond
 
