@@ -108,7 +108,7 @@ func main() {
 	flag.StringVar(&cfg.clientAddr, "client", "127.0.0.1:7200", "client listen address")
 	flag.IntVar(&cfg.groups, "groups", 1, "independent replication groups hosted by this node (key-sharded)")
 	flag.DurationVar(&cfg.delta, "delta", 5*time.Millisecond, "CLOCKTIME broadcast interval Δ (0 disables)")
-	flag.DurationVar(&cfg.suspect, "suspect", 0, "failure detector timeout (0 disables reconfiguration)")
+	flag.DurationVar(&cfg.suspect, "suspect", 0, "failure detector: an exited peer is suspected at once; a silent one after this timeout (0 disables reconfiguration)")
 	flag.StringVar(&cfg.logPath, "log", "", "stable log file (empty = in-memory; group g uses <path>.g<g>)")
 	flag.DurationVar(&cfg.clientTimeout, "client-timeout", 30*time.Second, "server-side wait bound per client request (0 = the rpc default, 10s)")
 	flag.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync mode with -log: always, batch (group commit), or off")

@@ -81,6 +81,7 @@ type ChaosTransport struct {
 var (
 	_ transport.GroupTransport   = (*ChaosTransport)(nil)
 	_ transport.GroupBroadcaster = (*ChaosTransport)(nil)
+	_ transport.PeerWatcher      = (*ChaosTransport)(nil)
 )
 
 // Self returns the wrapped endpoint's replica.
@@ -100,6 +101,13 @@ func (t *ChaosTransport) Close() error {
 		l.Close()
 	}
 	return t.inner.Close()
+}
+
+// WatchPeers passes through to the wrapped endpoint, if it watches peers.
+func (t *ChaosTransport) WatchPeers(fn func(down types.ReplicaID)) {
+	if w, ok := t.inner.(transport.PeerWatcher); ok {
+		w.WatchPeers(fn)
+	}
 }
 
 // Groups returns the wrapped endpoint's group count.

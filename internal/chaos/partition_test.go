@@ -226,3 +226,27 @@ func TestPartitionDelayOverLatencyHub(t *testing.T) {
 		t.Fatalf("first message delivered after %v, want at least %v (hub latency + link delay)", d, base+extra)
 	}
 }
+
+// watchedSink is a sinkTransport that also watches peers.
+type watchedSink struct {
+	*sinkTransport
+	down func(types.ReplicaID)
+}
+
+func (w *watchedSink) WatchPeers(fn func(types.ReplicaID)) { w.down = fn }
+
+// The wrapper forwards the wrapped endpoint's peer-down reports, and is
+// a harmless no-op over an endpoint that does not watch peers.
+func TestTransportForwardsPeerWatcher(t *testing.T) {
+	inner := &watchedSink{sinkTransport: &sinkTransport{self: 0}}
+	var got []types.ReplicaID
+	New(Schedule{}).Transport(inner).WatchPeers(func(k types.ReplicaID) { got = append(got, k) })
+	if inner.down == nil {
+		t.Fatal("WatchPeers did not reach the wrapped endpoint")
+	}
+	inner.down(2)
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("reports through the wrapper = %v, want [r2]", got)
+	}
+	New(Schedule{}).Transport(&sinkTransport{self: 0}).WatchPeers(func(types.ReplicaID) {})
+}

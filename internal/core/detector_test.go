@@ -205,3 +205,56 @@ func TestDetectionWithinTimeout(t *testing.T) {
 	}
 	t.Logf("suspended %v after the crash", h.c.Eng.Now()-crash)
 }
+
+// The transport's report that a peer's process exited expires that
+// peer's deadline and runs the detector's scan at once: the removal is
+// proposed now, not one timeout later, and no second timer chain is
+// armed beside detectTick's.
+func TestPeerDownSuspectsAtOnce(t *testing.T) {
+	r := newDetectReplica(clock.NewManual(int64(time.Hour)), chaos.New(chaos.Schedule{}))
+	env := r.env.(*clockEnv)
+	env.armed = -1
+	r.PeerDown(2)
+	if r.rc == nil || !slices.Equal(r.rc.cfg, []types.ReplicaID{0, 1}) {
+		t.Fatalf("PeerDown(r2) proposed %v, want [r0 r1] at once", r.DebugReconfig())
+	}
+	if env.armed != -1 {
+		t.Fatalf("PeerDown armed a timer (%v); detectTick is the one chain", env.armed)
+	}
+}
+
+// PeerDown changes nothing when the detector is off, for self, for a
+// replica outside the configuration, or while suspended for a
+// reconfiguration already under way.
+func TestPeerDownNoOps(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(r *Replica) types.ReplicaID // returns the peer reported down
+	}{
+		{"detector off", func(r *Replica) types.ReplicaID { r.opts.SuspectTimeout = 0; return 2 }},
+		{"self", func(r *Replica) types.ReplicaID { return 0 }},
+		{"outside Spec", func(r *Replica) types.ReplicaID { return 7 }},
+		{"removed from the configuration", func(r *Replica) types.ReplicaID {
+			r.config = []types.ReplicaID{0, 1}
+			delete(r.inConfig, 2)
+			return 2
+		}},
+		{"suspended", func(r *Replica) types.ReplicaID { r.suspended = true; return 2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newDetectReplica(clock.NewManual(int64(time.Hour)), chaos.New(chaos.Schedule{}))
+			env := r.env.(*clockEnv)
+			k := tc.setup(r)
+			heard := slices.Clone(r.lastHeard)
+			env.armed = -1
+			r.PeerDown(k)
+			if r.rc != nil {
+				t.Fatalf("PeerDown(r%d) proposed: %s", k, r.DebugReconfig())
+			}
+			if !slices.Equal(r.lastHeard, heard) || env.armed != -1 {
+				t.Fatalf("PeerDown(r%d) touched the detector: lastHeard %v -> %v, armed %v", k, heard, r.lastHeard, env.armed)
+			}
+		})
+	}
+}

@@ -39,8 +39,8 @@ type Options struct {
 	ClockTimeInterval time.Duration
 	// SuspectTimeout enables the failure detector: a silent configured
 	// replica is suspected SuspectTimeout after its last message, and a
-	// reconfiguration removing it starts then (Section V). Zero disables
-	// detection.
+	// reconfiguration removing it starts then (Section V); one whose
+	// process exited, at once (PeerDown). Zero disables detection.
 	SuspectTimeout time.Duration
 	// ConsensusRetry is the reproposal timeout of the reconfiguration
 	// consensus; zero uses the consensus package default.
@@ -1020,13 +1020,28 @@ func (r *Replica) maybeCheckpoint() {
 	}
 }
 
-// detectTick is the timeout failure detector (Section II-A): replicas in
-// the configuration not heard from within SuspectTimeout are suspected,
-// triggering a reconfiguration that removes them. It is re-armed 1ms
-// past the earliest configured peer's deadline lastHeard[k] +
-// SuspectTimeout (the 1ms keeps a firing at a deadline from spinning),
-// at most SuspectTimeout ahead: suspended, unconfigured, clock stepped back.
-func (r *Replica) detectTick() {
+// detectTick is the timeout failure detector (Section II-A) and its one
+// timer: the scan (suspect) suspects configured replicas not heard from
+// within SuspectTimeout, triggering a reconfiguration that removes them,
+// and returns the re-arm delay: 1ms past the earliest configured peer's
+// deadline lastHeard[k] + SuspectTimeout (the 1ms keeps a firing at a
+// deadline from spinning), at most SuspectTimeout: suspended,
+// unconfigured, clock stepped back.
+func (r *Replica) detectTick() { r.env.After(r.suspect(), r.detectTick) }
+
+// PeerDown is the transport's report that k's process exited: k's
+// deadline expires and the scan runs now. A no-op with the detector off,
+// for self or an unconfigured k, and while suspended.
+func (r *Replica) PeerDown(k types.ReplicaID) {
+	timeout := int64(r.opts.SuspectTimeout)
+	if timeout == 0 || k == r.env.ID() || !r.inConfig[k] || r.suspended {
+		return
+	}
+	r.lastHeard[k] = min(r.lastHeard[k], r.env.Clock()-timeout-1)
+	r.suspect()
+}
+
+func (r *Replica) suspect() time.Duration {
 	timeout := int64(r.opts.SuspectTimeout)
 	now := r.env.Clock()
 	wait := timeout
@@ -1047,5 +1062,5 @@ func (r *Replica) detectTick() {
 			r.Reconfigure(next)
 		}
 	}
-	r.env.After(time.Duration(wait), r.detectTick)
+	return time.Duration(wait)
 }

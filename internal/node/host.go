@@ -137,7 +137,22 @@ func NewHost(id types.ReplicaID, spec []types.ReplicaID, tr transport.Transport,
 		})
 		h.nodes = append(h.nodes, n)
 	}
+	if pw, ok := tr.(transport.PeerWatcher); ok {
+		pw.WatchPeers(h.peerDown)
+	}
 	return h, nil
+}
+
+// peerDowner is a protocol that acts on peer-down reports (core.Replica).
+type peerDowner interface{ PeerDown(k types.ReplicaID) }
+
+// peerDown fans a transport.PeerWatcher report out as one loop event per group.
+func (h *Host) peerDown(k types.ReplicaID) {
+	for _, n := range h.nodes {
+		if d := n.downer; d != nil {
+			n.enqueue(event{fn: func() { d.PeerDown(k) }})
+		}
+	}
 }
 
 // ID returns the replica identity shared by every group.

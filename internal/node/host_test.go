@@ -314,3 +314,53 @@ func TestHostBindRefusesApplyOnlyMachine(t *testing.T) {
 		t.Fatalf("Bind refused a kvstore: %v", err)
 	}
 }
+
+// groupEndpoint is what a hub endpoint implements.
+type groupEndpoint interface {
+	transport.GroupTransport
+	transport.GroupBroadcaster
+}
+
+// watched is a hub endpoint that also watches peers; a test raises its
+// peer-down reports by hand.
+type watched struct {
+	groupEndpoint
+	down func(types.ReplicaID)
+}
+
+func (w *watched) WatchPeers(fn func(types.ReplicaID)) { w.down = fn }
+
+// TestHostFansPeerDownOut: one transport report that a peer exited
+// reaches every hosted group's protocol, so with a detector whose timeout
+// alone would take an hour, every group reconfigures the peer out at once.
+func TestHostFansPeerDownOut(t *testing.T) {
+	const n, groups = 3, 2
+	hub := transport.NewHub(n, transport.HubOptions{Codec: true, Groups: groups})
+	t.Cleanup(hub.Close)
+	eps := make([]*watched, n)
+	c := newHostClusterWith(t, n, groups, func(id types.ReplicaID) transport.Transport {
+		eps[id] = &watched{groupEndpoint: hub.Endpoint(id).(groupEndpoint)}
+		return eps[id]
+	}, core.Options{ClockTimeInterval: 5 * time.Millisecond, SuspectTimeout: time.Hour, ConsensusRetry: 50 * time.Millisecond})
+	c.start(t)
+	if eps[0].down == nil {
+		t.Fatal("NewHost did not watch its transport's peers")
+	}
+	c.hosts[2].Stop()
+	eps[0].down(2)
+	removed := func() bool {
+		for _, h := range c.hosts[:2] {
+			for _, gs := range h.Status().Groups {
+				if MemberString(gs.Members) != "r0,r1" {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !removed(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("r2 still configured 5s after its exit was reported: %+v", c.hosts[0].Status().Groups)
+		}
+	}
+}

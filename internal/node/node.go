@@ -104,6 +104,7 @@ type Node struct {
 	// nudger is the protocol's idle-read clock nudge (see clockNudger);
 	// nil when unsupported. Loop-owned, invoked only from execRead.
 	nudger clockNudger
+	downer peerDowner // see Host.peerDown; nil when unsupported
 	// recovery reports the protocol's recovery counters for Status; nil
 	// when unsupported.
 	recovery recoveryReporter
@@ -170,6 +171,7 @@ func (n *Node) SetProtocol(p rsm.Protocol) {
 	n.proto = p
 	n.sr, _ = p.(rsm.StateReader)
 	n.nudger, _ = p.(clockNudger)
+	n.downer, _ = p.(peerDowner)
 	n.recovery, _ = p.(recoveryReporter)
 }
 

@@ -93,6 +93,7 @@ const (
 // reset with the process as the state machines do.
 type replica struct {
 	host   *node.Host
+	tcp    *transport.TCPEndpoint // nil on the hub
 	stores []*kvstore.Store
 	dups   []*dupTracker
 	// cores[g] is group g's Clock-RSM instance, for the counters a
@@ -310,7 +311,8 @@ func (c *cluster) build(id types.ReplicaID) (*replica, error) {
 
 	var tr transport.Transport
 	if s.tcp {
-		tr = transport.NewTCP(id, c.addrs, transport.TCPOptions{Groups: hosted, DialRetry: dialRetry})
+		r.tcp = transport.NewTCP(id, c.addrs, transport.TCPOptions{Groups: hosted, DialRetry: dialRetry})
+		tr = r.tcp
 	} else {
 		tr = &hubPort{
 			hubEndpoint: c.hub.Endpoint(id).(hubEndpoint),

@@ -153,15 +153,18 @@ func RunCrashChurn(cfg CrashChurnConfig) (*CrashChurnResult, error) {
 	return res, nil
 }
 
-// crashCycle kills victim, lets the survivors reconfigure it out and
-// move on under load, then restarts it over the same logs and requires
-// it back in the configuration within churnRecovery.
+// crashCycle kills victim, lets the survivors reconfigure it out on
+// their transports' exit report and move on under load, then restarts
+// it over the same logs and requires it back within churnRecovery.
 func crashCycle(c *cluster, victim types.ReplicaID, res *CrashChurnResult) error {
 	surv := c.pick(int(victim)+1, int(victim))
 	applied0 := make([]uint64, churnGroups)
 	for g := range applied0 {
 		applied0[g] = surv.stores[g].Applied()
 	}
+	other := c.pick(int(victim)+2, int(victim))
+	downs := func() uint64 { return surv.tcp.Counters().PeerDowns + other.tcp.Counters().PeerDowns }
+	downs0 := downs()
 	if err := c.kill(victim); err != nil {
 		return err
 	}
@@ -185,6 +188,9 @@ func crashCycle(c *cluster, victim types.ReplicaID, res *CrashChurnResult) error
 		if time.Since(deadAt) > churnStep {
 			return fmt.Errorf("survivors did not commit %d commands per group after the crash of replica %d", want, victim)
 		}
+	}
+	if downs() == downs0 {
+		return fmt.Errorf("no survivor's transport reported replica %d down: the timeout, not the exit, removed it", victim)
 	}
 	time.Sleep(churnSettle)
 

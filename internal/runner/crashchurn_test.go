@@ -1,8 +1,14 @@
 package runner
 
 import (
+	"context"
+	"slices"
 	"testing"
 	"time"
+
+	"clockrsm/internal/core"
+	"clockrsm/internal/kvstore"
+	"clockrsm/internal/types"
 )
 
 // TestCrashChurn is the crash-churn scenario of Section V-B asserted
@@ -39,4 +45,51 @@ func TestCrashChurn(t *testing.T) {
 	}
 	t.Logf("acked=%d resubmitted=%d reads=%d snap_restores=%d max_recovery=%v",
 		res.Acked, res.Resubmitted, res.Reads, res.SnapRestores, res.MaxRecovery)
+}
+
+// TestExitedPeerSuspectedAtOnce: over TCP, the survivors' transports see
+// a killed replica's process exit (its link breaks and the redial is
+// refused), so they reconfigure it out and commit again within a second,
+// although the detector's timeout alone would take five.
+func TestExitedPeerSuspectedAtOnce(t *testing.T) {
+	c, err := newCluster(clusterSpec{
+		replicas: 3, groups: 1, tcp: true,
+		core:   core.Options{ClockTimeInterval: faultDelta, SuspectTimeout: 5 * time.Second, ConsensusRetry: faultConsensusRetry},
+		debugf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.stop()
+	put := func(ctx context.Context, at types.ReplicaID) error {
+		_, err := c.rep(at).host.Execute(ctx, "k", kvstore.Put("k", []byte{byte('0' + at)}))
+		return err
+	}
+	for _, at := range []types.ReplicaID{0, 1} { // so both survivors' links to r2 are up
+		ctx, cancel := context.WithTimeout(context.Background(), churnStep)
+		err := put(ctx, at)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := c.kill(2); err != nil {
+		t.Fatal(err)
+	}
+	killed := time.Now()
+	ctx, cancel := context.WithDeadline(context.Background(), killed.Add(time.Second))
+	defer cancel()
+	for _, at := range []types.ReplicaID{0, 1} {
+		for slices.Contains(c.rep(at).host.Status().Groups[0].Members, 2) {
+			if ctx.Err() != nil {
+				t.Fatalf("r%d still configures the killed r2 1s after the kill:%s", at, c.dump())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := put(ctx, 0); err != nil {
+		t.Fatalf("no put committed within 1s of the kill: %v", err)
+	}
+	t.Logf("r2 removed and a put committed %v after the kill", time.Since(killed))
 }

@@ -3,12 +3,15 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"clockrsm/internal/msg"
@@ -93,7 +96,9 @@ type TCPEndpoint struct {
 	// blocking IS the desired TCP backpressure there.
 	inboxes []chan inDelivery
 	// inDrops counts inbound messages dropped on full group queues.
-	inDrops atomic.Uint64
+	inDrops   atomic.Uint64
+	peerDown  func(types.ReplicaID) // the PeerWatcher callback
+	peerDowns atomic.Uint64
 
 	ln net.Listener
 
@@ -123,6 +128,7 @@ var (
 	_ Broadcaster      = (*TCPEndpoint)(nil)
 	_ GroupTransport   = (*TCPEndpoint)(nil)
 	_ GroupBroadcaster = (*TCPEndpoint)(nil)
+	_ PeerWatcher      = (*TCPEndpoint)(nil)
 )
 
 // tcpPeer is an outgoing connection with its queue and writer.
@@ -198,6 +204,7 @@ func NewTCP(self types.ReplicaID, addrs map[types.ReplicaID]string, opts TCPOpti
 		peers:    make(map[types.ReplicaID]*tcpPeer),
 		conns:    make(map[net.Conn]struct{}),
 		quit:     make(chan struct{}),
+		peerDown: func(types.ReplicaID) {},
 	}
 	if opts.Groups > 1 {
 		t.inboxes = make([]chan inDelivery, opts.Groups)
@@ -252,6 +259,8 @@ type WireCounters struct {
 	// InboundDrops counts inbound messages discarded on full group
 	// queues (multi-group endpoints only).
 	InboundDrops uint64
+	// PeerDowns counts the PeerWatcher reports raised.
+	PeerDowns uint64
 }
 
 // Counters returns a snapshot of the endpoint's wire-level counters.
@@ -262,6 +271,7 @@ func (t *TCPEndpoint) Counters() WireCounters {
 		CoalescedFrames:   t.coalescedFrames.Load(),
 		MultiGroupFlushes: t.multiGroupFlushes.Load(),
 		InboundDrops:      t.inDrops.Load(),
+		PeerDowns:         t.peerDowns.Load(),
 	}
 }
 
@@ -272,19 +282,16 @@ func (c *WireCounters) Add(o WireCounters) {
 	c.CoalescedFrames += o.CoalescedFrames
 	c.MultiGroupFlushes += o.MultiGroupFlushes
 	c.InboundDrops += o.InboundDrops
+	c.PeerDowns += o.PeerDowns
 }
+
+// WatchPeers implements PeerWatcher.
+func (t *TCPEndpoint) WatchPeers(fn func(types.ReplicaID)) { t.peerDown = fn }
 
 // Start implements Transport: it binds the listen socket and begins
 // accepting peer connections.
 func (t *TCPEndpoint) Start() error {
-	any := false
-	for _, h := range t.handlers {
-		if h != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if !slices.ContainsFunc(t.handlers, func(h Handler) bool { return h != nil }) {
 		return fmt.Errorf("tcp endpoint %v has no handler", t.self)
 	}
 	ln, err := net.Listen("tcp", t.addrs[t.self])
@@ -420,20 +427,15 @@ func (t *TCPEndpoint) readLoop(conn net.Conn) {
 		if err != nil {
 			return // corrupt stream: drop the connection
 		}
-		if int(g) >= len(t.handlers) || t.handlers[g] == nil {
-			// A well-formed frame for a group this endpoint does not host:
-			// drop it, like any best-effort delivery failure, but decode
-			// first so a corrupt stream still kills the connection.
-			m, err := msg.DecodeRecycled(frame)
-			if err != nil {
-				return
-			}
-			msg.Recycle(m)
-			continue
-		}
 		m, err := msg.DecodeRecycled(frame)
 		if err != nil {
 			return // corrupt stream: drop the connection
+		}
+		if int(g) >= len(t.handlers) || t.handlers[g] == nil {
+			// A well-formed frame for a group this endpoint does not host:
+			// drop it, like any best-effort delivery failure.
+			msg.Recycle(m)
+			continue
 		}
 		select {
 		case <-t.quit:
@@ -467,13 +469,9 @@ func (t *TCPEndpoint) SendGroup(to types.ReplicaID, g types.GroupID, m msg.Messa
 	if g < 0 || int(g) >= t.opts.Groups {
 		return // unconfigured group: drop, like any delivery failure
 	}
-	f := newFrame(m, 1, g)
-	p, ok := t.peer(to)
-	if !ok {
-		f.release()
-		return
+	if p, ok := t.peer(to); ok {
+		t.enqueue(p, newFrame(m, 1, g))
 	}
-	t.enqueue(p, f)
 }
 
 // Broadcast implements Broadcaster: it fans out on group 0.
@@ -502,12 +500,11 @@ func (t *TCPEndpoint) BroadcastGroup(dst []types.ReplicaID, g types.GroupID, m m
 		if to == t.self {
 			continue
 		}
-		p, ok := t.peer(to)
-		if !ok {
+		if p, ok := t.peer(to); ok {
+			t.enqueue(p, f)
+		} else {
 			f.release()
-			continue
 		}
-		t.enqueue(p, f)
 	}
 }
 
@@ -546,6 +543,7 @@ func (t *TCPEndpoint) writeLoop(to types.ReplicaID, p *tcpPeer) {
 	defer t.wg.Done()
 	var conn net.Conn
 	var bw *bufio.Writer
+	up := false // a link to `to` was established and not redialed since
 	defer func() {
 		if conn != nil {
 			t.untrack(conn)
@@ -594,6 +592,12 @@ func (t *TCPEndpoint) writeLoop(to types.ReplicaID, p *tcpPeer) {
 			if conn == nil {
 				c, err := net.Dial("tcp", t.addrs[to])
 				if err != nil {
+					// A link that was up broke and the peer refuses: it exited.
+					if up && errors.Is(err, syscall.ECONNREFUSED) {
+						t.peerDowns.Add(1)
+						t.peerDown(to)
+					}
+					up = false
 					select {
 					case <-t.quit:
 						releaseBatch()
@@ -614,7 +618,7 @@ func (t *TCPEndpoint) writeLoop(to types.ReplicaID, p *tcpPeer) {
 					releaseBatch()
 					return
 				}
-				conn = c
+				conn, up = c, true
 				bw = bufio.NewWriterSize(conn, wireBufSize)
 			}
 			var err error

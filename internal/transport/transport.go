@@ -70,6 +70,14 @@ type GroupBroadcaster interface {
 	BroadcastGroup(dst []types.ReplicaID, g types.GroupID, m msg.Message)
 }
 
+// PeerWatcher is implemented by transports that see a peer's process
+// exit: an established link to it broke and the immediate redial was
+// refused. A silent peer (a dead host, a partition) raises nothing.
+type PeerWatcher interface {
+	// WatchPeers installs fn, called once per lost link; before Start.
+	WatchPeers(fn func(down types.ReplicaID))
+}
+
 // MaxGroups bounds the group tag carried in wire frames. A received
 // frame naming a group at or above this limit indicates a corrupt
 // stream (it can never be produced by a conforming sender) and kills
