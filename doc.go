@@ -71,13 +71,12 @@
 //     retaining them is always safe. Each message's layout is one
 //     field list (its fields method) that a single walk both encodes
 //     and decodes, and TestWireGolden pins every type's bytes.
-//   - Inline ack tracking: the replication bitmask (RepCounter) lives
-//     inside each pending-set heap entry rather than in a parallel
-//     map, so recording an acknowledgement is one map lookup and a
-//     bit-or, and the commit scan reads the mask off the heap head.
-//     The node event loop drains queued events in batches bracketed
-//     by BeginBatch/EndBatch, so a burst of deliveries triggers one
-//     commit cascade.
+//   - Cumulative acknowledgements: a PREPAREOK for (w, j) vouches for
+//     every PREPARE of origin j up to w, so replication is one watermark
+//     per (acker, origin) and PendingCmds one FIFO per origin; there is
+//     no per-command ack state. The node event loop drains queued events
+//     in batches bracketed by BeginBatch/EndBatch, so a burst of
+//     deliveries triggers one commit cascade.
 //   - One ordered way out: everything core.Replica emits — PREPARE,
 //     PREPAREOK and CLOCKTIME broadcasts, the unicast CLOCKTIME that
 //     answers an idle-read CLOCKREQ, SUSPENDOK and state-transfer

@@ -134,13 +134,7 @@ func TestEarlyAckBeforePrepare(t *testing.T) {
 	ts := types.Timestamp{Wall: 10, Node: 0}
 	// Replica 2 acknowledged before we even saw the PREPARE from 0.
 	rep.Deliver(2, &msg.PrepareOK{TS: ts, ClockTS: 2000})
-	if got := len(rep.earlyAcks); got != 1 {
-		t.Fatalf("earlyAcks has %d entries, want 1", got)
-	}
 	rep.Deliver(0, prepareAt(0, 10, 1))
-	if got := len(rep.earlyAcks); got != 0 {
-		t.Fatalf("earlyAcks not drained into pending entry: %d entries", got)
-	}
 	// Stable order needs a recent clock from replica 0 too.
 	rep.Deliver(0, &msg.ClockTime{TS: 2000})
 	if executed != 1 {
@@ -148,6 +142,101 @@ func TestEarlyAckBeforePrepare(t *testing.T) {
 	}
 	if rep.PendingLen() != 0 {
 		t.Errorf("pending not drained: %d", rep.PendingLen())
+	}
+}
+
+// TestCumulativeAck checks that a PREPAREOK vouches for every earlier
+// PREPARE of its origin: replica 2's one acknowledgement of the third of
+// origin 0's PREPAREs completes a majority (0's implicit ack, our own,
+// 2's) for all three.
+func TestCumulativeAck(t *testing.T) {
+	env := newRecordEnv(1, 5)
+	env.now = 1000
+	var order []int64
+	app := &rsm.App{SM: rsm.NopSM{}, OnCommit: func(ts types.Timestamp, _ types.Command) { order = append(order, ts.Wall) }}
+	rep := New(env, app, Options{})
+	rep.Start()
+
+	for i, wall := range []int64{10, 20, 30} {
+		rep.Deliver(0, prepareAt(0, wall, uint64(i+1)))
+	}
+	rep.Deliver(2, &msg.PrepareOK{TS: types.Timestamp{Wall: 30, Node: 0}, ClockTS: 2000})
+	for _, k := range []types.ReplicaID{0, 3, 4} {
+		rep.Deliver(k, &msg.ClockTime{TS: 2000})
+	}
+	if len(order) != 3 || order[0] != 10 || order[1] != 20 || order[2] != 30 {
+		t.Fatalf("executed walls %v, want [10 20 30]", order)
+	}
+	if rep.PendingLen() != 0 {
+		t.Errorf("pending not drained: %d", rep.PendingLen())
+	}
+}
+
+// TestAckWatermarkResetsAtInstall checks that an acknowledgement from an
+// old epoch does not count toward a command of the new one: the
+// watermarks restart at every epoch install.
+func TestAckWatermarkResetsAtInstall(t *testing.T) {
+	env := newRecordEnv(1, 5)
+	env.now = 1000
+	executed := 0
+	rep := New(env, &rsm.App{SM: rsm.NopSM{}, OnCommit: func(types.Timestamp, types.Command) { executed++ }}, Options{})
+	rep.Start()
+
+	rep.Deliver(2, &msg.PrepareOK{TS: types.Timestamp{Wall: 500, Node: 0}, ClockTS: 2000})
+	rep.finishApply(&decision{epoch: 1, cfg: env.spec}, nil)
+	if rep.Epoch() != 1 {
+		t.Fatalf("epoch = %d, want 1", rep.Epoch())
+	}
+
+	p := prepareAt(0, 100, 1)
+	p.Epoch = 1
+	rep.Deliver(0, p)
+	for _, k := range []types.ReplicaID{0, 2, 3, 4} {
+		rep.Deliver(k, &msg.ClockTime{Epoch: 1, TS: 2000})
+	}
+	if executed != 0 || rep.PendingLen() != 1 {
+		t.Fatalf("executed %d, pending %d: the old epoch's ack from replica 2 counted", executed, rep.PendingLen())
+	}
+	rep.Deliver(2, &msg.PrepareOK{Epoch: 1, TS: p.TS, ClockTS: 2001})
+	if executed != 1 {
+		t.Fatalf("executed %d after the new epoch's ack, want 1", executed)
+	}
+}
+
+// TestMalformedOriginDropped checks the origin a PREPARE or PREPAREOK
+// names at the wire boundary: a PREPARE must carry its sender's
+// timestamp, and a PREPAREOK must name an origin in Spec. A malformed
+// one neither panics, acknowledges anything nor enters pending.
+func TestMalformedOriginDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		from types.ReplicaID
+		m    msg.Message
+	}{
+		{"prepare of another origin", 2, prepareAt(0, 10, 1)},
+		{"prepare of an origin outside spec", 0, prepareAt(7, 10, 1)},
+		{"prepareok of a negative origin", 2, &msg.PrepareOK{TS: types.Timestamp{Wall: 10, Node: -1}, ClockTS: 2000}},
+		{"prepareok of an origin past spec", 2, &msg.PrepareOK{TS: types.Timestamp{Wall: 10, Node: 3}, ClockTS: 2000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newRecordEnv(1, 3)
+			env.now = 1000
+			rep := New(env, &rsm.App{SM: rsm.NopSM{}}, Options{})
+			rep.Start()
+			env.sends = nil
+
+			rep.Deliver(tc.from, tc.m)
+			if rep.PendingLen() != 0 || len(env.sends) != 0 {
+				t.Fatalf("pending %d, sent %d: malformed message was processed", rep.PendingLen(), len(env.sends))
+			}
+			for k, row := range rep.acked {
+				for j, w := range row {
+					if w != 0 {
+						t.Errorf("acked[%d][%d] = %d, want 0", k, j, w)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -39,13 +39,15 @@ func BenchmarkCommitPath(b *testing.B) {
 	}
 }
 
-// BenchmarkPendingSet measures the PendingCmds heap operations.
+// BenchmarkPendingSet measures the PendingCmds queue operations: three
+// origins' PREPAREs interleaved, popped in timestamp order behind a
+// 64-command window.
 func BenchmarkPendingSet(b *testing.B) {
-	p := newPendingSet()
+	p := &pendingSet{q: make([]originQueue, 3)}
 	cmd := types.Command{ID: types.CommandID{Origin: 0, Seq: 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Add(types.Timestamp{Wall: int64(i), Node: 0}, cmd, 1)
+		p.Add(types.Timestamp{Wall: int64(i), Node: types.ReplicaID(i % 3)}, cmd)
 		if p.Len() > 64 {
 			p.PopMin()
 		}

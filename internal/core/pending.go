@@ -5,127 +5,79 @@ import (
 )
 
 // pendingCmd is one not-yet-committed command (an element of
-// PendingCmds, Table I). The replication bitmask (RepCounter) lives
-// inline in the entry: recording an acknowledgement is a single map
-// lookup plus a bit-or, and commitment reads the mask straight off the
-// heap head — no separate ack map to update and delete-churn in
-// lockstep with the pending set.
+// PendingCmds, Table I).
 type pendingCmd struct {
-	ts   types.Timestamp
-	cmd  types.Command
-	acks uint64 // bitmask of replicas known to have logged ts
+	ts  types.Timestamp
+	cmd types.Command
 }
 
-// pendingSet is PendingCmds: a timestamp-ordered priority queue with
-// membership testing and in-place ack accounting. The heap is
-// hand-rolled (rather than container/heap) so pushes and pops move
-// concrete values without interface boxing — the hot path allocates
-// only on slice growth.
+// pendingSet is PendingCmds as one FIFO per origin: q[j] holds origin
+// j's commands. An origin's PREPAREs arrive over one FIFO link with
+// strictly increasing walls, so each queue is already in timestamp
+// order and the smallest pending timestamp is the least of n heads.
 type pendingSet struct {
-	h   []pendingCmd
-	pos map[types.Timestamp]int // ts → index in h
+	q []originQueue
+	n int
 }
 
-// newPendingSet returns an empty set.
-func newPendingSet() *pendingSet {
-	return &pendingSet{pos: make(map[types.Timestamp]int)}
+// originQueue is one origin's pending commands, buf[head:], in wall
+// order. Popped slots are reused once the queue drains or its backing
+// array fills, so the hot path allocates only on growth.
+type originQueue struct {
+	buf  []pendingCmd
+	head int
 }
 
-// Add inserts a command with ack bitmask acks unless its timestamp is
-// already pending. It reports whether the command was inserted.
-func (p *pendingSet) Add(ts types.Timestamp, cmd types.Command, acks uint64) bool {
-	if _, ok := p.pos[ts]; ok {
+// Add appends a command to its origin's queue unless its timestamp is
+// not above that queue's tail (a duplicate delivery). It reports whether
+// the command was inserted. ts.Node must be below the set's size.
+func (p *pendingSet) Add(ts types.Timestamp, cmd types.Command) bool {
+	q := &p.q[ts.Node]
+	if n := len(q.buf); n > q.head && ts.Wall <= q.buf[n-1].ts.Wall {
 		return false
 	}
-	p.h = append(p.h, pendingCmd{ts: ts, cmd: cmd, acks: acks})
-	p.pos[ts] = len(p.h) - 1
-	p.up(len(p.h) - 1)
-	return true
-}
-
-// Ack sets replica k's bit on the pending entry for ts, reporting
-// whether the timestamp is pending.
-func (p *pendingSet) Ack(ts types.Timestamp, k types.ReplicaID) bool {
-	i, ok := p.pos[ts]
-	if !ok {
-		return false
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
 	}
-	p.h[i].acks |= 1 << uint(k)
+	q.buf = append(q.buf, pendingCmd{ts: ts, cmd: cmd})
+	p.n++
 	return true
 }
 
 // Len returns the number of pending commands.
-func (p *pendingSet) Len() int { return len(p.h) }
+func (p *pendingSet) Len() int { return p.n }
 
 // Min returns the pending command with the smallest timestamp. It must
 // not be called on an empty set.
-func (p *pendingSet) Min() pendingCmd { return p.h[0] }
-
-// PopMin removes and returns the smallest pending command.
-func (p *pendingSet) PopMin() pendingCmd {
-	e := p.h[0]
-	last := len(p.h) - 1
-	p.h[0] = p.h[last]
-	p.h[last] = pendingCmd{}
-	p.h = p.h[:last]
-	delete(p.pos, e.ts)
-	if last > 0 {
-		p.pos[p.h[0].ts] = 0
-		p.down(0)
-	}
-	return e
+func (p *pendingSet) Min() pendingCmd {
+	q := p.minQueue()
+	return q.buf[q.head]
 }
 
-// Contains reports whether ts is pending.
-func (p *pendingSet) Contains(ts types.Timestamp) bool {
-	_, ok := p.pos[ts]
-	return ok
+// PopMin removes the smallest pending command.
+func (p *pendingSet) PopMin() {
+	q := p.minQueue()
+	q.buf[q.head] = pendingCmd{}
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	p.n--
+}
+
+// minQueue returns the non-empty queue with the smallest head; the set
+// must not be empty.
+func (p *pendingSet) minQueue() *originQueue {
+	var best *originQueue
+	for i := range p.q {
+		q := &p.q[i]
+		if q.head < len(q.buf) && (best == nil || q.buf[q.head].ts.Less(best.buf[best.head].ts)) {
+			best = q
+		}
+	}
+	return best
 }
 
 // Clear drops every pending command (used at reconfiguration).
-func (p *pendingSet) Clear() {
-	for i := range p.h {
-		p.h[i] = pendingCmd{}
-	}
-	p.h = p.h[:0]
-	clear(p.pos)
-}
-
-// up restores the heap invariant from index i toward the root.
-func (p *pendingSet) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !p.h[i].ts.Less(p.h[parent].ts) {
-			return
-		}
-		p.swap(i, parent)
-		i = parent
-	}
-}
-
-// down restores the heap invariant from index i toward the leaves.
-func (p *pendingSet) down(i int) {
-	n := len(p.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && p.h[l].ts.Less(p.h[min].ts) {
-			min = l
-		}
-		if r < n && p.h[r].ts.Less(p.h[min].ts) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		p.swap(i, min)
-		i = min
-	}
-}
-
-// swap exchanges two heap slots, keeping the position index current.
-func (p *pendingSet) swap(i, j int) {
-	p.h[i], p.h[j] = p.h[j], p.h[i]
-	p.pos[p.h[i].ts] = i
-	p.pos[p.h[j].ts] = j
-}
+func (p *pendingSet) Clear() { *p = pendingSet{q: make([]originQueue, len(p.q))} }

@@ -414,9 +414,10 @@ func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand)
 	// reported dropped below, and the client may safely resubmit.
 	var candidates []types.CommandID
 	if r.onConfig != nil {
-		for i := range r.pending.h {
-			if cmd := r.pending.h[i].cmd; cmd.ID.Origin == r.env.ID() {
-				candidates = append(candidates, cmd.ID)
+		own := r.pending.q[r.env.ID()]
+		for _, e := range own.buf[own.head:] {
+			if e.cmd.ID.Origin == r.env.ID() {
+				candidates = append(candidates, e.cmd.ID)
 			}
 		}
 	}
@@ -432,7 +433,6 @@ func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand)
 	// already reported dropped.
 	lg.RemovePrepares(types.Timestamp{})
 	r.pending.Clear()
-	clear(r.earlyAcks)
 
 	// Lines 16-20: apply transferred commands (all ≤ d.ts) then decided
 	// commands (> d.ts) in timestamp order, skipping anything already
@@ -495,10 +495,14 @@ func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand)
 		r.latestTV[k] = d.ts.Wall
 		r.lastHeard[k] = now
 	}
-	// The FIFO-integrity counters restart with the epoch: everything the
-	// old epoch's streams carried (or lost) is subsumed by this install.
+	// The FIFO-integrity counters and the acknowledgement watermarks
+	// restart with the epoch: everything the old epoch's streams carried
+	// (or lost) is subsumed by this install.
 	r.prepSent = 0
 	clear(r.prepRecv)
+	for _, a := range r.acked {
+		clear(a)
+	}
 	r.rc = nil
 	r.st = nil
 	r.suspended = false

@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -83,18 +82,22 @@ type Replica struct {
 
 	nextSeq uint64
 
-	// pending holds uncommitted commands with their replication bitmask
-	// (RepCounter, Table I) inline in each entry; see pendingSet.
-	pending *pendingSet
-	// earlyAcks buffers acknowledgements that arrive before the PREPARE
-	// they acknowledge (possible across distinct FIFO links); they are
-	// folded into the pending entry when it is created. Empty in steady
-	// state.
-	earlyAcks map[types.Timestamp]uint64
+	// pending holds uncommitted commands (PendingCmds, Table I), one FIFO
+	// per origin; see pendingSet.
+	pending pendingSet
+	// acked[k][j] is the newest wall of origin j's PREPAREs that replica k
+	// is known to have logged this epoch (RepCounter, Table I, kept per
+	// origin). Acknowledgements are cumulative: links are FIFO and
+	// loss-free (fifoCheck), each origin's walls strictly increase
+	// (Submit), and a replica logs every PREPARE on arrival, before any
+	// send — so k acknowledging (w, j) vouches for every PREPARE of j up
+	// to w, and an acknowledgement that outruns its PREPARE is already
+	// counted when the PREPARE arrives. Reset at every epoch install.
+	acked [][]int64
 	// lastCommitted is the timestamp of the newest committed command.
 	// Commits happen in timestamp order, so anything at or below it is
-	// finished: late duplicate PREPAREs and stray acknowledgements for
-	// it are dropped instead of accumulating state.
+	// finished: late duplicate PREPAREs for it are dropped instead of
+	// accumulating state.
 	lastCommitted types.Timestamp
 	// latestTV[k] is the latest clock reading known from replica k
 	// (LatestTV in Table I), indexed by replica ID. The entry for self
@@ -186,7 +189,6 @@ type Replica struct {
 	committed    uint64
 	waits        uint64 // times the line-8 wait actually blocked
 	checkpoints  uint64
-	sweptAcks    uint64 // earlyAcks entries reclaimed by the periodic sweep
 	nudges       uint64 // CLOCKREQ broadcasts sent for parked reads
 	nudgeReplies uint64 // CLOCKREQs answered with an immediate CLOCKTIME
 }
@@ -210,8 +212,8 @@ func New(env rsm.Env, app *rsm.App, opts Options) *Replica {
 		spec:      spec,
 		config:    append([]types.ReplicaID(nil), spec...),
 		inConfig:  make(map[types.ReplicaID]bool, len(spec)),
-		pending:   newPendingSet(),
-		earlyAcks: make(map[types.Timestamp]uint64),
+		pending:   pendingSet{q: make([]originQueue, len(spec))},
+		acked:     make([][]int64, len(spec)),
 		latestTV:  make([]int64, len(spec)),
 		lastHeard: make([]int64, len(spec)),
 		prepRecv:  make([]uint64, len(spec)),
@@ -219,6 +221,7 @@ func New(env rsm.Env, app *rsm.App, opts Options) *Replica {
 	}
 	for _, id := range spec {
 		r.inConfig[id] = true
+		r.acked[id] = make([]int64, len(spec))
 	}
 	r.out.r = r
 	r.px = consensus.New(env.ID(), spec, &r.out, opts.ConsensusRetry, r.onDecide)
@@ -351,14 +354,6 @@ func (r *Replica) Checkpoints() uint64 { return r.checkpoints }
 // PendingLen returns the number of uncommitted pending commands.
 func (r *Replica) PendingLen() int { return r.pending.Len() }
 
-// EarlyAckLen returns the number of acknowledgements parked waiting for
-// their PREPARE (empty in steady state).
-func (r *Replica) EarlyAckLen() int { return len(r.earlyAcks) }
-
-// SweptAcks returns how many parked acknowledgements the periodic
-// CLOCKTIME sweep has reclaimed.
-func (r *Replica) SweptAcks() uint64 { return r.sweptAcks }
-
 // NextCommandID allocates a command identifier for a local client.
 func (r *Replica) NextCommandID() types.CommandID {
 	r.nextSeq++
@@ -398,7 +393,8 @@ func (r *Replica) Submit(cmd types.Command) {
 	r.lastProposed = wall
 	ts := types.Timestamp{Wall: wall, Node: r.env.ID()}
 	r.env.Log().Append(storage.Entry{Kind: storage.KindPrepare, TS: ts, Cmd: cmd})
-	r.pending.Add(ts, cmd, 1<<uint(r.env.ID()))
+	r.pending.Add(ts, cmd)
+	r.ack(ts, r.env.ID())
 	r.observe(r.env.ID(), ts.Wall)
 	r.lastSent = ts.Wall
 	r.prepSent++
@@ -634,9 +630,11 @@ func (r *Replica) deliverOne(from types.ReplicaID, m msg.Message) {
 // onPrepare handles 〈PREPARE cmd, ts〉 from rk (Alg. 1 lines 4-10). The
 // PREPARE doubles as rk's own logging acknowledgement: rk appends to its
 // log before broadcasting, so receivers count it toward majority
-// replication without waiting for rk's PREPAREOK.
+// replication without waiting for rk's PREPAREOK. rk's PREPARE carries
+// rk's timestamp; one naming another origin is malformed and dropped, or
+// its implicit acknowledgement would vouch for the wrong origin.
 func (r *Replica) onPrepare(from types.ReplicaID, m *msg.Prepare) {
-	if m.Epoch != r.epoch || r.suspended {
+	if m.Epoch != r.epoch || r.suspended || m.TS.Node != from {
 		return
 	}
 	if !r.fifoCheck(from, m.Sent, true) {
@@ -644,15 +642,6 @@ func (r *Replica) onPrepare(from types.ReplicaID, m *msg.Prepare) {
 	}
 	if m.TS.LessEq(r.lastCommitted) {
 		return // late duplicate of an already-committed command
-	}
-	// Seed the entry with the sender's implicit acknowledgement plus any
-	// PREPAREOKs that outran this PREPARE on other links.
-	acks := uint64(1) << uint(from)
-	if len(r.earlyAcks) > 0 {
-		if early, ok := r.earlyAcks[m.TS]; ok {
-			acks |= early
-			delete(r.earlyAcks, m.TS)
-		}
 	}
 	// The PREPARE may be backed by pooled decode storage that is
 	// recycled when this delivery returns (msg.DecodeRecycled), so
@@ -666,9 +655,10 @@ func (r *Replica) onPrepare(from types.ReplicaID, m *msg.Prepare) {
 	} else if cmd.Payload != nil {
 		cmd.Payload = []byte{}
 	}
-	if !r.pending.Add(ts, cmd, acks) {
+	if !r.pending.Add(ts, cmd) {
 		return // duplicate delivery
 	}
+	r.ack(ts, from)
 	r.observe(from, ts.Wall)
 	r.env.Log().Append(storage.Entry{Kind: storage.KindPrepare, TS: ts, Cmd: cmd})
 	// Line 8: wait until ts < Clock. The local clock is strictly
@@ -710,9 +700,9 @@ func (r *Replica) ackPrepare(ts types.Timestamp) {
 }
 
 // onPrepareOK handles 〈PREPAREOK ts, clockTs〉 from rk (Alg. 1 lines
-// 11-13).
+// 11-13). One naming an origin outside Spec is malformed and dropped.
 func (r *Replica) onPrepareOK(from types.ReplicaID, m *msg.PrepareOK) {
-	if m.Epoch != r.epoch || r.suspended {
+	if m.Epoch != r.epoch || r.suspended || m.TS.Node < 0 || int(m.TS.Node) >= len(r.spec) {
 		return
 	}
 	if !r.fifoCheck(from, m.Sent, false) {
@@ -783,10 +773,7 @@ func (r *Replica) Nudges() uint64 { return r.nudges }
 func (r *Replica) NudgeReplies() uint64 { return r.nudgeReplies }
 
 // clockTimeTick implements Algorithm 2 line 1: broadcast the clock if
-// nothing carrying a newer timestamp was sent in the last Δ. The tick
-// also sweeps earlyAcks, so acknowledgements whose PREPAREs were
-// permanently lost are reclaimed within O(Δ) of the commit frontier
-// passing them instead of lingering until the next reconfiguration.
+// nothing carrying a newer timestamp was sent in the last Δ.
 func (r *Replica) clockTimeTick() {
 	d := r.opts.ClockTimeInterval
 	now := r.env.Clock()
@@ -794,34 +781,11 @@ func (r *Replica) clockTimeTick() {
 		r.lastSent = now
 		r.out.broadcast(&msg.ClockTime{Epoch: r.epoch, TS: now, Sent: r.prepSent})
 	}
-	r.sweepEarlyAcks()
 	// Retry the commit scan: when the head waits only on the local
 	// clock (stable's own-clock term) no peer message is guaranteed to
 	// arrive and re-trigger it, so the tick is the wakeup.
 	r.tryCommit()
 	r.env.After(d, r.clockTimeTick)
-}
-
-// sweepEarlyAcks drops parked acknowledgements for timestamps at or
-// below the commit frontier. Commits happen strictly in timestamp
-// order, so such an entry can never be consumed again: either its
-// command committed without it, or its PREPARE was lost and any late
-// arrival will be rejected as a stale duplicate (onPrepare's
-// lastCommitted guard). Entries above the frontier are kept — their
-// PREPARE may still be in flight. Under sustained message loss the
-// frontier keeps advancing past lost timestamps (they never enter the
-// pending set, so they don't block commitment), which bounds the
-// table's size by the loss rate times the sweep interval.
-func (r *Replica) sweepEarlyAcks() {
-	if len(r.earlyAcks) == 0 {
-		return
-	}
-	for ts := range r.earlyAcks {
-		if ts.LessEq(r.lastCommitted) {
-			delete(r.earlyAcks, ts)
-			r.sweptAcks++
-		}
-	}
 }
 
 // fifoCheck enforces the loss-free FIFO channel assumption the
@@ -874,19 +838,10 @@ func (r *Replica) observe(k types.ReplicaID, wall int64) {
 	}
 }
 
-// ack records that replica k logged the command with timestamp ts. The
-// bit lands directly in the pending entry; an acknowledgement that
-// outruns its PREPARE parks in earlyAcks, and one for an
-// already-committed command is dropped (commits are in timestamp
-// order, so ts ≤ lastCommitted is conclusive).
+// ack records that replica k logged every PREPARE of origin ts.Node up
+// to ts.Wall this epoch (see acked).
 func (r *Replica) ack(ts types.Timestamp, k types.ReplicaID) {
-	if ts.LessEq(r.lastCommitted) {
-		return
-	}
-	if r.pending.Ack(ts, k) {
-		return
-	}
-	r.earlyAcks[ts] |= 1 << uint(k)
+	r.acked[k][ts.Node] = max(r.acked[k][ts.Node], ts.Wall)
 }
 
 // stable reports the stable-order condition (Alg. 1 line 22): no replica
@@ -969,9 +924,9 @@ func (r *Replica) notifyStable() {
 // tryCommit commits pending commands from the head of the timestamp
 // order while all three conditions of COMMITTED(ts) hold (Alg. 1 lines
 // 14-23): majority replication, stable order, and — by virtue of
-// committing strictly in timestamp order from the heap head — prefix
-// replication. During a batch turn the scan is deferred: EndBatch (or
-// the end of a msg.Batch delivery) runs it once for the whole burst.
+// committing strictly in timestamp order from the pending set's head —
+// prefix replication. During a batch turn the scan is deferred: EndBatch
+// (or the end of a msg.Batch delivery) runs it once for the whole burst.
 // Every completed scan fires the watermark listener: even without
 // commits, the LatestTV observations folded in this turn may have
 // advanced the executed watermark.
@@ -983,7 +938,9 @@ func (r *Replica) tryCommit() {
 	r.notifyStable()
 }
 
-// commitScan is the commit cascade of tryCommit.
+// commitScan is the commit cascade of tryCommit. Majority replication
+// counts the replicas whose acknowledgement watermark for the head's
+// origin covers the head (see acked).
 func (r *Replica) commitScan() {
 	maj := types.Majority(len(r.spec))
 	for r.pending.Len() > 0 {
@@ -994,7 +951,13 @@ func (r *Replica) commitScan() {
 			r.pending.PopMin()
 			continue
 		}
-		if bits.OnesCount64(head.acks) < maj || !r.stable(head.ts) {
+		logged := 0
+		for _, a := range r.acked {
+			if a[head.ts.Node] >= head.ts.Wall {
+				logged++
+			}
+		}
+		if logged < maj || !r.stable(head.ts) {
 			return
 		}
 		r.pending.PopMin()

@@ -415,48 +415,3 @@ func TestManyReplicaGroupSizes(t *testing.T) {
 		})
 	}
 }
-
-func TestEarlyAckSweepReclaimsLostPrepares(t *testing.T) {
-	// An acknowledgement that outruns its PREPARE parks in earlyAcks; if
-	// the PREPARE is permanently lost, the entry must be reclaimed by
-	// the CLOCKTIME-tick sweep once the commit frontier passes it — not
-	// linger until the next reconfiguration.
-	h := newHarness(t, wan.Uniform(3, ms(10)), Options{ClockTimeInterval: ms(5)}, sim.ClusterOptions{})
-	strayTS := types.Timestamp{Wall: int64(2 * time.Millisecond), Node: 1}
-	h.c.Eng.At(ms(1), func() {
-		// Replica 2 acknowledges a command of replica 1 whose PREPARE
-		// never reaches replica 0.
-		h.reps[0].Deliver(2, &msg.PrepareOK{TS: strayTS, ClockTS: int64(ms(1))})
-		if got := h.reps[0].EarlyAckLen(); got != 1 {
-			t.Errorf("stray ack not parked: EarlyAckLen = %d", got)
-		}
-	})
-	// A later real command advances the commit frontier past the stray
-	// timestamp.
-	h.submitAt(1, ms(10))
-	h.c.Eng.RunUntil(ms(200))
-	h.checkTotalOrder(1, nil)
-	if got := h.reps[0].EarlyAckLen(); got != 0 {
-		t.Fatalf("earlyAcks not swept: %d entries remain", got)
-	}
-	if got := h.reps[0].SweptAcks(); got != 1 {
-		t.Fatalf("SweptAcks = %d, want 1", got)
-	}
-}
-
-func TestEarlyAckSweepKeepsLiveEntries(t *testing.T) {
-	// An acknowledgement ahead of the commit frontier must survive the
-	// sweep: its PREPARE may still be in flight.
-	h := newHarness(t, wan.Uniform(3, ms(10)), Options{ClockTimeInterval: ms(5)}, sim.ClusterOptions{})
-	aheadTS := types.Timestamp{Wall: int64(time.Hour), Node: 1}
-	h.c.Eng.At(ms(1), func() {
-		h.reps[0].Deliver(2, &msg.PrepareOK{TS: aheadTS, ClockTS: int64(ms(1))})
-	})
-	h.c.Eng.RunUntil(ms(100))
-	if got := h.reps[0].EarlyAckLen(); got != 1 {
-		t.Fatalf("live early ack dropped: EarlyAckLen = %d, want 1", got)
-	}
-	if got := h.reps[0].SweptAcks(); got != 0 {
-		t.Fatalf("SweptAcks = %d, want 0", got)
-	}
-}

@@ -594,8 +594,8 @@ func (c *cluster) dump() string {
 			var proto string
 			if rep := r.cores[gs.Group]; rep != nil {
 				r.host.Group(gs.Group).Do(func() {
-					proto = fmt.Sprintf(" committed=%d pending=%d earlyAcks=%d %s",
-						rep.Committed(), rep.PendingLen(), rep.EarlyAckLen(), rep.DebugReconfig())
+					proto = fmt.Sprintf(" committed=%d pending=%d %s",
+						rep.Committed(), rep.PendingLen(), rep.DebugReconfig())
 				})
 			}
 			fmt.Fprintf(&b, "\n  r%d g%d epoch=%d members=%s in=%t applied=%d%s:", r.host.ID(), gs.Group,
