@@ -195,7 +195,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 	}
 
 	logs := make([]storage.Log, groups)
-	replay := make([]bool, groups)
 	if logPath != "" {
 		if err := checkGroupLayout(logPath, groups, table); err != nil {
 			return err
@@ -209,11 +208,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 			if eng != nil {
 				logs[g] = eng.Log(types.ReplicaID(id), fl)
 			}
-			// A restart is any log with history: live entries, or a
-			// checkpoint that compacted them all (Len alone would mistake a
-			// fully-compacted log for a fresh boot and skip the rejoin).
-			_, hasCP := fl.LastCheckpoint()
-			replay[g] = fl.Len() > 0 || hasCP
 		}
 	}
 
@@ -246,7 +240,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 		nd.SetProtocol(core.New(nd, app, core.Options{
 			ClockTimeInterval: cfg.delta,
 			SuspectTimeout:    cfg.suspect,
-			Replay:            replay[g],
 			CheckpointEvery:   cfg.checkpointEvery,
 		}))
 	}
@@ -262,17 +255,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 		return err
 	}
 	defer host.Stop()
-	// A restarted replica (one whose log replayed) may have been
-	// reconfigured out while it was down; rejoin forces a reconfiguration
-	// that re-admits it and pulls any missed history via checkpoint + tail
-	// state transfer.
-	for g := 0; g < groups; g++ {
-		if replay[g] {
-			if err := host.Group(types.GroupID(g)).Rejoin(); err != nil {
-				return fmt.Errorf("rejoin group %d: %w", g, err)
-			}
-		}
-	}
 	log.Printf("replica r%d up; groups=%d peers=%v client=%s fsync=%s", id, groups, peerList, clientAddr, mode)
 	if eng != nil {
 		// Arm only once the replica is serving, so the schedule's t=0 is

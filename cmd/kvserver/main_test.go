@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,38 +50,63 @@ func replica(groups int) serverConfig {
 }
 
 // startCluster runs one kvserver per config on loopback ports and
-// returns a client pinned to each replica. It fills in each config's ID
-// and addresses in place, so a caller passing cfgs... can read them.
+// returns a client pinned to each replica (see startServers).
 // client.Dial retries until its replica is up, so nothing here waits.
 // Cleanup closes the clients, then stops every server and waits for it.
 func startCluster(t *testing.T, cfgs ...serverConfig) []*client.Client {
+	t.Helper()
+	startServers(t, cfgs)
+	clients := make([]*client.Client, len(cfgs))
+	for i := range cfgs {
+		clients[i] = dial(t, cfgs[i])
+	}
+	return clients
+}
+
+// startServers runs one kvserver per config on loopback ports and
+// returns each one's stop (see serve). It fills in each config's ID and
+// addresses in place, so the caller can read them.
+func startServers(t *testing.T, cfgs []serverConfig) []func() {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("spawns a real TCP cluster")
 	}
 	ports := freePorts(t, 2*len(cfgs))
 	peers := strings.Join(ports[:len(cfgs)], ",")
-	clients := make([]*client.Client, len(cfgs))
+	stops := make([]func(), len(cfgs))
 	for i := range cfgs {
 		cfgs[i].id, cfgs[i].peers, cfgs[i].clientAddr = i, peers, ports[len(cfgs)+i]
-		cfg := cfgs[i]
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			if err := run(ctx, cfg); ctx.Err() == nil {
-				t.Errorf("replica %d: %v", i, err)
-			}
-		}()
-		t.Cleanup(func() { cancel(); <-done })
-		c, err := client.Dial(client.Config{Addrs: []string{cfg.clientAddr}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		clients[i] = c
+		stops[i] = serve(t, cfgs[i])
 	}
-	return clients
+	return stops
+}
+
+// serve runs one kvserver until the returned stop (which waits for it to
+// return) is called, or until the test ends.
+func serve(t *testing.T, cfg serverConfig) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := run(ctx, cfg); ctx.Err() == nil {
+			t.Errorf("replica %d: %v", cfg.id, err)
+		}
+	}()
+	stop = sync.OnceFunc(func() { cancel(); <-done })
+	t.Cleanup(stop)
+	return stop
+}
+
+// dial returns a client pinned to cfg's replica, closed at cleanup
+// (before the servers stop: cleanups run last-in first-out).
+func dial(t *testing.T, cfg serverConfig) *client.Client {
+	t.Helper()
+	c, err := client.Dial(client.Config{Addrs: []string{cfg.clientAddr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 func testCtx(t *testing.T) context.Context {
@@ -300,6 +326,40 @@ func TestParseMembers(t *testing.T) {
 			t.Errorf("parseMembers(%q) succeeded", bad)
 		}
 	}
+}
+
+// TestKVServerRestartRejoins restarts a replica over its log after the
+// failure detector reconfigured it out: it replays, rejoins by itself
+// (no operator verb) and serves the write it missed.
+func TestKVServerRestartRejoins(t *testing.T) {
+	dir := t.TempDir()
+	cfgs := make([]serverConfig, 3)
+	for i := range cfgs {
+		cfgs[i] = replica(1)
+		cfgs[i].suspect = 300 * time.Millisecond
+		cfgs[i].logPath = filepath.Join(dir, fmt.Sprintf("r%d.log", i))
+	}
+	stops := startServers(t, cfgs)
+	c0 := dial(t, cfgs[0])
+	ctx := testCtx(t)
+	want(t, "PUT city", "(nil)")(c0.Put(ctx, "city", []byte("Sion")))
+
+	stops[2]()
+	want(t, "PUT city with r2 down", "Sion")(c0.Put(ctx, "city", []byte("Chur")))
+
+	serve(t, cfgs[2])
+	// No traffic through r2 until it is back in: only its own rejoin can
+	// re-admit it.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		resp, err := c0.Admin(ctx, "MEMBERS")
+		if err == nil && resp == "OK g0=r0,r1,r2" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted r2 never rejoined: MEMBERS %q, %v", resp, err)
+		}
+	}
+	want(t, "GETL city via restarted r2", "Chur")(dial(t, cfgs[2]).GetLin(ctx, "city"))
 }
 
 // TestKVServerAdminEndToEnd exercises the operator API over the wire on

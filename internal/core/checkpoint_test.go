@@ -102,7 +102,7 @@ func TestRecoveryFromCheckpointedFileLog(t *testing.T) {
 	}
 	h.c.Replicas[1].SetLog(reopened)
 	fresh := kvstore.New()
-	rep := New(h.c.Replicas[1], &rsm.App{SM: fresh}, Options{Replay: true})
+	rep := New(h.c.Replicas[1], &rsm.App{SM: fresh}, Options{})
 	_ = rep
 	if got := fresh.SnapshotMap(); !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered state %v != original %v", got, want)
@@ -140,7 +140,6 @@ func TestStateTransferShipsSnapshot(t *testing.T) {
 			ClockTimeInterval: opts.ClockTimeInterval,
 			ConsensusRetry:    opts.ConsensusRetry,
 			CheckpointEvery:   opts.CheckpointEvery,
-			Replay:            true,
 		})
 		h.reps[2] = rep
 		h.c.Replicas[2].SetProtocol(rep)

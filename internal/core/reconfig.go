@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"clockrsm/internal/consensus"
@@ -90,41 +91,47 @@ func (r *Replica) Reconfigure(confignew []types.ReplicaID) {
 	r.maybePropose()
 }
 
-// Rejoin is the entry point for a recovered replica: it proposes a
-// configuration consisting of the current one plus itself. A recovered
-// replica may hold an arbitrarily stale view of the epoch (possibly
-// believing it is still configured), so Rejoin always forces a
-// reconfiguration to a strictly newer epoch; each attempt either
-// succeeds or teaches the replica one newer epoch (via the Learn reply
-// to its stale SUSPEND), and Rejoin self-retries until a reconfiguration
-// newer than its recovery point has put it back in the configuration.
+// Rejoin forces this replica back into the configuration: it proposes
+// the current configuration plus itself for a strictly newer epoch, the
+// rejoin's target. A recovered replica may hold an arbitrarily stale
+// view of the epoch (possibly believing it is still configured), so an
+// attempt either succeeds or teaches the replica the newer epochs (via
+// the Learn reply to its stale SUSPEND); one retry chain re-proposes
+// until the target has installed with this replica configured.
+// Idempotent: a call while the target is not yet installed is absorbed
+// by the rejoin in flight; a later call targets the next epoch, forcing
+// one more reconfiguration.
 func (r *Replica) Rejoin() {
-	if r.rejoining && r.epoch >= r.rejoinTarget && r.inConfig[r.env.ID()] && !r.suspended {
-		r.rejoining = false
+	if r.rejoining && r.epoch < r.rejoinTarget {
 		return
 	}
+	r.rejoinTarget = r.epoch + 1
 	if !r.rejoining {
 		r.rejoining = true
-		r.rejoinTarget = r.epoch + 1
-	}
-	retry := r.opts.ConsensusRetry
-	if retry <= 0 {
-		retry = consensus.DefaultRetryTimeout
-	}
-	r.env.After(2*retry, r.Rejoin)
-	cfg := append([]types.ReplicaID(nil), r.config...)
-	found := false
-	for _, k := range cfg {
-		if k == r.env.ID() {
-			found = true
+		retry := r.opts.ConsensusRetry
+		if retry <= 0 {
+			retry = consensus.DefaultRetryTimeout
 		}
+		r.env.After(2*retry, r.retryRejoin)
 	}
-	if !found {
+	cfg := append([]types.ReplicaID(nil), r.config...)
+	if !slices.Contains(cfg, r.env.ID()) {
 		cfg = append(cfg, r.env.ID())
-		sort.Slice(cfg, func(i, j int) bool { return cfg[i] < cfg[j] })
+		slices.Sort(cfg)
 	}
 	r.rc = nil // a rejoin supersedes any stale attempt
 	r.Reconfigure(cfg)
+}
+
+// retryRejoin is the rejoin's retry chain: done once the target has
+// installed with this replica configured, and otherwise it proposes
+// again. The target stays put while it is not installed (it is always
+// the epoch after the one it was set at).
+func (r *Replica) retryRejoin() {
+	r.rejoining = false
+	if r.epoch < r.rejoinTarget || !r.inConfig[r.env.ID()] || r.suspended {
+		r.Rejoin()
+	}
 }
 
 // onSuspend handles 〈SUSPEND e, cts〉 (Alg. 3 lines 7-10): freeze the
@@ -531,9 +538,7 @@ func (r *Replica) finishApply(d *decision, transferred []msg.TimestampedCommand)
 	// state transfer (checkpoint + tail) repair it.
 	if r.needCatchup {
 		r.needCatchup = false
-		if !r.rejoining {
-			r.env.After(0, r.Rejoin)
-		}
+		r.env.After(0, r.Rejoin)
 	}
 
 	// Notify last, after replies for decided commands went out: the

@@ -29,7 +29,6 @@ func (h *harness) restart(id types.ReplicaID, opts Options) *Replica {
 			h.replies[i][res.ID] = h.c.Eng.Now()
 		},
 	}
-	opts.Replay = true
 	rep := New(h.c.Replicas[id], app, opts)
 	h.reps[id] = rep
 	h.c.Replicas[id].SetProtocol(rep)
@@ -173,7 +172,7 @@ func TestReplayDoesNotReplyToClients(t *testing.T) {
 		OnReply:  func(types.Result) { replied++ },
 		OnCommit: func(types.Timestamp, types.Command) { executed++ },
 	}
-	rep := New(c.Replicas[0], app, Options{Replay: true})
+	rep := New(c.Replicas[0], app, Options{})
 	if executed != 1 {
 		t.Errorf("replay executed %d commands, want 1", executed)
 	}

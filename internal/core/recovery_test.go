@@ -47,8 +47,9 @@ func newRecHarness(t *testing.T, n int, opts Options, copts sim.ClusterOptions) 
 }
 
 // restartReplica reopens replica id's file log and rebuilds it from
-// stable state alone (Options.Replay), with a fresh store and an
-// execution counter — the in-process equivalent of a process restart.
+// stable state alone (New replays a log with history), with a fresh
+// store and an execution counter — the in-process equivalent of a
+// process restart.
 func restartReplica(t *testing.T, h *recHarness, id int, path string, opts Options) (*Replica, *kvstore.Store, *int) {
 	t.Helper()
 	if err := h.c.Replicas[id].Log().Close(); err != nil {
@@ -98,7 +99,7 @@ func TestRestartedReplicaIgnoresDuplicatePrepare(t *testing.T) {
 	}
 	want := h.stores[1].SnapshotMap()
 
-	rep, fresh, execs := restartReplica(t, h, 1, filepath.Join(dir, "r1.log"), Options{Replay: true})
+	rep, fresh, execs := restartReplica(t, h, 1, filepath.Join(dir, "r1.log"), Options{})
 	if *execs != 9 {
 		t.Fatalf("replay executed %d commands, want 9", *execs)
 	}
@@ -145,7 +146,7 @@ func TestRestartFromCheckpointOnlyLog(t *testing.T) {
 	want := h.stores[1].SnapshotMap()
 
 	rep, fresh, execs := restartReplica(t, h, 1, filepath.Join(dir, "r1.log"),
-		Options{Replay: true, CheckpointEvery: 4})
+		Options{CheckpointEvery: 4})
 	if *execs != 0 {
 		t.Fatalf("replay executed %d commands, want 0 (checkpoint only)", *execs)
 	}

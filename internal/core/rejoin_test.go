@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -156,5 +158,82 @@ func forcedRejoin(t *testing.T, lagLog func() storage.Log) {
 	}
 	if lg, ok := c.Replicas[lagging].Log().(*noCheckpointLog); ok && lg.refused < 2 {
 		t.Errorf("the refused checkpoint was attempted %d times, want a retry at the next commit", lg.refused)
+	}
+}
+
+// TestRepeatedRejoinIsOneReconfiguration: Rejoin is idempotent. k calls
+// made together are one rejoin, one reconfiguration (epoch 1 at every
+// replica); a call made after that rejoin completed is a new one
+// (epoch 2).
+func TestRepeatedRejoinIsOneReconfiguration(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		t.Run(fmt.Sprintf("calls=%d", k), func(t *testing.T) {
+			opts := Options{ClockTimeInterval: ms(5), ConsensusRetry: ms(200)}
+			h := newHarness(t, wan.Uniform(3, ms(10)), opts, sim.ClusterOptions{})
+			epochs := func(want types.Epoch) {
+				t.Helper()
+				for i, rep := range h.reps {
+					if rep.Epoch() != want || !rep.InConfig() {
+						t.Fatalf("replica %d: epoch %d, in config %t; want epoch %d", i, rep.Epoch(), rep.InConfig(), want)
+					}
+				}
+			}
+			h.c.Eng.At(ms(50), func() {
+				for i := 0; i < k; i++ {
+					h.reps[2].Rejoin()
+				}
+			})
+			h.c.Eng.RunUntil(2 * time.Second)
+			epochs(1)
+			h.c.Eng.At(h.c.Eng.Now(), h.reps[2].Rejoin)
+			h.c.Eng.RunUntil(4 * time.Second)
+			epochs(2)
+		})
+	}
+}
+
+// TestRestartRejoinsItself: a replica rebuilt over the log it left
+// behind replays it and rejoins on Start, with no option set and no
+// Rejoin call, although the others reconfigured it out and committed
+// more while it was down.
+func TestRestartRejoinsItself(t *testing.T) {
+	opts := Options{ClockTimeInterval: ms(5), ConsensusRetry: ms(200)}
+	h := newKVHarness(t, 3, opts, sim.ClusterOptions{})
+	for k := 0; k < 6; k++ {
+		h.put(types.ReplicaID(k%3), ms(30*k), "k", string(rune('a'+k)))
+	}
+	h.c.Eng.RunUntil(time.Second)
+	h.c.Eng.At(h.c.Eng.Now(), func() {
+		h.c.Crash(2)
+		h.reps[0].Reconfigure([]types.ReplicaID{0, 1})
+	})
+	for k := 0; k < 6; k++ {
+		h.put(types.ReplicaID(k%2), 2*time.Second+ms(30*k), "late"+string(rune('a'+k)), "v")
+	}
+	h.c.Eng.RunUntil(3 * time.Second)
+	if h.reps[0].Epoch() != 1 || slices.Contains(h.reps[0].Config(), 2) {
+		t.Fatalf("replica 2 not reconfigured out: epoch %d, config %v", h.reps[0].Epoch(), h.reps[0].Config())
+	}
+
+	h.c.Eng.At(h.c.Eng.Now(), func() {
+		h.stores[2] = kvstore.New()
+		rep := New(h.c.Replicas[2], &rsm.App{SM: h.stores[2]}, Options{})
+		h.reps[2] = rep
+		h.c.Replicas[2].SetProtocol(rep)
+		h.c.Restart(2)
+		rep.Start()
+	})
+	h.c.Eng.RunUntil(10 * time.Second)
+	for i, rep := range h.reps {
+		if !slices.Equal(rep.Config(), []types.ReplicaID{0, 1, 2}) {
+			t.Fatalf("replica %d: epoch %d, config %v after the restart", i, rep.Epoch(), rep.Config())
+		}
+	}
+	want := h.stores[0].SnapshotMap()
+	if len(want) != 7 {
+		t.Fatalf("replica 0 holds %d keys, want 7", len(want))
+	}
+	if got := h.stores[2].SnapshotMap(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restarted replica state %v, replica 0 state %v", got, want)
 	}
 }

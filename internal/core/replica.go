@@ -7,15 +7,16 @@
 // Durability and recovery (Section V-B): every PREPARE and COMMIT mark
 // is appended to the replica's stable log before the message
 // acknowledging it leaves — under group commit (storage.SyncBatch) one
-// covering fsync per event-loop batch turn enforces that barrier. A
-// replica restarted with Options.Replay restores the newest checkpoint,
-// replays only the committed tail, and clamps its duplicate-kill
-// frontier to the checkpoint so acknowledged commands never re-execute.
-// Catch-up — state transfer during reconfiguration, and Rejoin for a
-// restarted or removed replica — ships checkpoint + log tail from
-// peers, never full history; with checkpointing enabled a transfer
-// responder takes a snapshot on demand when a long gap has no covering
-// checkpoint yet.
+// covering fsync per event-loop batch turn enforces that barrier. New
+// over a log with history is a restart: it restores the newest
+// checkpoint, replays only the committed tail, and clamps its
+// duplicate-kill frontier to the checkpoint so acknowledged commands
+// never re-execute; Start then rejoins, since the replica may have been
+// reconfigured out while it was down. Catch-up — state transfer during
+// reconfiguration, and Rejoin for a restarted or removed replica —
+// ships checkpoint + log tail from peers, never full history; with
+// checkpointing enabled a transfer responder takes a snapshot on demand
+// when a long gap has no covering checkpoint yet.
 package core
 
 import (
@@ -44,10 +45,8 @@ type Options struct {
 	// ConsensusRetry is the reproposal timeout of the reconfiguration
 	// consensus; zero uses the consensus package default.
 	ConsensusRetry time.Duration
-	// Replay, when true, re-executes the committed prefix found in the
-	// stable log before the replica starts (recovery, Section V-B). If
-	// the log holds a checkpoint, the state machine is restored from it
-	// and only the tail is replayed.
+	// Deprecated: ignored. New always recovers from the log's history
+	// (see New).
 	Replay bool
 	// CheckpointEvery, when positive, takes a state-machine snapshot
 	// every that many committed commands and compacts the log through it
@@ -137,10 +136,14 @@ type Replica struct {
 	st        *stateTransfer
 	// stashed holds decisions for epochs we cannot apply yet.
 	stashed map[types.Epoch]*decision
-	// rejoining/rejoinTarget track an in-progress Rejoin of a recovered
-	// replica: done once epoch ≥ rejoinTarget with self configured.
+	// rejoining/rejoinTarget track an in-progress Rejoin: its one retry
+	// chain is armed while rejoining, and it is done once epoch ≥
+	// rejoinTarget with self configured.
 	rejoining    bool
 	rejoinTarget types.Epoch
+	// restarted records that New found history in the log (entries or a
+	// checkpoint): Start rejoins.
+	restarted bool
 	// deferred buffers client commands submitted while suspended.
 	deferred []types.Command
 	// heldDropped counts messages discarded on held-buffer overflow; it
@@ -200,9 +203,11 @@ var (
 )
 
 // New creates a Clock-RSM replica over env, executing committed commands
-// against app. The initial configuration is the full Spec. If
-// opts.Replay is set, the committed prefix of env.Log() is re-executed
-// (recovery from stable storage, Section V-B).
+// against app. The initial configuration is the full Spec. A log with
+// history makes this a restart (recovery from stable storage, Section
+// V-B): the newest checkpoint is restored, the committed tail is
+// re-executed without client replies, and Start rejoins. Over an empty
+// log nothing is replayed.
 func New(env rsm.Env, app *rsm.App, opts Options) *Replica {
 	spec := env.Spec()
 	r := &Replica{
@@ -226,19 +231,19 @@ func New(env rsm.Env, app *rsm.App, opts Options) *Replica {
 	r.out.r = r
 	r.px = consensus.New(env.ID(), spec, &r.out, opts.ConsensusRetry, r.onDecide)
 	r.syncer, _ = env.Log().(storage.Syncer)
-	if opts.Replay {
-		// Restore the latest checkpoint, if any, then replay the tail
-		// (Section V-B).
-		if cp, ok := r.checkpointAfter(types.Timestamp{}); ok {
-			if restored, err := r.app.TryRestore(cp.State); err == nil && restored {
-				r.committed++ // the checkpoint covers ≥ 1 command
-			}
+	// A fully compacted log has no entries but a checkpoint: still a
+	// restart.
+	cp, hasCP := r.checkpointAfter(types.Timestamp{})
+	r.restarted = hasCP || env.Log().Len() > 0
+	if hasCP {
+		if restored, err := r.app.TryRestore(cp.State); err == nil && restored {
+			r.committed++ // the checkpoint covers ≥ 1 command
 		}
-		committed, _ := storage.CommittedCommands(env.Log())
-		for _, tc := range committed {
-			r.app.Execute(types.NoReplica, tc.TS, tc.Cmd) // suppress client replies on replay
-			r.committed++
-		}
+	}
+	committed, _ := storage.CommittedCommands(env.Log())
+	for _, tc := range committed {
+		r.app.Execute(types.NoReplica, tc.TS, tc.Cmd) // suppress client replies on replay
+		r.committed++
 	}
 	// The duplicate-kill frontier starts at the log's, which covers a
 	// restored checkpoint too, not only the replayed tail: with an empty
@@ -266,7 +271,9 @@ func (r *Replica) syncBarrier() {
 }
 
 // Start installs the periodic timers (Algorithm 2 broadcast and failure
-// detection).
+// detection). A restarted replica (see New) then rejoins: the others
+// may have reconfigured it out while it was down, and the rejoin
+// re-admits it and pulls the history it missed.
 func (r *Replica) Start() {
 	now := r.env.Clock()
 	for _, k := range r.spec {
@@ -277,6 +284,9 @@ func (r *Replica) Start() {
 	}
 	if d := r.opts.SuspectTimeout; d > 0 {
 		r.env.After(d, r.detectTick)
+	}
+	if r.restarted {
+		r.Rejoin()
 	}
 }
 

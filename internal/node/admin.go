@@ -235,13 +235,14 @@ func (n *Node) Reconfigure(ctx context.Context, members []types.ReplicaID) (*Fut
 	return f, nil
 }
 
-// Rejoin asks a replica restarted from its stable log to force itself
-// back into the configuration: the protocol proposes a reconfiguration
-// to a strictly newer epoch including itself, learning missed epochs
-// and fetching missed history (checkpoint + tail) along the way. The
-// call is asynchronous and self-retrying; observe progress via
-// Host.Status (Epoch advancing, InConfig true). Harmless when the
-// replica is already current.
+// Rejoin asks a removed or lagging replica to force itself back into
+// the configuration: the protocol proposes a reconfiguration to a
+// strictly newer epoch including itself, learning missed epochs and
+// fetching missed history (checkpoint + tail) along the way. It is for
+// operators and harnesses: a replica restarted from its stable log
+// rejoins by itself. The call is asynchronous, self-retrying and
+// idempotent (a call while a rejoin is in flight joins it); observe
+// progress via Host.Status (Epoch advancing, InConfig true).
 func (n *Node) Rejoin() error {
 	rj, ok := n.proto.(rsm.Rejoiner)
 	if !ok {

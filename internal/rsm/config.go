@@ -24,12 +24,14 @@ type ConfigEvent struct {
 	Dropped []types.CommandID
 }
 
-// Rejoiner is implemented by protocols with a recovery entry point: a
-// replica restarted from its stable log calls Rejoin to force a
-// reconfiguration that puts it back into the configuration, catching up
-// on missed epochs and history (checkpoint + tail state transfer) along
-// the way (core.Replica.Rejoin). Must be invoked on the event loop; the
-// call is asynchronous and self-retrying.
+// Rejoiner is implemented by protocols with a recovery entry point:
+// Rejoin forces a reconfiguration that puts the replica back into the
+// configuration, catching up on missed epochs and history (checkpoint +
+// tail state transfer) along the way (core.Replica.Rejoin). A replica
+// restarted from its stable log rejoins by itself; Rejoin is for
+// operators and harnesses that drive a removed or lagging replica back
+// in. Must be invoked on the event loop; the call is asynchronous,
+// self-retrying and idempotent.
 type Rejoiner interface {
 	Rejoin()
 }

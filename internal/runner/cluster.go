@@ -64,7 +64,7 @@ type clusterSpec struct {
 	// protocol, when set to anything but ClockRSM, runs one of the
 	// paper's baselines and ignores core.
 	protocol Protocol
-	core     core.Options // Replay is the fixture's to set
+	core     core.Options
 	// onCommit additionally observes every execution, on the executing
 	// group's event loop.
 	onCommit func(id types.ReplicaID, g types.GroupID, cmd types.Command)
@@ -99,8 +99,6 @@ type replica struct {
 	// cores[g] is group g's Clock-RSM instance, for the counters a
 	// scenario reads on the group's loop (nil under a baseline protocol).
 	cores []*core.Replica
-	// replay: some group's log had history, so this is a restart.
-	replay bool
 }
 
 // dupTracker detects duplicate executions at one (replica, group) state
@@ -189,7 +187,7 @@ func newCluster(spec clusterSpec) (*cluster, error) {
 		c.reps[id] = r
 	}
 	for _, r := range c.reps {
-		if err := c.start(r); err != nil {
+		if err := r.host.Start(); err != nil {
 			c.stop()
 			return nil, err
 		}
@@ -266,7 +264,6 @@ func (c *cluster) build(id types.ReplicaID) (*replica, error) {
 	hosted := s.hosted()
 	r := &replica{}
 	logs := make([]storage.Log, hosted)
-	replay := make([]bool, hosted)
 	opts := node.HostOptions{
 		Groups: hosted,
 		NewLog: func(g types.GroupID) storage.Log { return logs[g] },
@@ -286,12 +283,6 @@ func (c *cluster) build(id types.ReplicaID) (*replica, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replica %v: %w", id, err)
 			}
-			// A restart is any log with history: live entries, or a
-			// checkpoint that compacted them all (Len alone would mistake a
-			// fully-compacted log for a fresh boot and skip the rejoin).
-			_, hasCP := fl.LastCheckpoint()
-			replay[g] = fl.Len() > 0 || hasCP
-			r.replay = r.replay || replay[g]
 			logs[g] = fl
 		}
 		if s.chaos != nil {
@@ -359,31 +350,10 @@ func (c *cluster) build(id types.ReplicaID) (*replica, error) {
 			nd.SetProtocol(proto)
 			continue
 		}
-		co := s.core
-		co.Replay = replay[g]
-		r.cores[g] = core.New(nd, app, co)
+		r.cores[g] = core.New(nd, app, s.core)
 		nd.SetProtocol(r.cores[g])
 	}
 	return r, nil
-}
-
-// start launches a built replica. One that replayed a log rejoins: the
-// cluster may have reconfigured it out while it was down, and the
-// rejoin re-admits it and pulls the history it missed.
-func (c *cluster) start(r *replica) error {
-	if err := r.host.Start(); err != nil {
-		return err
-	}
-	if !r.replay {
-		return nil
-	}
-	for g := 0; g < r.host.Groups(); g++ {
-		if err := r.host.Group(types.GroupID(g)).Rejoin(); err != nil {
-			r.host.Stop()
-			return fmt.Errorf("replica %v group %d rejoin: %w", r.host.ID(), g, err)
-		}
-	}
-	return nil
 }
 
 // kill crashes replica id as a process kill would: its event loops stop
@@ -400,7 +370,8 @@ func (c *cluster) kill(id types.ReplicaID) error {
 	return r.atMostOnce()
 }
 
-// restart boots a killed replica over the logs it left behind.
+// restart boots a killed replica over the logs it left behind; it
+// replays them and rejoins by itself (core.New, Replica.Start).
 func (c *cluster) restart(id types.ReplicaID) (*replica, error) {
 	if c.spec.log != logFile {
 		return nil, errors.New("runner: only a file log survives a kill to restart over")
@@ -409,7 +380,7 @@ func (c *cluster) restart(id types.ReplicaID) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.start(r); err != nil {
+	if err := r.host.Start(); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -461,8 +432,8 @@ func (c *cluster) table() *reshard.Table { return c.pick(0, -1).host.Table() }
 // Two triggers: the replica's own status says it is out of the
 // configuration, or — the case a fully isolated victim cannot see,
 // because the SUSPEND that removed it was itself dropped — its epoch
-// lags the rest of the group. Rejoin is asynchronous and self-retrying,
-// so poking an already-rejoining group is harmless.
+// lags the rest of the group. Rejoin is asynchronous, self-retrying and
+// idempotent, so poking an already-rejoining group is harmless.
 func (c *cluster) heal() {
 	defer c.healDone.Done()
 	lagging := make(map[[2]int]types.Epoch)

@@ -8,6 +8,7 @@ import (
 
 	"clockrsm/internal/core"
 	"clockrsm/internal/kvstore"
+	"clockrsm/internal/node"
 	"clockrsm/internal/types"
 	"clockrsm/internal/wan"
 )
@@ -48,6 +49,7 @@ func TestClusterKinds(t *testing.T) {
 				w := c.startWriters(c.clientKeys(4), churnStep)
 				awaitAcked(t, w, 8)
 				if lg.kind == logFile {
+					killed := c.rep(2).host.Status()
 					if err := c.kill(2); err != nil {
 						t.Fatal(err)
 					}
@@ -55,9 +57,7 @@ func TestClusterKinds(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !r.replay {
-						t.Error("restart over a written log was not detected as a replay")
-					}
+					awaitRejoined(t, r, killed)
 					awaitAcked(t, w, w.acked.Load()+8)
 				}
 				if err := w.finish(); err != nil {
@@ -70,6 +70,26 @@ func TestClusterKinds(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		}
+	}
+}
+
+// awaitRejoined waits until every group of the restarted incarnation r
+// is configured at an epoch above the one it had when it was killed: the
+// restart rejoined by itself.
+func awaitRejoined(t *testing.T, r *replica, killed node.HostStatus) {
+	t.Helper()
+	for deadline := time.Now().Add(churnRecovery); ; time.Sleep(time.Millisecond) {
+		st := r.host.Status()
+		done := true
+		for g, gs := range st.Groups {
+			done = done && gs.InConfig && gs.Epoch > killed.Groups[g].Epoch
+		}
+		if done {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted replica did not rejoin: status %+v, at the kill %+v", st.Groups, killed.Groups)
 		}
 	}
 }
